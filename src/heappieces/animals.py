@@ -16,6 +16,11 @@ fiber, two levels up), `b` closes back to the queued sibling, and marked
 Height bookkeeping is the usual heap drop with the same-fiber double
 bump.  The loop below is the iterative form of that recursion, so word
 length is bounded by memory, not the call stack.
+
+The inverse replays the same stacking forwards: with each fiber's heights
+sorted once, every step places the next cell in O(1) amortised time by
+asking which fibers' lowest unplaced cells are minimal in the remainder,
+so decoding an n-cell animal is O(n) after the per-fiber sort.
 """
 
 from __future__ import annotations
@@ -219,126 +224,81 @@ def empirical_width(an: Animal) -> int:
     return max(xs) - min(xs)
 
 
-def _fiber_columns(cells: frozenset[tuple[int, int]]) -> dict[int, list[int]]:
-    cols: dict[int, list[int]] = {}
-    for x, y in cells:
-        cols.setdefault(x, []).append(y)
-    for ys in cols.values():
-        ys.sort()
-    return cols
-
-
-def _up_closure_cells(
-    cells: frozenset[tuple[int, int]], seed: tuple[int, int]
-) -> frozenset[tuple[int, int]]:
-    """Cells reachable from seed by repeatedly moving to a higher cell at
-    fiber distance <= 1 (the dependence order of the trace)."""
-    cols = _fiber_columns(cells)
-    closure = {seed}
-    frontier = [seed]
-    while frontier:
-        x, y = frontier.pop()
-        for fx in (x - 1, x, x + 1):
-            for fy in cols.get(fx, ()):
-                if fy > y and (fx, fy) not in closure:
-                    closure.add((fx, fy))
-                    frontier.append((fx, fy))
-    return frozenset(closure)
-
-
-def _lowest_on_fiber(
-    cells: frozenset[tuple[int, int]], fiber: int, above: int | None = None
-) -> tuple[int, int] | None:
-    best = None
-    for x, y in cells:
-        if x == fiber and (above is None or y > above):
-            if best is None or y < best[1]:
-                best = (x, y)
-    return best
-
-
 def beta_inverse(an: Animal) -> StepWord:
     """The unique Motzkin prefix with beta(beta_inverse(an)) == an.
 
-    Peels the pyramid into equerres (split at the lowest cell one fiber
-    right of the base, iterated) and decodes each equerre by the reverse
-    of the stacking grammar, using dependence-order closures to carve out
-    sub-pyramids.  Everything runs on explicit work stacks.
+    Replays the equerre stacking forwards, one cell per step.  Each fiber's
+    heights are sorted once; a cell is *free* when it is the lowest
+    unplaced cell of its fiber and both neighbour fibers' lowest unplaced
+    cells sit higher, i.e. it is a minimal cell of the remainder.  After
+    placing a cell on fiber x the next letter is `d` if x's next cell is
+    free, else a tentative `c` (pushing x) if x-1's next cell is free.
+    Otherwise pending fibers are popped: each whose next cell is not free
+    keeps its `c`, the first whose next cell is free turns its letter into
+    `a` and the current letter is `b`.  With nothing pending the letter is
+    the chain separator `a`, and the walk restarts one fiber right of the
+    previous base.  Every push is popped at most once, so the walk costs
+    O(n) after the O(n log n) per-fiber sort.
     """
     if an.source != "point":
         raise AnimalError("beta_inverse is defined for point sources only")
     an.validate()
     r = lattice_colors(an.lattice)
+    lo = min(x for x, _ in an.cells)
+    hi = max(x for x, _ in an.cells)
+    # column k holds fiber k + lo - 2, heights descending so pop() is the
+    # lowest; two empty columns on each side keep every lookup in range
+    off = 2 - lo
+    cols: list[list[int]] = [[] for _ in range(hi - lo + 5)]
+    for x, y in an.cells:
+        cols[x + off].append(y)
+    for col in cols:
+        col.sort(reverse=True)
+    inf = 2 * len(an.cells) + 2  # above every height
+    low = [col[-1] if col else inf for col in cols]
+
     letters: list[str] = []
-
-    # pyramid -> equerre chain: P = L (1 + P'), the split cell being the
-    # lowest on the fiber right of the base
-    pyramid = an.cell_set()
-    base = (0, 0)
-    equerres: list[tuple[frozenset[tuple[int, int]], tuple[int, int]]] = []
+    pending: list[tuple[int, int]] = []  # (fiber column, letter index)
+    x = base = off
+    remaining = len(an.cells)
     while True:
-        split = _lowest_on_fiber(pyramid, base[0] + 1)
-        if split is None:
-            equerres.append((pyramid, base))
+        col = cols[x]
+        col.pop()
+        low[x] = col[-1] if col else inf
+        remaining -= 1
+        if not remaining:
             break
-        q = _up_closure_cells(pyramid, split)
-        equerres.append((pyramid - q, base))
-        pyramid = q
-        base = split
-
-    for k, (cells, base) in enumerate(equerres):
-        if k:
+        h = low[x]
+        if h < low[x - 1] and h < low[x + 1]:
+            if r < 2:
+                raise AnimalError("same-fiber stacking on a square-lattice animal")
+            letters.append("d")
+            continue
+        h = low[x - 1]
+        if h < low[x - 2] and h < low[x]:
+            pending.append((x, len(letters)))
+            letters.append("c")
+            x -= 1
+            continue
+        while pending:
+            q, i = pending.pop()
+            h = low[q]
+            if h < low[q - 1] and h < low[q + 1]:
+                letters[i] = "a"
+                letters.append("b")
+                x = q
+                break
+        else:
             letters.append("a")
-        _decode_equerre(cells, base, r, letters)
+            base += 1
+            x = base
+            h = low[x]
+            if not (h < low[x - 1] and h < low[x + 1]):
+                raise AnimalError("no free cell right of the chain base")
     word = StepWord(r, "".join(letters))
     if not is_motzkin_prefix(word):
         raise AnimalError("decoded word is not a Motzkin prefix")
     return word
-
-
-def _decode_equerre(
-    cells: frozenset[tuple[int, int]],
-    base: tuple[int, int],
-    r: int,
-    letters: list[str],
-) -> None:
-    """Append the Motzkin word of one equerre to `letters` (iteratively)."""
-    stack: list[tuple[str, object, object]] = [("equerre", cells, base)]
-    while stack:
-        kind, payload, extra = stack.pop()
-        if kind == "lit":
-            letters.append(payload)  # type: ignore[arg-type]
-            continue
-        cells = payload  # type: ignore[assignment]
-        base = extra  # type: ignore[assignment]
-        if len(cells) == 1:
-            continue
-        rest = cells - {base}
-        over = _lowest_on_fiber(rest, base[0])
-        if over is not None:
-            closure = _up_closure_cells(cells, over)
-            m_cells = rest - closure
-            if not m_cells:
-                # everything hangs above the same fiber: same-fiber stack
-                if r < 2:
-                    raise AnimalError("same-fiber stacking on a square-lattice animal")
-                stack.append(("equerre", closure, over))
-                stack.append(("lit", "d", None))
-                continue
-            m_base = _lowest_on_fiber(m_cells, base[0] - 1)
-            if m_base is None:
-                raise AnimalError("disconnected equerre")
-            # L = x M N: emit a M b N (reverse order onto the stack)
-            stack.append(("equerre", closure, over))
-            stack.append(("lit", "b", None))
-            stack.append(("equerre", m_cells, m_base))
-            stack.append(("lit", "a", None))
-        else:
-            m_base = _lowest_on_fiber(rest, base[0] - 1)
-            if m_base is None:
-                raise AnimalError("disconnected equerre")
-            stack.append(("equerre", rest, m_base))
-            stack.append(("lit", "c", None))
 
 
 def enumerate_animals(n: int, lattice: str, source: str = "point") -> list[Animal]:

@@ -8,6 +8,7 @@ Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,26 @@ from .series import (
     strict_heaps_series,
 )
 from .verify import SUITES, run_suites
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _read_graph(path: str):
@@ -106,9 +127,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_gas(args: argparse.Namespace) -> int:
     if args.linear:
+        # evaluate first so a bad --at leaves no partial output
+        density = None if args.at is None else gasmod.evaluate_density(args.at)
         print(f"density_series: {gasmod.linear_density(args.degree)}")
-        if args.at is not None:
-            print(f"density({args.at}) = {gasmod.evaluate_density(args.at):.15f}")
+        if density is not None:
+            print(f"density({args.at}) = {density:.15f}")
         return 0
     if not args.graph:
         print("gas: need --graph FILE or --linear", file=sys.stderr)
@@ -160,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lattice", choices=("square", "triangular"), default="square")
     p.add_argument("--source", choices=("point", "compact"), default="point")
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--samples", type=_non_negative_int, default=1)
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("enumerate", help="list all animals (or heaps) of a size")
@@ -181,21 +204,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="dump a trace series over a graph")
     p.add_argument("--graph", required=True, help="graph literal file")
     p.add_argument("--kind", choices=sorted(_SERIES_BUILDERS), required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_non_negative_int, required=True)
     p.add_argument("--base", help="base vertex label for pyramid series")
     p.add_argument("--project", action="store_true", help="print the t-projection")
     p.set_defaults(fn=_cmd_series)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", choices=["all", *sorted(SUITES)], default="all")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=_non_negative_int, default=None)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("gas", help="partition function and mean particle count")
     p.add_argument("--graph", help="graph literal file")
     p.add_argument("--linear", action="store_true", help="infinite chain closed form")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--at", type=float, default=None, help="evaluate density at t")
+    p.add_argument("--degree", type=_non_negative_int, required=True)
+    p.add_argument(
+        "--at", type=_finite_float, default=None, help="evaluate density at t"
+    )
     p.set_defaults(fn=_cmd_gas)
 
     p = sub.add_parser("render", help="render animal JSON to SVG or text")

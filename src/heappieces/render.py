@@ -21,7 +21,6 @@ from .paths import mark_celibates
 class RenderOptions:
     cell_radius: float = 0.4
     rotation: str = "lattice"  # "heap" | "lattice"
-    show_decomposition: bool = False
 
     def __post_init__(self) -> None:
         if self.cell_radius <= 0:

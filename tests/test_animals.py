@@ -7,6 +7,7 @@ import pytest
 from heappieces import (
     Animal,
     AnimalError,
+    RandomSource,
     StepWord,
     animal_count,
     animal_from_json,
@@ -23,6 +24,7 @@ from heappieces import (
     linear_window,
     mark_celibates,
     product,
+    random_animal,
 )
 from heappieces.animals import all_prefixes, all_words, empirical_width
 
@@ -85,9 +87,29 @@ class TestRoundTrip:
                 assert back.letters == w.letters
                 assert half_width(an) == classify(w)[1]
 
+    @pytest.mark.parametrize("lattice", ["square", "triangular"])
+    def test_at_scale(self, lattice):
+        an, rep = random_animal(10**5, lattice, "point", RandomSource(2024))
+        w = beta_inverse(an)
+        assert w == rep.word
+        assert beta(w, lattice) == an
+
     def test_single_cell(self):
         an = Animal("square", "point", ((0, 0),))
         assert beta_inverse(an).letters == ""
+
+    def test_rejects_compact_source(self):
+        an = compact_animal(StepWord(1, "b"), "square")
+        with pytest.raises(AnimalError):
+            beta_inverse(an)
+
+    def test_rejects_unsupported_cell(self):
+        with pytest.raises(AnimalError):
+            beta_inverse(Animal("square", "point", ((0, 0), (5, 1))))
+
+    def test_rejects_square_same_fiber_stack(self):
+        with pytest.raises(AnimalError):
+            beta_inverse(Animal("square", "point", ((0, 0), (0, 2))))
 
     def test_wide_animal(self):
         an = wide_animal()

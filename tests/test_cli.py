@@ -9,9 +9,11 @@ from heappieces import (
     animal_to_json,
     build_graph,
     format_graph_literal,
+    mark_celibates,
     random_animal,
 )
 from heappieces.cli import cli_main
+from heappieces.render import decomposition_flatten
 
 
 @pytest.fixture
@@ -66,6 +68,21 @@ class TestGenerate:
         code, svg, _ = run(capsys, "render", "--input", str(stream))
         assert code == 0
         assert svg.count("<circle") == 12
+
+    def test_decomposition_at_scale(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "generate", "--size", "20000", "--seed", "3")
+        assert code == 0
+        stream = tmp_path / "animals.jsonl"
+        stream.write_text(out)
+        code, dump, _ = run(capsys, "render", "--input", str(stream), "--decomposition")
+        assert code == 0
+        _, rep = random_animal(20000, "square", "point", RandomSource(3))
+        assert decomposition_flatten(dump) == mark_celibates(rep.word).letters
+
+    def test_rejects_negative_samples(self, capsys):
+        code, out, err = run(capsys, "generate", "--size", "5", "--samples", "-2")
+        assert code == 2 and out == ""
+        assert "--samples: must be >= 0" in err
 
 
 class TestEnumerate:
@@ -141,6 +158,25 @@ class TestGas:
         assert code == 0
         assert "0 1 -3 10 -35" in out
         assert "0.2763932" in out
+
+    def test_rejects_non_finite_at(self, capsys):
+        for value in ("nan", "inf"):
+            code, out, err = run(
+                capsys, "gas", "--linear", "--degree", "4", "--at", value
+            )
+            assert code == 2 and out == ""
+            assert "--at: must be finite" in err
+
+    def test_rejects_negative_degree(self, capsys):
+        code, out, err = run(capsys, "gas", "--linear", "--degree", "-1")
+        assert code == 2 and out == ""
+        assert "--degree: must be >= 0" in err
+        assert "coefficient count" not in err
+
+    def test_bad_at_leaves_no_partial_output(self, capsys):
+        code, out, err = run(capsys, "gas", "--linear", "--degree", "4", "--at", "-1")
+        assert code == 2 and out == ""
+        assert "density undefined" in err
 
 
 class TestErrors:
