@@ -32,18 +32,14 @@ from .graphs import (
     CommutationGraph,
     GraphError,
     build_graph,
-    enumerate_configurations,
     format_graph_literal,
-    is_configuration,
     linear_window,
-    neighborhood,
     parse_graph_literal,
 )
 from .heaps import (
     ColoredHeap,
     Heap,
     HeapError,
-    canonical_word,
     colored_layers,
     dual,
     empty_heap,
@@ -52,7 +48,6 @@ from .heaps import (
     heap_from_json,
     heap_of_word,
     heap_to_json,
-    is_pyramid,
     is_strict,
     product,
     push,

@@ -33,7 +33,7 @@ from .series import (
     pyramids_series,
     strict_heaps_series,
 )
-from .verify import SUITES, run_suites
+from .verify import DEGREE_SUITES, SUITES, run_suites
 
 
 def _non_negative_int(text: str) -> int:
@@ -111,6 +111,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.degree is not None and args.suite not in ("all", *DEGREE_SUITES):
+        raise ValueError(f"suite {args.suite!r} takes no --degree")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = run_suites(names, degree=args.degree)
     failed = 0

@@ -148,20 +148,6 @@ def build_graph(
     return CommutationGraph(labels, frozenset(norm))
 
 
-def neighborhood(g: CommutationGraph, v: int) -> frozenset[int]:
-    return g.neighborhood(v)
-
-
-def is_configuration(g: CommutationGraph, vs: Iterable[int]) -> bool:
-    return g.is_configuration(vs)
-
-
-def enumerate_configurations(
-    g: CommutationGraph, max_size: int
-) -> list[tuple[int, ...]]:
-    return g.configurations(max_size)
-
-
 def linear_window(radius: int) -> tuple[CommutationGraph, Coloring]:
     """Finite window -radius..+radius of the integer chain, 2-colored by parity.
 

@@ -83,51 +83,81 @@ def empty_heap(g: CommutationGraph) -> Heap:
     return Heap(g, ())
 
 
+def _landings(
+    g: CommutationGraph,
+    word: Iterable[int],
+    tops: dict[int, int],
+    coloring: Coloring | None = None,
+) -> list[int]:
+    """The drop rule: landing height of each letter of `word`, in order.
+
+    A letter on fibre v lands one above the highest occupied cell of its
+    closed neighbourhood, read from `tops` (fibre -> top height, updated in
+    place).  With a coloring it rises further to the next layer of its own
+    color, layer i carrying color ((i-1) mod r) + 1.  Out-of-range letters
+    raise GraphError.
+    """
+    neigh = g.neighborhood
+    heights: list[int] = []
+    for v in word:
+        floor = 0
+        for u in neigh(v):
+            top = tops.get(u, 0)
+            if top > floor:
+                floor = top
+        if coloring is None:
+            height = floor + 1
+        else:
+            height = floor + 1 + (coloring.colors[v] - 1 - floor) % coloring.r
+        tops[v] = height
+        heights.append(height)
+    return heights
+
+
+def _place(
+    layers: tuple[tuple[int, ...], ...], word: Iterable[int], heights: list[int]
+) -> tuple[tuple[int, ...], ...]:
+    """`layers` with each letter added at its height; re-sorts only touched layers."""
+    out = list(layers)
+    grown: dict[int, list[int]] = {}
+    for v, height in zip(word, heights):
+        if height in grown:
+            grown[height].append(v)
+        else:
+            out += [()] * (height - len(out))
+            grown[height] = [*out[height - 1], v]
+    for height, layer in grown.items():
+        layer.sort()
+        out[height - 1] = tuple(layer)
+    return tuple(out)
+
+
+def _drop(h: Heap, word: Iterable[int], tops: dict[int, int]) -> Heap:
+    """Heap h with `word` dropped letter by letter; `tops` are h's fibre tops."""
+    word = tuple(word)
+    return Heap(h.graph, _place(h.layers, word, _landings(h.graph, word, tops)))
+
+
 def push(h: Heap, v: int) -> Heap:
-    """Drop one cell on fibre v: height = 1 + max over neighbouring fibres."""
-    h.graph.check_vertex(v)
-    tops = h.fibre_heights()
-    height = 1 + max(
-        (tops.get(u, 0) for u in h.graph.neighborhood(v)), default=0
-    )
-    layers = list(h.layers)
-    if height > len(layers):
-        layers.append((v,))
-    else:
-        layers[height - 1] = tuple(sorted(layers[height - 1] + (v,)))
-    return Heap(h.graph, tuple(layers))
+    """Drop one cell on fibre v onto h (see `_landings` for the rule)."""
+    return _drop(h, (v,), h.fibre_heights())
 
 
 def heap_of_word(g: CommutationGraph, word: Iterable[int]) -> Heap:
     """Fold of push; the canonical heap of the trace of `word`.
 
-    Single-pass implementation: only fibre tops are tracked while the
-    layers are accumulated, so building a heap of n cells costs
-    O(n * maxdeg) instead of n pushes at O(n) each.
+    The word is dropped onto the empty heap by the shared kernel, which
+    tracks only fibre tops, so n cells cost O(n * maxdeg) plus one sort
+    per layer.
     """
-    tops: dict[int, int] = {}
-    layers: list[list[int]] = []
-    neigh = g.neighborhood
-    for v in word:
-        g.check_vertex(v)
-        height = 1 + max((tops.get(u, 0) for u in neigh(v)), default=0)
-        tops[v] = height
-        if height > len(layers):
-            layers.append([v])
-        else:
-            layers[height - 1].append(v)
-    return Heap(g, tuple(tuple(sorted(layer)) for layer in layers))
-
-
-def canonical_word(h: Heap) -> tuple[int, ...]:
-    return h.canonical_word()
+    return _drop(empty_heap(g), word, {})
 
 
 def product(h1: Heap, h2: Heap) -> Heap:
-    """Monoid product: drop h2 on top of h1."""
+    """Monoid product: drop h2's canonical word on h1's fibre tops."""
     if h1.graph != h2.graph:
         raise HeapError("product of heaps over different graphs")
-    return heap_of_word(h1.graph, h1.canonical_word() + h2.canonical_word())
+    return _drop(h1, h2.canonical_word(), h1.fibre_heights())
 
 
 def equivalent(g: CommutationGraph, u: Iterable[int], v: Iterable[int]) -> bool:
@@ -189,31 +219,16 @@ def strict_skeleton(h: Heap) -> tuple[Heap, dict[Cell, int]]:
                 break
         if not merged:
             runs.append([v, 1])
-    skeleton = heap_of_word(g, tuple(v for v, _ in runs))
-    # replay the skeleton word to attach each run to its landing cell
-    mult: dict[Cell, int] = {}
-    tops: dict[int, int] = {}
-    for v, m in runs:
-        height = 1 + max(
-            (tops.get(u, 0) for u in g.neighborhood(v)), default=0
-        )
-        tops[v] = height
-        mult[(v, height)] = m
-    return skeleton, mult
+    support = tuple(v for v, _ in runs)
+    heights = _landings(g, support, {})
+    mult = {(v, height): m for (v, m), height in zip(runs, heights)}
+    return Heap(g, _place((), support, heights)), mult
 
 
 def expand_skeleton(skeleton: Heap, mult: Mapping[Cell, int]) -> Heap:
     """Inverse of strict_skeleton: repeat each cell's letter mult times."""
-    word: list[int] = []
-    tops: dict[int, int] = {}
-    g = skeleton.graph
-    for v in skeleton.canonical_word():
-        height = 1 + max(
-            (tops.get(u, 0) for u in g.neighborhood(v)), default=0
-        )
-        tops[v] = height
-        word.extend([v] * mult[(v, height)])
-    return heap_of_word(g, word)
+    word = [v for v, height in skeleton.cells() for _ in range(mult[(v, height)])]
+    return heap_of_word(skeleton.graph, word)
 
 
 def _up_closure(h: Heap, c: Cell) -> set[Cell]:
@@ -250,10 +265,6 @@ def pyramid_split(h: Heap, c: Cell) -> tuple[Heap, Heap]:
     return _restack(h, rest), pyramid
 
 
-def is_pyramid(h: Heap) -> bool:
-    return h.is_pyramid()
-
-
 def enumerate_heaps(
     g: CommutationGraph,
     n: int,
@@ -263,11 +274,11 @@ def enumerate_heaps(
 ) -> list[Heap]:
     """All canonical heaps of size <= n, optionally strict and/or pyramids.
 
-    Breadth-first closure under push over every vertex, deduplicated by
-    canonical form.  `pyramids_only` keeps heaps with a singleton base
-    (no empty pyramid, so the empty heap drops out); `pyramid_base`
-    additionally pins the base vertex.  Deterministic output order:
-    (size, canonical word).
+    Breadth-first closure under push over every vertex (each parent's
+    fibre tops computed once), deduplicated by canonical form.
+    `pyramids_only` keeps heaps with a singleton base (no empty pyramid,
+    so the empty heap drops out); `pyramid_base` additionally pins the
+    base vertex.  Deterministic output order: (size, canonical word).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -279,8 +290,9 @@ def enumerate_heaps(
     for _ in range(n):
         nxt: list[Heap] = []
         for h in levels[-1]:
+            tops = h.fibre_heights()
             for v in range(g.vertex_count):
-                h2 = push(h, v)
+                h2 = _drop(h, (v,), dict(tops))
                 if h2.layers not in seen:
                     seen.add(h2.layers)
                     nxt.append(h2)
@@ -329,20 +341,9 @@ def colored_layers(
     Layer i (1-based) carries color ((i-1) mod r) + 1.
     """
     coloring.validate(g)
-    r = coloring.r
-    tops: dict[int, int] = {}
-    layers: list[list[int]] = []
-    for v in word:
-        g.check_vertex(v)
-        floor = max((tops.get(u, 0) for u in g.neighborhood(v)), default=0)
-        color = coloring.colors[v]
-        # smallest height > floor with matching color
-        height = floor + 1 + (color - 1 - floor) % r
-        tops[v] = height
-        while len(layers) < height:
-            layers.append([])
-        layers[height - 1].append(v)
-    return ColoredHeap(g, coloring, tuple(tuple(sorted(l)) for l in layers))
+    word = tuple(word)
+    heights = _landings(g, word, {}, coloring)
+    return ColoredHeap(g, coloring, _place((), word, heights))
 
 
 def heap_to_json(h: Heap) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .animals import Animal, _stack_codes, lattice_colors
-from .paths import CODE_A, CODE_B, CODE_MA, CODE_MB, StepWord, word_from_codes
+from .paths import StepWord, mark_celibate_codes, word_from_codes
 
 # step height contribution per letter code (a, b, c, d)
 _DELTA = np.array([1, -1, 0, 0], dtype=np.int64)
@@ -136,24 +136,6 @@ def random_motzkin_prefix(n: int, r: int, source: RandomSource) -> GenerationRep
     return GenerationReport(word_from_codes(r, codes.tolist()), nb)
 
 
-def _mark_codes_np(codes: np.ndarray, descents: bool) -> np.ndarray:
-    """Vectorized celibate marking, matching paths.mark_celibate_codes."""
-    out = codes.copy()
-    if len(out) == 0:
-        return out
-    if descents:
-        h = np.cumsum(_DELTA[out])
-        prior = np.minimum(np.concatenate(([0], np.minimum.accumulate(h)[:-1])), 0)
-        out[(out == CODE_B) & (h < prior)] = CODE_MB
-    rev = out[::-1]
-    delta = np.where(rev == CODE_B, 1, 0) - np.where(rev == CODE_A, 1, 0)
-    h = np.cumsum(delta)
-    prior = np.minimum(np.concatenate(([0], np.minimum.accumulate(h)[:-1])), 0)
-    rev_marks = np.nonzero((rev == CODE_A) & (h < prior))[0]
-    out[len(out) - 1 - rev_marks] = CODE_MA
-    return out
-
-
 def random_animal(
     n: int, lattice: str, source_kind: str, source: RandomSource
 ) -> tuple[Animal, GenerationReport]:
@@ -169,16 +151,14 @@ def random_animal(
     if source_kind == "compact":
         codes = rng.integers(0, r + 2, size=n - 1, dtype=np.int64)
         nb = n - 1
-        marked = _mark_codes_np(codes, descents=True)
     elif source_kind == "point":
         codes, nb = _sample_prefix_codes(n - 1, r, rng)
-        marked = _mark_codes_np(codes, descents=False)
     else:
         raise ValueError(f"unknown source {source_kind!r}")
+    letters = codes.tolist()
+    marked = mark_celibate_codes(letters, descents=source_kind == "compact")
     max_right = (2 * (n - 1) + 2) if source_kind == "compact" else n
-    cells = _stack_codes(
-        marked.tolist(), n, lattice == "triangular", max_right=max_right
-    )
+    cells = _stack_codes(marked, n, lattice == "triangular", max_right=max_right)
     animal = Animal(lattice, source_kind, tuple(cells))
-    report = GenerationReport(word_from_codes(r, codes.tolist()), nb)
+    report = GenerationReport(word_from_codes(r, letters), nb)
     return animal, report

@@ -357,18 +357,16 @@ SUITES = {
 }
 
 
+# suites called with the degree (the bijection's maximal word length) as
+# their first positional argument when one is given
+DEGREE_SUITES = frozenset(
+    {"inversion", "derivative", "gas", "substitution", "density", "bijection"}
+)
+
+
 def run_suites(names: list[str], degree: int | None = None) -> list[Check]:
     checks: list[Check] = []
     for name in names:
-        fn = SUITES[name]
-        if degree is not None and name in ("inversion", "derivative", "gas"):
-            checks.extend(fn(degree))
-        elif degree is not None and name == "bijection":
-            checks.extend(fn(max_length=degree))
-        elif degree is not None and name == "substitution":
-            checks.extend(fn(degree))
-        elif degree is not None and name == "density":
-            checks.extend(fn(degree))
-        else:
-            checks.extend(fn())
+        args = (degree,) if degree is not None and name in DEGREE_SUITES else ()
+        checks.extend(SUITES[name](*args))
     return checks

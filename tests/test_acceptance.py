@@ -11,7 +11,6 @@ import time
 from heappieces import verify
 from heappieces.verify import (
     Check,
-    chi_square_uniformity,
     suite_bijection,
     suite_colored,
     suite_counting,
@@ -79,19 +78,7 @@ def test_criterion_8_linear_density():
 
 
 def test_criterion_9_uniform_sampling():
-    checks = []
-    for lattice, source, n, classes in verify.CHI_SQUARE_PROTOCOLS:
-        stat, crit = chi_square_uniformity(
-            lattice, source, n, classes, samples=100_000, seed=2024
-        )
-        checks.append(
-            Check(
-                "sampling",
-                f"{lattice}/{source} n={n}",
-                stat < crit,
-                f"chi2={stat:.1f} crit={crit:.1f}",
-            )
-        )
+    checks = verify.suite_sampling(samples=100_000, seed=2024)
     report("criterion 9: chi-square uniformity, 3 protocols x 1e5 samples", checks)
 
 

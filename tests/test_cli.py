@@ -145,6 +145,11 @@ class TestVerify:
         assert len(lines) == 5
         assert all(l.startswith("PASS inversion:") for l in lines)
 
+    def test_degree_on_suite_without_degree_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "colored", "--degree", "4")
+        assert code == 2 and out == ""
+        assert "takes no --degree" in err
+
 
 class TestGas:
     def test_graph_mode(self, capsys, path3_file):

@@ -8,11 +8,8 @@ from hypothesis import given, strategies as st
 from heappieces import (
     GraphError,
     build_graph,
-    enumerate_configurations,
     format_graph_literal,
-    is_configuration,
     linear_window,
-    neighborhood,
     parse_graph_literal,
 )
 from heappieces.graphs import all_vertex_subsets
@@ -56,18 +53,18 @@ class TestBuild:
 
 class TestNeighborhood:
     def test_middle_of_path(self, path3):
-        assert neighborhood(path3, 1) == {0, 1, 2}
+        assert path3.neighborhood(1) == {0, 1, 2}
 
     def test_end_of_path(self, path3):
-        assert neighborhood(path3, 0) == {0, 1}
+        assert path3.neighborhood(0) == {0, 1}
 
     def test_isolated(self):
         g = build_graph(["x"], [])
-        assert neighborhood(g, 0) == {0}
+        assert g.neighborhood(0) == {0}
 
     def test_out_of_range(self, path3):
         with pytest.raises(GraphError):
-            neighborhood(path3, 3)
+            path3.neighborhood(3)
 
     @given(small_graphs())
     def test_self_inclusion(self, g):
@@ -77,13 +74,13 @@ class TestNeighborhood:
 
 class TestConfigurations:
     def test_path3_examples(self, path3):
-        assert is_configuration(path3, {0, 2})
-        assert not is_configuration(path3, {0, 1})
-        assert is_configuration(path3, set())
+        assert path3.is_configuration({0, 2})
+        assert not path3.is_configuration({0, 1})
+        assert path3.is_configuration(set())
 
     def test_out_of_range(self, path3):
         with pytest.raises(GraphError):
-            is_configuration(path3, {5})
+            path3.is_configuration({5})
 
     @given(small_graphs())
     def test_matches_pairwise_scan(self, g):
@@ -92,38 +89,38 @@ class TestConfigurations:
             brute = all(
                 (u, v) not in adjacency for u, v in combinations(subset, 2)
             )
-            assert is_configuration(g, subset) == brute
+            assert g.is_configuration(subset) == brute
 
     def test_path3_enumeration(self, path3):
-        got = enumerate_configurations(path3, 3)
+        got = path3.configurations(3)
         assert got == [(), (0,), (1,), (2,), (0, 2)]
 
     def test_isolated_max_zero(self):
         g = build_graph(["x"], [])
-        assert enumerate_configurations(g, 0) == [()]
+        assert g.configurations(0) == [()]
 
     def test_five_cycle_sizes(self):
         g = build_graph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
-        confs = enumerate_configurations(g, 2)
+        confs = g.configurations(2)
         by_size = [sum(1 for c in confs if len(c) == k) for k in range(3)]
         assert by_size == [1, 5, 5]
 
     @given(small_graphs())
     def test_counts_match_subset_brute_force(self, g):
-        confs = enumerate_configurations(g, g.vertex_count)
+        confs = g.configurations(g.vertex_count)
         brute = [s for s in all_vertex_subsets(g.vertex_count) if g.is_configuration(s)]
         assert sorted(confs, key=lambda c: (len(c), c)) == confs
         assert set(confs) == set(brute)
 
     def test_sorted_by_size_then_lex(self, path5):
-        confs = enumerate_configurations(path5, 5)
+        confs = path5.configurations(5)
         assert confs == sorted(confs, key=lambda c: (len(c), c))
 
     def test_twelve_vertex_brute_force(self):
         labels = [chr(ord("a") + i) for i in range(12)]
         edges = [(labels[i], labels[(i + 1) % 12]) for i in range(12)]  # 12-cycle
         g = build_graph(labels, edges)
-        confs = enumerate_configurations(g, 12)
+        confs = g.configurations(12)
         brute = [s for s in all_vertex_subsets(12) if g.is_configuration(s)]
         by_size = {}
         for c in brute:

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heappieces import (
+    Coloring,
+    GraphError,
     Heap,
     HeapError,
-    canonical_word,
     colored_layers,
+    configurations_series,
     dual,
     empty_heap,
     enumerate_heaps,
@@ -17,14 +19,14 @@ from heappieces import (
     heap_from_json,
     heap_of_word,
     heap_to_json,
-    is_pyramid,
     is_strict,
     product,
+    project,
     push,
     pyramid_split,
     strict_skeleton,
 )
-from heappieces.heaps import expand_skeleton, is_strict_by_layers
+from heappieces.heaps import _landings, expand_skeleton, is_strict_by_layers
 
 from conftest import to_word
 
@@ -90,27 +92,27 @@ class TestHeapOfWord:
 
     def test_canonical_word_round_trip(self, cube):
         h = heap_of_word(cube, to_word(cube, "acbegeaf"))
-        assert canonical_word(h) == to_word(cube, "acbegeaf")
-        assert heap_of_word(cube, canonical_word(h)) == h
+        assert h.canonical_word() == to_word(cube, "acbegeaf")
+        assert heap_of_word(cube, h.canonical_word()) == h
 
     def test_single_cell_word(self, path3):
         h = heap_of_word(path3, (2,))
-        assert canonical_word(h) == (2,)
+        assert h.canonical_word() == (2,)
 
     def test_empty_canonical_word(self, path3):
-        assert canonical_word(empty_heap(path3)) == ()
+        assert empty_heap(path3).canonical_word() == ()
 
     def test_canonical_fixed_point_exhaustive(self, path5):
         # every heap of size <= 8 is the heap of its canonical word; this is
         # the length-<=8 word round-trip statement, quotiented by the trace
         for h in enumerate_heaps(path5, 8):
-            assert heap_of_word(path5, canonical_word(h)) == h
+            assert heap_of_word(path5, h.canonical_word()) == h
 
     @given(data=st.data())
     def test_theorem1_round_trip(self, path5, data):
         w = data.draw(word_strategy(path5, 8))
         h = heap_of_word(path5, w)
-        assert heap_of_word(path5, canonical_word(h)) == h
+        assert heap_of_word(path5, h.canonical_word()) == h
 
 
 class TestMonoid:
@@ -144,6 +146,59 @@ class TestMonoid:
         b = heap_of_word(path5, data.draw(word_strategy(path5, 5)))
         c = heap_of_word(path5, data.draw(word_strategy(path5, 5)))
         assert product(product(a, b), c) == product(a, product(b, c))
+
+
+class TestDropKernel:
+    """Every heap operation shares one landing kernel; these pin it against
+    the definitions it replaced (declared oracles: fold of push over the
+    concatenated word, and the inversion formula for the size counts)."""
+
+    @given(data=st.data())
+    def test_product_is_concatenation(self, path5, data):
+        w1 = data.draw(word_strategy(path5, 8))
+        w2 = data.draw(word_strategy(path5, 8))
+        got = product(heap_of_word(path5, w1), heap_of_word(path5, w2))
+        assert got == heap_of_word(path5, w1 + w2)
+
+    def test_product_is_concatenation_worked(self, cube):
+        w1, w2 = to_word(cube, "acbegeaf"), to_word(cube, "cgdhbe")
+        got = product(heap_of_word(cube, w1), heap_of_word(cube, w2))
+        assert got == heap_of_word(cube, w1 + w2)
+
+    def test_push_is_appended_letter(self, path5):
+        for h in enumerate_heaps(path5, 5):
+            for v in range(path5.vertex_count):
+                assert push(h, v) == heap_of_word(path5, h.canonical_word() + (v,))
+
+    @given(data=st.data())
+    def test_one_color_layers_match_heap(self, edgeless3, data):
+        one = Coloring((1,) * edgeless3.vertex_count, 1)
+        w = data.draw(word_strategy(edgeless3, 8))
+        assert colored_layers(edgeless3, one, w).layers == heap_of_word(edgeless3, w).layers
+
+    @given(data=st.data())
+    def test_one_color_kernel_is_plain_rule(self, cube, data):
+        one = Coloring((1,) * cube.vertex_count, 1)
+        w = data.draw(word_strategy(cube, 10))
+        assert _landings(cube, w, {}, one) == _landings(cube, w, {})
+
+    def test_size_counts_match_inversion(self, path5):
+        counts = [0] * 9
+        for h in enumerate_heaps(path5, 8):
+            counts[h.size] += 1
+        theta = project(configurations_series(path5, 8, signed=True)).invert()
+        assert counts == list(theta.coefficients)
+
+    def test_out_of_range_vertex(self, path3):
+        h = heap_of_word(path3, (0, 1))
+        with pytest.raises(GraphError):
+            heap_of_word(path3, (0, 7))
+        with pytest.raises(GraphError):
+            push(h, 3)
+        with pytest.raises(GraphError):
+            push(h, -1)
+        with pytest.raises(GraphError):
+            product(h, Heap(path3, ((7,),)))
 
 
 class TestEquivalence:
@@ -238,9 +293,9 @@ class TestStrict:
 class TestPyramids:
     def test_is_pyramid(self, cube, window4):
         g, _ = window4
-        assert not is_pyramid(heap_of_word(cube, to_word(cube, "acbegeaf")))
-        assert is_pyramid(heap_of_word(g, to_word(g, "010")))
-        assert not is_pyramid(empty_heap(g))
+        assert not heap_of_word(cube, to_word(cube, "acbegeaf")).is_pyramid()
+        assert heap_of_word(g, to_word(g, "010")).is_pyramid()
+        assert not empty_heap(g).is_pyramid()
 
     def test_worked_splits(self, cube):
         h = heap_of_word(cube, to_word(cube, "acbegeaf"))
@@ -264,7 +319,7 @@ class TestPyramids:
             splits = set()
             for cell in h.cells():
                 x, p = pyramid_split(h, cell)
-                assert is_pyramid(p)
+                assert p.is_pyramid()
                 assert product(x, p) == h
                 splits.add((x.layers, p.layers))
             assert len(splits) == h.size

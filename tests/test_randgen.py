@@ -4,7 +4,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from heappieces import (
     RandomSource,
@@ -19,10 +18,8 @@ from heappieces.paths import (
     CODE_A,
     CODE_B,
     classify,
-    mark_celibate_codes,
     word_from_codes,
 )
-from heappieces.randgen import _mark_codes_np
 
 
 def naive_prefix_reference(n, r, rng):
@@ -127,15 +124,6 @@ class TestWordSampler:
         counts = Counter(w.letters)
         for letter in "abc":
             assert abs(counts[letter] / 100_000 - 1 / 3) <= 0.01 / 3
-
-
-class TestMarkingEquivalence:
-    @given(st.lists(st.integers(0, 3), max_size=200), st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_vectorized_matches_scalar(self, codes, descents):
-        scalar = mark_celibate_codes(codes, descents=descents)
-        vec = _mark_codes_np(np.array(codes, dtype=np.int64), descents=descents)
-        assert scalar == vec.tolist()
 
 
 class TestRandomAnimal:
