@@ -355,20 +355,30 @@ def enumerate_animals(n: int, lattice: str, source: str = "point") -> list[Anima
 
 
 def _trinomial_endpoint(length: int, height: int, r: int) -> int:
-    """Unconstrained walks of given length over {+1, -1, 0 x r} ending at height."""
-    if height < 0:
-        height = -height
-    total = 0
-    for down in range((length - height) // 2 + 1):
-        up = down + height
-        flat = length - up - down
-        if flat < 0:
-            continue
-        ways = (
-            math.factorial(length)
-            // (math.factorial(up) * math.factorial(down) * math.factorial(flat))
-        )
-        total += ways * r**flat if r else ways * (1 if flat == 0 else 0)
+    """Unconstrained walks of given length over {+1, -1, 0 x r} ending at height.
+
+    Term-ratio sum over the number k of down steps: the k = 0 term is
+    C(length, height) r^flat, and one more up/down pair turns two flat steps
+    into it, T_{k+1} = T_k flat (flat-1) / ((k+1) (k+height+1) r^2), a division
+    that is exact.  O(length) small-factor bigint steps in all.
+    """
+    height = abs(height)
+    if height > length:
+        return 0
+    if r == 0:
+        # no flat steps: a single term, present on matching parity only
+        rest = length - height
+        return 0 if rest % 2 else math.comb(length, rest // 2)
+    flat = length - height
+    term = math.comb(length, height) * r**flat
+    total = term
+    r2 = r * r
+    k = 0
+    while flat >= 2:
+        k += 1
+        term = term * flat * (flat - 1) // (k * (k + height) * r2)
+        flat -= 2
+        total += term
     return total
 
 
@@ -378,11 +388,8 @@ def prefix_count_closed(length: int, r: int) -> int:
 
 
 def motzkin_number(n: int) -> int:
-    """Closed form via Catalans: M_n = sum C(n, 2k) Cat(k)."""
-    return sum(
-        math.comb(n, 2 * k) * math.comb(2 * k, k) // (k + 1)
-        for k in range(n // 2 + 1)
-    )
+    """Motzkin words of length n, by reflection: N(n,0) - N(n,2) with r = 1."""
+    return _trinomial_endpoint(n, 0, 1) - _trinomial_endpoint(n, 2, 1)
 
 
 def catalan_number(n: int) -> int:

@@ -83,8 +83,26 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_text(value: int) -> str:
+    """Decimal text of an int of any length.
+
+    CPython caps int/str conversion at 4300 digits by default (3.10.7 and
+    later); the cap guards against parsing untrusted text, and a count at
+    --size 10000 already has ~4800 digits.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return str(value)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
-    print(animal_count(args.size, args.lattice, args.source))
+    print(_int_text(animal_count(args.size, args.lattice, args.source)))
     return 0
 
 
@@ -255,3 +273,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

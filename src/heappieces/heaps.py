@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .graphs import Coloring, CommutationGraph, GraphError, parse_graph_literal, format_graph_literal
@@ -36,8 +37,9 @@ class Heap:
     graph: CommutationGraph
     layers: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def size(self) -> int:
+        # computed once per heap: series products read it for every pair
         return sum(len(layer) for layer in self.layers)
 
     @property

@@ -174,6 +174,8 @@ def count_paths(n: int, r: int, kind: str) -> int:
     """Number of r-colored Motzkin words or prefixes of length n.
 
     Dynamic program over (position, height); `kind` is "word" or "prefix".
+    Each row lists the heights 0..i reachable after i steps, so it grows by
+    one slot per step.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -181,19 +183,13 @@ def count_paths(n: int, r: int, kind: str) -> int:
         raise WordError(f"r must be 0, 1 or 2, got {r}")
     if kind not in ("word", "prefix"):
         raise ValueError(f"kind must be 'word' or 'prefix', got {kind!r}")
-    ways = [1] + [0] * n  # ways[h] = paths of current length ending at h
+    ways = [1]  # ways[h] = paths of current length ending at h
     for _ in range(n):
-        nxt = [0] * (n + 1)
-        for h, c in enumerate(ways):
-            if c == 0:
-                continue
-            if h + 1 <= n:
-                nxt[h + 1] += c
-            if h - 1 >= 0:
-                nxt[h - 1] += c
-            if r:
-                nxt[h] += r * c
-        ways = nxt
+        # new height h comes from h-1 (ascend), h (r flat colors) and h+1 (descend)
+        ways = [
+            up + r * flat + down
+            for up, flat, down in zip([0, *ways], [*ways, 0], [*ways[1:], 0, 0])
+        ]
     return ways[0] if kind == "word" else sum(ways)
 
 

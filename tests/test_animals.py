@@ -1,5 +1,6 @@
 """Animals: stacking bijections, inverse, oracle agreement, counts, widths."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,15 @@ from heappieces import (
     product,
     random_animal,
 )
-from heappieces.animals import all_prefixes, all_words, empirical_width
+from heappieces.animals import (
+    _trinomial_endpoint,
+    all_prefixes,
+    all_words,
+    catalan_number,
+    empirical_width,
+    motzkin_number,
+    prefix_count_closed,
+)
 
 # a 30-cell square-lattice animal with right half-width 4, in lattice
 # coordinates (East/North steps from the source at the origin)
@@ -213,6 +222,59 @@ class TestCounts:
                     if half_width(a) == 0
                 )
                 assert animal_count(n, lattice, "equerre") == flat
+
+
+def trinomial_endpoint_factorials(length, height, r):
+    """Test oracle: the trinomial sum with three factorials per term."""
+    height = abs(height)
+    total = 0
+    for down in range((length - height) // 2 + 1):
+        up = down + height
+        flat = length - up - down
+        if flat < 0:
+            continue
+        ways = math.factorial(length) // (
+            math.factorial(up) * math.factorial(down) * math.factorial(flat)
+        )
+        total += ways * r**flat if r else ways * (1 if flat == 0 else 0)
+    return total
+
+
+class TestCountsAtScale:
+    """Closed forms against routes that share none of their code."""
+
+    def test_kernel_matches_factorial_sum(self):
+        for length in range(41):
+            for height in range(-length - 2, length + 3):
+                for r in (0, 1, 2):
+                    assert _trinomial_endpoint(length, height, r) == (
+                        trinomial_endpoint_factorials(length, height, r)
+                    ), (length, height, r)
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_prefix_counts_match_path_dp(self, r):
+        for length in range(301):
+            assert prefix_count_closed(length, r) == count_paths(length, r, "prefix")
+
+    def test_motzkin_numbers_match_path_dp(self):
+        for n in range(301):
+            assert motzkin_number(n) == count_paths(n, 1, "word")
+
+    def test_catalan_numbers_match_path_dp(self):
+        for n in range(1, 301):
+            assert catalan_number(n) == count_paths(n - 1, 2, "word")
+
+    def test_motzkin_number_19999_matches_recurrence(self, counts_19999):
+        assert motzkin_number(19_999) == counts_19999[1][0]
+        assert animal_count(20_000, "square", "equerre") == counts_19999[1][0]
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_prefix_count_19999_matches_recurrence(self, r, counts_19999):
+        assert prefix_count_closed(19_999, r) == counts_19999[r][1]
+
+    @pytest.mark.parametrize("lattice, r", [("square", 1), ("triangular", 2)])
+    def test_animal_count_20000_matches_recurrence(self, lattice, r, counts_19999):
+        assert animal_count(20_000, lattice, "point") == counts_19999[r][1]
 
 
 class TestWidth:

@@ -1,6 +1,10 @@
 """CLI: thin adapters, stable bytes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def int_from_text(text):
+    """int() of a printed count, past the interpreter's 4300-digit cap."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestCount:
     def test_triangular_point_8(self, capsys):
         code, out, _ = run(capsys, "count", "--lattice", "triangular", "--size", "8")
@@ -40,6 +54,27 @@ class TestCount:
             capsys, "count", "--lattice", "square", "--size", "7", "--source", "compact"
         )
         assert code == 0 and out.strip() == "729"
+
+    @pytest.mark.parametrize("source, index", [("point", 1), ("equerre", 0)])
+    def test_size_20000_matches_recurrence(self, capsys, source, index, counts_19999):
+        # square/point prints P(19999), square/equerre the Motzkin number M(19999)
+        code, out, _ = run(capsys, "count", "--size", "20000", "--source", source)
+        assert code == 0
+        assert int_from_text(out) == counts_19999[1][index]
+
+
+@pytest.mark.parametrize("module", ["heappieces", "heappieces.cli"])
+def test_python_dash_m(module):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "count", "--size", "5"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "35\n")
 
 
 class TestGenerate:

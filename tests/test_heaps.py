@@ -95,6 +95,14 @@ class TestHeapOfWord:
         assert h.canonical_word() == to_word(cube, "acbegeaf")
         assert heap_of_word(cube, h.canonical_word()) == h
 
+    def test_cached_size_leaves_equality_and_hash(self, cube):
+        word = to_word(cube, "acbegeaf")
+        read, fresh = heap_of_word(cube, word), heap_of_word(cube, word)
+        assert read.size == 8
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert {read: 1}[fresh] == 1
+
     def test_single_cell_word(self, path3):
         h = heap_of_word(path3, (2,))
         assert h.canonical_word() == (2,)
