@@ -276,40 +276,47 @@ def enumerate_heaps(
 ) -> list[Heap]:
     """All canonical heaps of size <= n, optionally strict and/or pyramids.
 
-    Breadth-first closure under push over every vertex (each parent's
-    fibre tops computed once), deduplicated by canonical form.
-    `pyramids_only` keeps heaps with a singleton base (no empty pyramid,
-    so the empty heap drops out); `pyramid_base` additionally pins the
-    base vertex.  Deterministic output order: (size, canonical word).
+    Each heap is grown from exactly one parent: itself with its
+    highest-index maximal piece removed.  So pushing v onto h is kept iff
+    h has no maximal piece u > v outside N[v]; no heap is built twice and
+    nothing is deduplicated.  The filters prune the growth itself, which
+    is sound because removing a maximal piece keeps a heap strict, and
+    keeps a pyramid of size >= 2 a pyramid on the same base: the kept
+    heaps are closed under taking the parent.  `pyramids_only` keeps
+    heaps with a singleton base (no empty pyramid, so the empty heap drops
+    out); `pyramid_base` additionally pins the base vertex.  Deterministic
+    output order: (size, canonical word).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if pyramid_base is not None:
         g.check_vertex(pyramid_base)
         pyramids_only = True
-    levels: list[list[Heap]] = [[empty_heap(g)]]
-    seen: set[tuple[tuple[int, ...], ...]] = {()}
+    vertices = range(g.vertex_count)
+    # bit u of outside[v] is set iff u is not in N[v]
+    outside = [~sum(1 << u for u in g.neighborhood(v)) for v in vertices]
+    roots = vertices if pyramid_base is None else (pyramid_base,)
+    # each entry: a heap and the bitmask of its maximal pieces' fibres
+    level: list[tuple[Heap, int]] = [(empty_heap(g), 0)]
+    out: list[Heap] = [] if pyramids_only else [empty_heap(g)]
     for _ in range(n):
-        nxt: list[Heap] = []
-        for h in levels[-1]:
+        nxt = []
+        for h, maximal in level:
             tops = h.fibre_heights()
-            for v in range(g.vertex_count):
-                h2 = _drop(h, (v,), dict(tops))
-                if h2.layers not in seen:
-                    seen.add(h2.layers)
-                    nxt.append(h2)
-        levels.append(sorted(nxt, key=lambda x: x.canonical_word()))
-    out: list[Heap] = []
-    for level in levels:
-        for h in level:
-            if strict_only and not is_strict(h):
-                continue
-            if pyramids_only:
-                if not h.is_pyramid():
-                    continue
-                if pyramid_base is not None and h.layers[0][0] != pyramid_base:
-                    continue
-            out.append(h)
+            for v in roots if pyramids_only and not h.layers else vertices:
+                kept = maximal & outside[v]  # stay maximal after pushing v
+                if kept >> v:
+                    continue  # a higher maximal piece: h is not the parent
+                (height,) = _landings(g, (v,), dict(tops))
+                if pyramids_only and h.layers and height == 1:
+                    continue  # joins the base layer
+                if strict_only and tops.get(v) == height - 1:
+                    continue  # v in two consecutive layers
+                child = Heap(g, _place(h.layers, (v,), [height]))
+                nxt.append((child, kept | 1 << v))
+        nxt.sort(key=lambda entry: entry[0].canonical_word())
+        out.extend(entry[0] for entry in nxt)
+        level = nxt
     return out
 
 

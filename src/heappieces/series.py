@@ -1,14 +1,18 @@
 """Degree-truncated formal series over the trace monoid, exact coefficients.
 
-A TraceSeries maps canonical heaps of size <= N to rationals; the product
-is the truncated convolution over monoid factorizations, realized here by
-multiplying key pairs (sizes adding to <= N) in the heap monoid.  The
-classic identities live at this level: the alternating configuration
+A TraceSeries maps canonical heaps of size <= N to coefficients; the
+product is the truncated convolution over monoid factorizations, realized
+here by multiplying key pairs (sizes adding to <= N) in the heap monoid.
+The classic identities live at this level: the alternating configuration
 series inverts the heap series, and the pyramid series is the right
 logarithmic derivative of the heap series.
 
-All arithmetic is exact (fractions.Fraction); mixing truncation degrees
-or graphs raises instead of silently re-truncating.
+All arithmetic is exact.  Trace series coefficients are heap counts, so
+they are kept as plain ints; only a true non-integer (from scaling by a
+fraction) stays a fractions.Fraction, and a Fraction with denominator 1
+is stored as its int.  Univariate series keep Fractions throughout,
+because their inverse divides.  Mixing truncation degrees or graphs
+raises instead of silently re-truncating.
 """
 
 from __future__ import annotations
@@ -21,23 +25,32 @@ from .graphs import CommutationGraph
 from .heaps import Heap, empty_heap, enumerate_heaps, product
 
 Q = Fraction
+Coefficient = int | Fraction
 
 
 class SeriesError(ValueError):
     """Incompatible operands or non-invertible series."""
 
 
+def _exact(c: Coefficient) -> Coefficient:
+    """c as an int when it is an integer, else as a Fraction."""
+    if type(c) is int:
+        return c
+    q = Q(c)
+    return q.numerator if q.denominator == 1 else q
+
+
 @dataclass(frozen=True)
 class TraceSeries:
     graph: CommutationGraph
     degree: int
-    terms: Mapping[Heap, Fraction]
+    terms: Mapping[Heap, Coefficient]
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self,
             "terms",
-            {h: Q(c) for h, c in self.terms.items() if c != 0},
+            {h: _exact(c) for h, c in self.terms.items() if c != 0},
         )
         for h in self.terms:
             if h.graph != self.graph:
@@ -45,8 +58,8 @@ class TraceSeries:
             if h.size > self.degree:
                 raise SeriesError("term beyond truncation degree")
 
-    def coefficient(self, h: Heap) -> Fraction:
-        return self.terms.get(h, Q(0))
+    def coefficient(self, h: Heap) -> Coefficient:
+        return self.terms.get(h, 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceSeries):
@@ -61,14 +74,14 @@ class TraceSeries:
         _check_compat(self, other)
         acc = dict(self.terms)
         for h, c in other.terms.items():
-            acc[h] = acc.get(h, Q(0)) + c
+            acc[h] = acc.get(h, 0) + c
         return TraceSeries(self.graph, self.degree, acc)
 
     def __sub__(self, other: "TraceSeries") -> "TraceSeries":
-        return self + other.scale(Q(-1))
+        return self + other.scale(-1)
 
-    def scale(self, c: Fraction | int) -> "TraceSeries":
-        c = Q(c)
+    def scale(self, c: Coefficient) -> "TraceSeries":
+        c = _exact(c)
         return TraceSeries(
             self.graph, self.degree, {h: c * x for h, x in self.terms.items()}
         )
@@ -87,7 +100,7 @@ def _check_compat(s1: TraceSeries, s2: TraceSeries) -> None:
 
 
 def unit_series(g: CommutationGraph, degree: int) -> TraceSeries:
-    return TraceSeries(g, degree, {empty_heap(g): Q(1)})
+    return TraceSeries(g, degree, {empty_heap(g): 1})
 
 
 def zero_series(g: CommutationGraph, degree: int) -> TraceSeries:
@@ -98,8 +111,8 @@ def series_mul(s1: TraceSeries, s2: TraceSeries) -> TraceSeries:
     """Truncated product; enumerates key pairs instead of factorizing keys."""
     _check_compat(s1, s2)
     n = s1.degree
-    acc: dict[Heap, Fraction] = {}
-    by_size: dict[int, list[tuple[Heap, Fraction]]] = {}
+    acc: dict[Heap, Coefficient] = {}
+    by_size: dict[int, list[tuple[Heap, Coefficient]]] = {}
     for h, c in s2.terms.items():
         by_size.setdefault(h.size, []).append((h, c))
     for h1, c1 in s1.terms.items():
@@ -109,26 +122,28 @@ def series_mul(s1: TraceSeries, s2: TraceSeries) -> TraceSeries:
                 continue
             for h2, c2 in items:
                 key = product(h1, h2)
-                acc[key] = acc.get(key, Q(0)) + c1 * c2
+                acc[key] = acc.get(key, 0) + c1 * c2
     return TraceSeries(s1.graph, n, acc)
+
+
+def _sign(size: int, signed: bool) -> int:
+    """(-1)^size when signed, else 1."""
+    return -1 if signed and size % 2 else 1
 
 
 def configurations_series(
     g: CommutationGraph, degree: int, signed: bool
 ) -> TraceSeries:
     """Stable sets as one-layer heaps; signed gives coefficient (-1)^{|C|}."""
-    terms: dict[Heap, Fraction] = {}
+    terms: dict[Heap, Coefficient] = {}
     for conf in g.configurations(degree):
         heap = Heap(g, (tuple(conf),) if conf else ())
-        terms[heap] = Q(-1) ** len(conf) if signed else Q(1)
+        terms[heap] = _sign(len(conf), signed)
     return TraceSeries(g, degree, terms)
 
 
 def heaps_series(g: CommutationGraph, degree: int, signed: bool) -> TraceSeries:
-    terms = {
-        h: (Q(-1) ** h.size if signed else Q(1))
-        for h in enumerate_heaps(g, degree)
-    }
+    terms = {h: _sign(h.size, signed) for h in enumerate_heaps(g, degree)}
     return TraceSeries(g, degree, terms)
 
 
@@ -136,7 +151,7 @@ def strict_heaps_series(
     g: CommutationGraph, degree: int, signed: bool
 ) -> TraceSeries:
     terms = {
-        h: (Q(-1) ** h.size if signed else Q(1))
+        h: _sign(h.size, signed)
         for h in enumerate_heaps(g, degree, strict_only=True)
     }
     return TraceSeries(g, degree, terms)
@@ -150,7 +165,7 @@ def pyramids_series(
 ) -> TraceSeries:
     """Pyramid series (no constant term); `base` pins the base vertex."""
     terms = {
-        h: (Q(-1) ** h.size if signed else Q(1))
+        h: _sign(h.size, signed)
         for h in enumerate_heaps(g, degree, pyramids_only=True, pyramid_base=base)
     }
     return TraceSeries(g, degree, terms)
@@ -164,20 +179,32 @@ def derive(s: TraceSeries) -> TraceSeries:
 
 
 def invert(s: TraceSeries) -> TraceSeries:
-    """Truncated two-sided inverse; requires constant coefficient +-1."""
-    c0 = s.coefficient(empty_heap(s.graph))
-    if c0 not in (Q(1), Q(-1)):
+    """Truncated two-sided inverse; requires constant coefficient c0 = +-1.
+
+    One pass by size from T s = 1: T_0 = c0 and, for k >= 1,
+    T_k = -c0 * sum_{j >= 1} T_{k-j} s_j, with s_j, T_j the size-j parts
+    (c0 is its own inverse).  This visits the key pairs of a single
+    truncated product, each dropping a short term of s onto a heap of T.
+    In the graded cancellative heap monoid the left inverse so built is
+    also the right inverse.
+    """
+    g, n = s.graph, s.degree
+    c0 = s.coefficient(empty_heap(g))
+    if c0 not in (1, -1):
         raise SeriesError(f"constant term {c0} is not invertible")
-    # s = c0 (1 + U) with U of positive degree: inverse = c0 * sum (-U)^k
-    u = (s - unit_series(s.graph, s.degree).scale(c0)).scale(c0)
-    acc = unit_series(s.graph, s.degree)
-    power = unit_series(s.graph, s.degree)
-    for _ in range(s.degree):
-        power = series_mul(power, u).scale(Q(-1))
-        if not power.terms:
-            break
-        acc = acc + power
-    return acc.scale(c0)
+    s_parts: list[list[tuple[Heap, Coefficient]]] = [[] for _ in range(n + 1)]
+    for h, c in s.terms.items():
+        s_parts[h.size].append((h, c))
+    t_parts = [[(empty_heap(g), c0)]]
+    for k in range(1, n + 1):
+        acc: dict[Heap, Coefficient] = {}
+        for j in range(1, k + 1):
+            for h1, c1 in t_parts[k - j]:
+                for h2, c2 in s_parts[j]:
+                    key = product(h1, h2)
+                    acc[key] = acc.get(key, 0) - c0 * c1 * c2
+        t_parts.append([(h, c) for h, c in acc.items() if c])
+    return TraceSeries(g, n, {h: c for part in t_parts for h, c in part})
 
 
 @dataclass(frozen=True)
@@ -303,7 +330,7 @@ def from_counts(degree: int, counts: Iterable[int]) -> UnivariateSeries:
 
 def project(s: TraceSeries) -> UnivariateSeries:
     """Replace every letter by t: coefficient of t^n sums size-n terms."""
-    out = [Q(0)] * (s.degree + 1)
+    out = [0] * (s.degree + 1)
     for h, c in s.terms.items():
         out[h.size] += c
     return UnivariateSeries(s.degree, tuple(out))

@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.stats import chi2
-
 from . import gas
 from .animals import (
     all_prefixes,
@@ -272,6 +270,10 @@ def chi_square_uniformity(
     seed: int,
 ) -> tuple[float, float]:
     """(statistic, critical value at significance 0.01) for animal sampling."""
+    # imported here: scipy costs about a second of start-up that no other
+    # CLI command needs
+    from scipy.stats import chi2
+
     expected_animals = enumerate_animals(n, lattice, source_kind)
     if len(expected_animals) != classes:
         raise AssertionError(

@@ -77,6 +77,21 @@ def test_python_dash_m(module):
     assert (proc.returncode, proc.stdout) == (0, "35\n")
 
 
+def test_cli_import_leaves_scipy_out():
+    # scipy serves only verify's chi-square check; every other command
+    # must not pay its import
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, heappieces.cli; print('scipy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 class TestGenerate:
     def test_matches_library_bytes(self, capsys):
         code, out, _ = run(

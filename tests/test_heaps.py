@@ -27,6 +27,7 @@ from heappieces import (
     strict_skeleton,
 )
 from heappieces.heaps import _landings, expand_skeleton, is_strict_by_layers
+from heappieces.verify import graph_suite
 
 from conftest import to_word
 
@@ -353,6 +354,56 @@ class TestEnumeration:
     def test_base_filter(self, path3):
         based = enumerate_heaps(path3, 3, pyramid_base=0)
         assert all(h.layers[0] == (0,) for h in based)
+
+
+def all_heaps_by_closure(g, n):
+    """Declared oracle for enumerate_heaps: breadth-first closure under push
+    over every vertex, deduplicated by layers, sorted by (size, word)."""
+    levels = [[empty_heap(g)]]
+    seen = {()}
+    for _ in range(n):
+        nxt = []
+        for h in levels[-1]:
+            for v in range(g.vertex_count):
+                child = push(h, v)
+                if child.layers not in seen:
+                    seen.add(child.layers)
+                    nxt.append(child)
+        levels.append(sorted(nxt, key=lambda x: x.canonical_word()))
+    return [h for level in levels for h in level]
+
+
+def filter_heaps(heaps, strict_only=False, pyramids_only=False, pyramid_base=None):
+    """The filters of enumerate_heaps, applied after the full enumeration."""
+    return [
+        h
+        for h in heaps
+        if (not strict_only or is_strict(h))
+        and (not (pyramids_only or pyramid_base is not None) or h.is_pyramid())
+        and (pyramid_base is None or h.layers[0] == (pyramid_base,))
+    ]
+
+
+class TestEnumerationOracle:
+    @pytest.mark.parametrize(
+        "g", [g for _, g in graph_suite()], ids=[name for name, _ in graph_suite()]
+    )
+    def test_matches_closure_then_filter(self, g):
+        filters = [
+            {},
+            {"strict_only": True},
+            {"pyramids_only": True},
+            {"strict_only": True, "pyramids_only": True},
+        ]
+        for v in range(g.vertex_count):
+            filters += [{"pyramid_base": v}, {"pyramid_base": v, "strict_only": True}]
+        everything = all_heaps_by_closure(g, 6)
+        for n in range(7):
+            upto_n = [h for h in everything if h.size <= n]
+            for kw in filters:
+                got = enumerate_heaps(g, n, **kw)
+                assert got == filter_heaps(upto_n, **kw), (n, kw)
+                assert len(set(got)) == len(got)
 
 
 class TestColoredLayers:

@@ -19,6 +19,7 @@ from heappieces import (
     strict_heaps_series,
     univariate_substitute,
 )
+from heappieces.heaps import empty_heap
 from heappieces.series import (
     TraceSeries,
     UnivariateSeries,
@@ -26,6 +27,7 @@ from heappieces.series import (
     from_counts,
     unit_series,
 )
+from heappieces.verify import graph_suite
 
 
 def poly_compose_oracle(outer, inner):
@@ -182,6 +184,112 @@ class TestInvert:
     def test_bad_constant(self, path3):
         with pytest.raises(SeriesError):
             invert(heaps_series(path3, 3, signed=False).scale(2))
+
+
+def power_sum_inverse(s):
+    """Declared oracle for invert: s = c0 (1 + U), inverse c0 * sum (-U)^k.
+
+    Built from `degree` full truncated products, independent of the
+    one-pass recurrence.
+    """
+    c0 = s.coefficient(empty_heap(s.graph))
+    one = unit_series(s.graph, s.degree)
+    u = (s - one.scale(c0)).scale(c0)
+    acc = power = one
+    for _ in range(s.degree):
+        power = series_mul(power, u).scale(-1)
+        acc = acc + power
+    return acc.scale(c0)
+
+
+class TestInvertOracle:
+    @pytest.mark.parametrize(
+        "g", [g for _, g in graph_suite()], ids=[name for name, _ in graph_suite()]
+    )
+    def test_matches_power_sum(self, g):
+        for degree in range(6):
+            for signed in (True, False):
+                for c0 in (1, -1):
+                    s = configurations_series(g, degree, signed).scale(c0)
+                    assert invert(s) == power_sum_inverse(s), (degree, signed, c0)
+
+    def test_non_integer_terms(self, path5):
+        gamma_bar = configurations_series(path5, 5, signed=True)
+        s = TraceSeries(
+            path5,
+            5,
+            {h: Q(c, 2) if h.size == 2 else c for h, c in gamma_bar.terms.items()},
+        )
+        inv = invert(s)
+        assert inv == power_sum_inverse(s)
+        assert any(type(c) is Q for c in inv.terms.values())
+        assert series_mul(s, inv) == unit_series(path5, 5)
+
+    def test_two_sided_noncommuting(self, path3):
+        ab, ba = heap_of_word(path3, (0, 1)), heap_of_word(path3, (1, 0))
+        assert ab != ba
+        for c0 in (1, -1):
+            s = TraceSeries(
+                path3,
+                6,
+                {
+                    empty_heap(path3): c0,
+                    ab: 2,
+                    ba: Q(-1, 3),
+                    heap_of_word(path3, (1,)): 1,
+                    heap_of_word(path3, (2, 1, 0)): -1,
+                },
+            )
+            inv = invert(s)
+            one = unit_series(path3, 6)
+            assert series_mul(s, inv) == one
+            assert series_mul(inv, s) == one
+            assert inv == power_sum_inverse(s)
+
+    @given(data=st.data(), c0=st.sampled_from((1, -1)))
+    @settings(max_examples=30, deadline=None)
+    def test_two_sided_random(self, path5, data, c0):
+        terms = dict(random_series(path5, 5, data).terms)
+        terms[empty_heap(path5)] = c0
+        s = TraceSeries(path5, 5, terms)
+        inv = invert(s)
+        one = unit_series(path5, 5)
+        assert series_mul(s, inv) == one
+        assert series_mul(inv, s) == one
+
+
+class TestCoefficientTypes:
+    def test_named_series_have_int_coefficients(self, path5):
+        gamma_bar = configurations_series(path5, 5, signed=True)
+        theta = heaps_series(path5, 5, signed=False)
+        for s in (
+            gamma_bar,
+            configurations_series(path5, 5, signed=False),
+            theta,
+            heaps_series(path5, 5, signed=True),
+            strict_heaps_series(path5, 5, signed=True),
+            pyramids_series(path5, 5),
+            pyramids_series(path5, 5, signed=True, base=2),
+            invert(gamma_bar),
+            series_mul(theta, gamma_bar),
+            unit_series(path5, 5),
+        ):
+            assert all(type(c) is int for c in s.terms.values())
+
+    def test_scale(self, path3):
+        s = heaps_series(path3, 3, signed=True)
+        assert all(type(c) is Q for c in s.scale(Q(1, 2)).terms.values())
+        doubled = s.scale(Q(2))
+        assert all(type(c) is int for c in doubled.terms.values())
+        assert doubled == s + s
+
+    def test_fraction_one_equals_int_one(self, path3):
+        heaps = heaps_series(path3, 3, signed=False).terms
+        from_ints = TraceSeries(path3, 3, {h: 1 for h in heaps})
+        from_fractions = TraceSeries(path3, 3, {h: Q(1) for h in heaps})
+        assert from_fractions == from_ints
+        assert dump_trace_series(from_fractions) == dump_trace_series(from_ints)
+        assert all(type(c) is int for c in from_fractions.terms.values())
 
 
 class TestUnivariate:
