@@ -99,9 +99,6 @@ class Animal:
     def __hash__(self) -> int:
         return hash((self.lattice, self.source, self.cell_set()))
 
-    def ground_fibers(self) -> list[int]:
-        return sorted(x for x, y in self.cells if y == 0)
-
     def lattice_cells(self) -> list[tuple[int, int]]:
         """Rotated view: ((x+y)/2, (y-x)/2); directed steps become E/N(/NE)."""
         return [((x + y) // 2, (y - x) // 2) for x, y in self.cells]
@@ -133,22 +130,27 @@ class Animal:
                 raise AnimalError(f"unsupported cell ({x},{y})")
 
 
-def _stack_codes(
-    codes: list[int], n_cells: int, triangular: bool, max_right: int
-) -> list[tuple[int, int]]:
-    """Drop one cell per letter (plus the final one) per the equerre recursion.
+def animal_of_codes(codes: list[int], lattice: str, source: str) -> Animal:
+    """Animal of an unmarked code word of length n-1: mark celibates, stack equerres.
 
-    `codes` is the celibate-marked word (length n_cells - 1).  `max_right`
-    bounds the rightmost base fiber so the height table can be a flat list.
+    Point sources mark celibate ascents only (the word is a Motzkin
+    prefix); compact sources mark celibate descents too, and their bases
+    may reach fiber 2n, which bounds the flat height table.  One cell is
+    dropped per letter, plus the final one.
     """
+    compact = source == "compact"
+    n_cells = len(codes) + 1
+    marked = mark_celibate_codes(codes, descents=compact)
+    triangular = lattice == "triangular"
     off = n_cells + 1
+    max_right = 2 * n_cells if compact else n_cells
     fibre = [-1] * (n_cells + max_right + 3 + off)
     cells: list[tuple[int, int]] = []
     append = cells.append
     pending: list[int] = []
     f = 0
     base = 0
-    for code in codes + [-1]:  # -1 = end-of-word terminator
+    for code in marked + [-1]:  # -1 = end-of-word terminator
         j = f + off
         left = fibre[j - 1]
         mid = fibre[j]
@@ -173,16 +175,15 @@ def _stack_codes(
             base += 2
             f = base
         # CODE_D and the terminator leave f unchanged
-    return cells
+    return Animal(lattice, source, tuple(cells))
 
 
-def _check_word_lattice(w: StepWord, lattice: str) -> int:
+def _check_word_lattice(w: StepWord, lattice: str) -> None:
     r = lattice_colors(lattice)
     if w.r != r:
         raise AnimalError(
             f"word has r={w.r} but lattice {lattice!r} needs r={r}"
         )
-    return r
 
 
 def beta(w: StepWord, lattice: str) -> Animal:
@@ -191,24 +192,13 @@ def beta(w: StepWord, lattice: str) -> Animal:
     word = w.unmarked()
     if not is_motzkin_prefix(word):
         raise AnimalError("beta needs a Motzkin prefix")
-    codes = mark_celibate_codes(word.codes(), descents=False)
-    cells = _stack_codes(
-        codes, len(codes) + 1, lattice == "triangular", max_right=len(codes) + 1
-    )
-    return Animal(lattice, "point", tuple(cells))
+    return animal_of_codes(word.codes(), lattice, "point")
 
 
 def compact_animal(w: StepWord, lattice: str) -> Animal:
     """Any word of length n-1 -> compact-source animal of size n (a bijection)."""
     _check_word_lattice(w, lattice)
-    codes = mark_celibate_codes(w.unmarked().codes(), descents=True)
-    cells = _stack_codes(
-        codes,
-        len(codes) + 1,
-        lattice == "triangular",
-        max_right=2 * len(codes) + 2,
-    )
-    return Animal(lattice, "compact", tuple(cells))
+    return animal_of_codes(w.unmarked().codes(), lattice, "compact")
 
 
 def half_width(an: Animal) -> int:

@@ -13,19 +13,12 @@ import sys
 from pathlib import Path
 
 from . import gas as gasmod
-from .animals import (
-    AnimalError,
-    animal_count,
-    animal_from_json,
-    animal_to_json,
-    enumerate_animals,
-)
-from .graphs import GraphError, parse_graph_literal
-from .heaps import HeapError, enumerate_heaps
+from .animals import animal_count, animal_from_json, animal_to_json, enumerate_animals
+from .graphs import parse_graph_literal
+from .heaps import enumerate_heaps
 from .randgen import RandomSource, random_animal
 from .render import RenderOptions, render_decomposition, render_svg
 from .series import (
-    SeriesError,
     configurations_series,
     dump_trace_series,
     heaps_series,
@@ -118,6 +111,8 @@ _SERIES_BUILDERS = {
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    if args.base is not None and args.kind not in ("pi", "pi-bar"):
+        raise ValueError(f"--base applies to pi and pi-bar, not {args.kind!r}")
     g = _read_graph(args.graph)
     base = g.index(args.base) if args.base is not None else None
     series = _SERIES_BUILDERS[args.kind](g, args.degree, base)
@@ -133,7 +128,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"suite {args.suite!r} takes no --degree")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = run_suites(names, degree=args.degree)
-    failed = 0
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
         detail = f"  [{check.detail}]" if check.detail else ""
@@ -146,6 +140,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gas(args: argparse.Namespace) -> int:
+    if args.at is not None and not args.linear:
+        raise ValueError("--at applies to --linear only")
     if args.linear:
         # evaluate first so a bad --at leaves no partial output
         density = None if args.at is None else gasmod.evaluate_density(args.at)
@@ -245,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="render animal JSON to SVG or text")
     p.add_argument("--input", help="file of animal JSON lines (default stdin)")
-    p.add_argument("--radius", type=float, default=0.4)
+    p.add_argument("--radius", type=_finite_float, default=0.4)
     p.add_argument("--rotation", choices=("heap", "lattice"), default="lattice")
     p.add_argument(
         "--decomposition", action="store_true", help="dump the equerre decomposition"
@@ -263,10 +259,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (GraphError, HeapError, SeriesError, AnimalError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # every library error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -196,9 +196,3 @@ def parse_graph_literal(text: str) -> CommutationGraph:
     if labels is None:
         raise GraphError("missing vertices: line")
     return build_graph(labels, edges)
-
-
-def all_vertex_subsets(n: int) -> Iterator[tuple[int, ...]]:
-    """Every subset of 0..n-1, for brute-force cross-checks."""
-    for size in range(n + 1):
-        yield from combinations(range(n), size)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .graphs import Coloring, CommutationGraph, GraphError, parse_graph_literal, format_graph_literal
 
@@ -41,10 +41,6 @@ class Heap:
     def size(self) -> int:
         # computed once per heap: series products read it for every pair
         return sum(len(layer) for layer in self.layers)
-
-    @property
-    def height(self) -> int:
-        return len(self.layers)
 
     def cells(self) -> list[Cell]:
         return [(v, i + 1) for i, layer in enumerate(self.layers) for v in layer]
@@ -173,30 +169,13 @@ def dual(h: Heap) -> Heap:
 
 
 def is_strict(h: Heap) -> bool:
-    """No vertex occupies two layers with only commuting letters between.
+    """No vertex occupies two consecutive layers.
 
-    Runs the word criterion on the canonical word: for consecutive
-    occurrences of a letter, some intervening letter must be a true
-    neighbour (adjacent, not equal) of it.
+    This is the layer form of the word criterion (consecutive occurrences
+    of a letter have a true neighbour between them); `enumerate_heaps`
+    applies the same rule to each pushed piece.
     """
-    word = h.canonical_word()
-    g = h.graph
-    last_seen: dict[int, int] = {}
-    for i, v in enumerate(word):
-        j = last_seen.get(v)
-        if j is not None:
-            between = word[j + 1 : i]
-            if not any(u != v and g.are_neighbors(u, v) for u in between):
-                return False
-        last_seen[v] = i
-    return True
-
-
-def is_strict_by_layers(h: Heap) -> bool:
-    """Layer form of strictness: consecutive layers share no vertex."""
-    return all(
-        not (set(a) & set(b)) for a, b in zip(h.layers, h.layers[1:])
-    )
+    return all(set(a).isdisjoint(b) for a, b in zip(h.layers, h.layers[1:]))
 
 
 def strict_skeleton(h: Heap) -> tuple[Heap, dict[Cell, int]]:
@@ -225,12 +204,6 @@ def strict_skeleton(h: Heap) -> tuple[Heap, dict[Cell, int]]:
     heights = _landings(g, support, {})
     mult = {(v, height): m for (v, m), height in zip(runs, heights)}
     return Heap(g, _place((), support, heights)), mult
-
-
-def expand_skeleton(skeleton: Heap, mult: Mapping[Cell, int]) -> Heap:
-    """Inverse of strict_skeleton: repeat each cell's letter mult times."""
-    word = [v for v, height in skeleton.cells() for _ in range(mult[(v, height)])]
-    return heap_of_word(skeleton.graph, word)
 
 
 def _up_closure(h: Heap, c: Cell) -> set[Cell]:
@@ -331,10 +304,6 @@ class ColoredHeap:
     graph: CommutationGraph
     coloring: Coloring
     layers: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return sum(len(layer) for layer in self.layers)
 
     def reading(self) -> tuple[int, ...]:
         return tuple(v for layer in self.layers for v in layer)

@@ -60,9 +60,6 @@ class StepWord:
     def unmarked(self) -> "StepWord":
         return StepWord(self.r, self.letters.lower())
 
-    def is_marked(self) -> bool:
-        return any(ch.isupper() for ch in self.letters)
-
     def codes(self) -> list[int]:
         return [_CHAR_TO_CODE[ch] for ch in self.letters]
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .animals import Animal, _stack_codes, lattice_colors
-from .paths import StepWord, mark_celibate_codes, word_from_codes
+from .animals import Animal, animal_of_codes, lattice_colors
+from .paths import StepWord, word_from_codes
 
 # step height contribution per letter code (a, b, c, d)
 _DELTA = np.array([1, -1, 0, 0], dtype=np.int64)
@@ -59,31 +59,6 @@ class RandomSource:
         return RandomSource(child_seed)
 
 
-class _LetterStream:
-    """Chunk-buffered stream of uniform letter codes in [0, alphabet)."""
-
-    def __init__(self, rng: np.random.Generator, alphabet: int, chunk: int):
-        self._rng = rng
-        self._alphabet = alphabet
-        self._chunk = max(64, chunk)
-        self._buf = np.empty(0, dtype=np.int64)
-        self._pos = 0
-
-    def peek(self, want: int) -> np.ndarray:
-        """Up to `want` buffered letters (at least one), without consuming."""
-        avail = len(self._buf) - self._pos
-        if avail == 0:
-            self._buf = self._rng.integers(
-                0, self._alphabet, size=max(self._chunk, 1), dtype=np.int64
-            )
-            self._pos = 0
-            avail = len(self._buf)
-        return self._buf[self._pos : self._pos + min(want, avail)]
-
-    def consume(self, count: int) -> None:
-        self._pos += count
-
-
 def random_word(n: int, r: int, source: RandomSource) -> StepWord:
     """Uniform word of length n over the (r+2)-letter alphabet; n draws."""
     if n < 0:
@@ -98,28 +73,38 @@ def random_word(n: int, r: int, source: RandomSource) -> StepWord:
 def _sample_prefix_codes(
     n: int, r: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
-    """Restart sampler returning (codes of a uniform prefix, total draws)."""
-    stream = _LetterStream(rng, r + 2, chunk=min(max(256, 2 * n), 1 << 16))
+    """Restart sampler returning (codes of a uniform prefix, total draws).
+
+    Letters are drawn in chunks into `buf` and read from position `pos`;
+    a chunk is only ever replaced, never written, so accepted blocks may
+    stay views of it.
+    """
+    chunk = min(max(256, 2 * n), 1 << 16)
+    buf = np.empty(0, dtype=np.int64)
+    pos = 0
     nb = 0
     blocks: list[np.ndarray] = []
     got = 0
     h = 0
     while got < n:
-        sub = stream.peek(n - got)
+        if pos == len(buf):
+            buf = rng.integers(0, r + 2, size=chunk, dtype=np.int64)
+            pos = 0
+        sub = buf[pos : pos + n - got]
         cum = np.cumsum(_DELTA[sub]) + h
         neg = np.nonzero(cum < 0)[0]
         if neg.size:
-            k = int(neg[0])
-            nb += k + 1
-            stream.consume(k + 1)
+            k = int(neg[0]) + 1
+            nb += k
+            pos += k
             blocks.clear()
             got = 0
             h = 0
         else:
             m = len(sub)
             nb += m
-            stream.consume(m)
-            blocks.append(sub.copy())
+            pos += m
+            blocks.append(sub)
             got += m
             h = int(cum[-1])
     codes = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
@@ -156,9 +141,5 @@ def random_animal(
     else:
         raise ValueError(f"unknown source {source_kind!r}")
     letters = codes.tolist()
-    marked = mark_celibate_codes(letters, descents=source_kind == "compact")
-    max_right = (2 * (n - 1) + 2) if source_kind == "compact" else n
-    cells = _stack_codes(marked, n, lattice == "triangular", max_right=max_right)
-    animal = Animal(lattice, source_kind, tuple(cells))
-    report = GenerationReport(word_from_codes(r, letters), nb)
-    return animal, report
+    animal = animal_of_codes(letters, lattice, source_kind)
+    return animal, GenerationReport(word_from_codes(r, letters), nb)

@@ -11,6 +11,7 @@ no timestamps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .animals import Animal, AnimalError, beta_inverse
@@ -23,8 +24,8 @@ class RenderOptions:
     rotation: str = "lattice"  # "heap" | "lattice"
 
     def __post_init__(self) -> None:
-        if self.cell_radius <= 0:
-            raise ValueError("cell_radius must be > 0")
+        if not (math.isfinite(self.cell_radius) and self.cell_radius > 0):
+            raise ValueError("cell_radius must be finite and > 0")
         if self.rotation not in ("heap", "lattice"):
             raise ValueError(f"unknown rotation {self.rotation!r}")
 

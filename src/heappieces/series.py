@@ -61,15 +61,6 @@ class TraceSeries:
     def coefficient(self, h: Heap) -> Coefficient:
         return self.terms.get(h, 0)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TraceSeries):
-            return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.degree == other.degree
-            and dict(self.terms) == dict(other.terms)
-        )
-
     def __add__(self, other: "TraceSeries") -> "TraceSeries":
         _check_compat(self, other)
         acc = dict(self.terms)
@@ -103,10 +94,6 @@ def unit_series(g: CommutationGraph, degree: int) -> TraceSeries:
     return TraceSeries(g, degree, {empty_heap(g): 1})
 
 
-def zero_series(g: CommutationGraph, degree: int) -> TraceSeries:
-    return TraceSeries(g, degree, {})
-
-
 def series_mul(s1: TraceSeries, s2: TraceSeries) -> TraceSeries:
     """Truncated product; enumerates key pairs instead of factorizing keys."""
     _check_compat(s1, s2)
@@ -126,35 +113,32 @@ def series_mul(s1: TraceSeries, s2: TraceSeries) -> TraceSeries:
     return TraceSeries(s1.graph, n, acc)
 
 
-def _sign(size: int, signed: bool) -> int:
-    """(-1)^size when signed, else 1."""
-    return -1 if signed and size % 2 else 1
+def _counting_series(
+    g: CommutationGraph, degree: int, heaps: Iterable[Heap], signed: bool
+) -> TraceSeries:
+    """Each heap with coefficient (-1)^size when signed, else 1."""
+    return TraceSeries(
+        g, degree, {h: -1 if signed and h.size % 2 else 1 for h in heaps}
+    )
 
 
 def configurations_series(
     g: CommutationGraph, degree: int, signed: bool
 ) -> TraceSeries:
     """Stable sets as one-layer heaps; signed gives coefficient (-1)^{|C|}."""
-    terms: dict[Heap, Coefficient] = {}
-    for conf in g.configurations(degree):
-        heap = Heap(g, (tuple(conf),) if conf else ())
-        terms[heap] = _sign(len(conf), signed)
-    return TraceSeries(g, degree, terms)
+    heaps = [Heap(g, (conf,) if conf else ()) for conf in g.configurations(degree)]
+    return _counting_series(g, degree, heaps, signed)
 
 
 def heaps_series(g: CommutationGraph, degree: int, signed: bool) -> TraceSeries:
-    terms = {h: _sign(h.size, signed) for h in enumerate_heaps(g, degree)}
-    return TraceSeries(g, degree, terms)
+    return _counting_series(g, degree, enumerate_heaps(g, degree), signed)
 
 
 def strict_heaps_series(
     g: CommutationGraph, degree: int, signed: bool
 ) -> TraceSeries:
-    terms = {
-        h: _sign(h.size, signed)
-        for h in enumerate_heaps(g, degree, strict_only=True)
-    }
-    return TraceSeries(g, degree, terms)
+    heaps = enumerate_heaps(g, degree, strict_only=True)
+    return _counting_series(g, degree, heaps, signed)
 
 
 def pyramids_series(
@@ -164,11 +148,8 @@ def pyramids_series(
     base: int | None = None,
 ) -> TraceSeries:
     """Pyramid series (no constant term); `base` pins the base vertex."""
-    terms = {
-        h: _sign(h.size, signed)
-        for h in enumerate_heaps(g, degree, pyramids_only=True, pyramid_base=base)
-    }
-    return TraceSeries(g, degree, terms)
+    heaps = enumerate_heaps(g, degree, pyramids_only=True, pyramid_base=base)
+    return _counting_series(g, degree, heaps, signed)
 
 
 def derive(s: TraceSeries) -> TraceSeries:
@@ -291,13 +272,6 @@ class UnivariateSeries:
                 acc = acc + power.scale(self.coefficients[k])
         return acc
 
-    def negate_variable(self) -> "UnivariateSeries":
-        """t -> -t."""
-        return UnivariateSeries(
-            self.degree,
-            tuple(c if n % 2 == 0 else -c for n, c in enumerate(self.coefficients)),
-        )
-
     def _check(self, other: "UnivariateSeries") -> None:
         if self.degree != other.degree:
             raise SeriesError(
@@ -320,12 +294,6 @@ def from_coefficient_fn(
     degree: int, fn: Callable[[int], Fraction | int]
 ) -> UnivariateSeries:
     return UnivariateSeries(degree, tuple(Q(fn(n)) for n in range(degree + 1)))
-
-
-def from_counts(degree: int, counts: Iterable[int]) -> UnivariateSeries:
-    coeffs = [Q(c) for c in counts][: degree + 1]
-    coeffs += [Q(0)] * (degree + 1 - len(coeffs))
-    return UnivariateSeries(degree, tuple(coeffs))
 
 
 def project(s: TraceSeries) -> UnivariateSeries:

@@ -175,6 +175,14 @@ class TestSeries:
         assert code == 0
         assert out.splitlines() == ["1\ta", "1\taa", "1\tab"]
 
+    def test_base_on_kind_without_base_is_usage_error(self, capsys, path3_file):
+        code, out, err = run(
+            capsys, "series", "--graph", path3_file, "--kind", "theta",
+            "--degree", "2", "--base", "a",
+        )
+        assert code == 2 and out == ""
+        assert "--base applies to pi and pi-bar" in err
+
 
 class TestVerify:
     def test_micro_suite(self, capsys):
@@ -228,6 +236,13 @@ class TestGas:
         assert "--degree: must be >= 0" in err
         assert "coefficient count" not in err
 
+    def test_at_without_linear_is_usage_error(self, capsys, path3_file):
+        code, out, err = run(
+            capsys, "gas", "--graph", path3_file, "--degree", "4", "--at", "0.5"
+        )
+        assert code == 2 and out == ""
+        assert "--at applies to --linear only" in err
+
     def test_bad_at_leaves_no_partial_output(self, capsys):
         code, out, err = run(capsys, "gas", "--linear", "--degree", "4", "--at", "-1")
         assert code == 2 and out == ""
@@ -249,6 +264,17 @@ class TestErrors:
             "--degree", "2",
         )
         assert code == 2 and "error" in err
+
+    def test_render_rejects_non_finite_radius(self, capsys, tmp_path):
+        an, _ = random_animal(5, "square", "point", RandomSource(1))
+        stream = tmp_path / "animals.jsonl"
+        stream.write_text(animal_to_json(an))
+        for value in ("nan", "inf"):
+            code, out, err = run(
+                capsys, "render", "--input", str(stream), "--radius", value
+            )
+            assert code == 2 and out == ""
+            assert "--radius: must be finite" in err
 
     def test_render_empty_input_exits_2(self, capsys, tmp_path):
         empty = tmp_path / "empty"

@@ -12,7 +12,12 @@ from heappieces import (
     linear_window,
     parse_graph_literal,
 )
-from heappieces.graphs import all_vertex_subsets
+
+
+def all_vertex_subsets(n):
+    """Every subset of 0..n-1, for brute-force cross-checks."""
+    for size in range(n + 1):
+        yield from combinations(range(n), size)
 
 
 def small_graphs(max_vertices=6):

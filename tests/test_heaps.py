@@ -26,10 +26,34 @@ from heappieces import (
     pyramid_split,
     strict_skeleton,
 )
-from heappieces.heaps import _landings, expand_skeleton, is_strict_by_layers
+from heappieces.heaps import _landings
 from heappieces.verify import graph_suite
 
 from conftest import to_word
+
+
+def is_strict_by_word(h):
+    """Declared oracle for is_strict: the word criterion on the canonical word.
+
+    For consecutive occurrences of a letter, some intervening letter must
+    be a true neighbour (adjacent, not equal) of it.
+    """
+    word = h.canonical_word()
+    last_seen = {}
+    for i, v in enumerate(word):
+        j = last_seen.get(v)
+        if j is not None:
+            between = word[j + 1 : i]
+            if not any(u != v and h.graph.are_neighbors(u, v) for u in between):
+                return False
+        last_seen[v] = i
+    return True
+
+
+def expand_skeleton(skeleton, mult):
+    """Inverse of strict_skeleton: repeat each cell's letter mult times."""
+    word = [v for v, height in skeleton.cells() for _ in range(mult[(v, height)])]
+    return heap_of_word(skeleton.graph, word)
 
 
 def word_strategy(g, max_len=8):
@@ -262,7 +286,7 @@ class TestStrict:
 
     def test_word_and_layer_criteria_agree(self, path5):
         for h in enumerate_heaps(path5, 5):
-            assert is_strict(h) == is_strict_by_layers(h)
+            assert is_strict(h) == is_strict_by_word(h)
 
     def test_skeleton_examples(self, window4):
         g, _ = window4
@@ -378,7 +402,7 @@ def filter_heaps(heaps, strict_only=False, pyramids_only=False, pyramid_base=Non
     return [
         h
         for h in heaps
-        if (not strict_only or is_strict(h))
+        if (not strict_only or is_strict_by_word(h))
         and (not (pyramids_only or pyramid_base is not None) or h.is_pyramid())
         and (pyramid_base is None or h.layers[0] == (pyramid_base,))
     ]

@@ -132,21 +132,29 @@ class TestRandomAnimal:
         assert an.cell_set() == {(0, 0)}
         assert rep.nb_tirages == 0
 
+    # (size, animals per lattice); the byte output of `generate` depends on
+    # cell order, so the cells are compared as sequences, not as sets
+    PIPELINE_SIZES = ((25, 60), (5000, 3))
+
     def test_matches_bijection_pipeline(self):
-        src = RandomSource(31)
-        for _ in range(60):
-            an, rep = random_animal(25, "triangular", "point", src)
-            an.validate()
-            assert an == beta(rep.word, "triangular")
-            assert beta_inverse(an) == rep.word
+        for lattice in ("square", "triangular"):
+            src = RandomSource(31)
+            for n, runs in self.PIPELINE_SIZES:
+                for _ in range(runs):
+                    an, rep = random_animal(n, lattice, "point", src)
+                    an.validate()
+                    assert an.cells == beta(rep.word, lattice).cells
+                    assert beta_inverse(an) == rep.word
 
     def test_compact_pipeline(self):
-        src = RandomSource(13)
-        for _ in range(60):
-            an, rep = random_animal(18, "square", "compact", src)
-            an.validate()
-            assert rep.nb_tirages == 17
-            assert an == compact_animal(rep.word, "square")
+        for lattice in ("square", "triangular"):
+            src = RandomSource(13)
+            for n, runs in self.PIPELINE_SIZES:
+                for _ in range(runs):
+                    an, rep = random_animal(n, lattice, "compact", src)
+                    an.validate()
+                    assert rep.nb_tirages == n - 1
+                    assert an.cells == compact_animal(rep.word, lattice).cells
 
     def test_point_source_invariants_hold(self):
         src = RandomSource(40)

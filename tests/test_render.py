@@ -52,8 +52,9 @@ class TestSvg:
     def test_radius_option(self):
         an = Animal("square", "point", ((0, 0),))
         assert 'r="0.250"' in render_svg(an, RenderOptions(cell_radius=0.25))
-        with pytest.raises(ValueError):
-            RenderOptions(cell_radius=0)
+        for bad in (0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                RenderOptions(cell_radius=bad)
 
 
 class TestDecomposition:

@@ -24,10 +24,16 @@ from heappieces.series import (
     TraceSeries,
     UnivariateSeries,
     dump_trace_series,
-    from_counts,
     unit_series,
 )
 from heappieces.verify import graph_suite
+
+
+def from_counts(degree, counts):
+    """Univariate series with the given leading coefficients, zero-padded."""
+    coeffs = [Q(c) for c in counts][: degree + 1]
+    coeffs += [Q(0)] * (degree + 1 - len(coeffs))
+    return UnivariateSeries(degree, tuple(coeffs))
 
 
 def poly_compose_oracle(outer, inner):
