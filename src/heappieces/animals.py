@@ -215,7 +215,17 @@ def empirical_width(an: Animal) -> int:
 
 
 def beta_inverse(an: Animal) -> StepWord:
-    """The unique Motzkin prefix with beta(beta_inverse(an)) == an.
+    """The unique Motzkin prefix with beta(beta_inverse(an)) == an."""
+    if an.source != "point":
+        raise AnimalError("beta_inverse is defined for point sources only")
+    word = StepWord(lattice_colors(an.lattice), _decode(an).lower())
+    if not is_motzkin_prefix(word):
+        raise AnimalError("decoded word is not a Motzkin prefix")
+    return word
+
+
+def _decode(an: Animal) -> str:
+    """Celibate-marked word of a point-source animal: beta_inverse with its `A`s.
 
     Replays the equerre stacking forwards, one cell per step.  Each fiber's
     heights are sorted once; a cell is *free* when it is the lowest
@@ -226,12 +236,12 @@ def beta_inverse(an: Animal) -> StepWord:
     Otherwise pending fibers are popped: each whose next cell is not free
     keeps its `c`, the first whose next cell is free turns its letter into
     `a` and the current letter is `b`.  With nothing pending the letter is
-    the chain separator `a`, and the walk restarts one fiber right of the
-    previous base.  Every push is popped at most once, so the walk costs
-    O(n) after the O(n log n) per-fiber sort.
+    the chain separator, and the walk restarts one fiber right of the
+    previous base.  No later `b` closes a separator, so the separators are
+    exactly the celibate ascents and are emitted as `A`.  Every push is
+    popped at most once, so the walk costs O(n) after the O(n log n)
+    per-fiber sort.
     """
-    if an.source != "point":
-        raise AnimalError("beta_inverse is defined for point sources only")
     an.validate()
     r = lattice_colors(an.lattice)
     lo = min(x for x, _ in an.cells)
@@ -279,16 +289,13 @@ def beta_inverse(an: Animal) -> StepWord:
                 x = q
                 break
         else:
-            letters.append("a")
+            letters.append("A")
             base += 1
             x = base
             h = low[x]
             if not (h < low[x - 1] and h < low[x + 1]):
                 raise AnimalError("no free cell right of the chain base")
-    word = StepWord(r, "".join(letters))
-    if not is_motzkin_prefix(word):
-        raise AnimalError("decoded word is not a Motzkin prefix")
-    return word
+    return "".join(letters)
 
 
 def enumerate_animals(n: int, lattice: str, source: str = "point") -> list[Animal]:

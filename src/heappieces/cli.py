@@ -66,12 +66,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.graph:
+        if args.lattice is not None or args.source is not None:
+            raise ValueError("--lattice and --source apply to animals, not --graph")
         g = _read_graph(args.graph)
         for h in enumerate_heaps(g, args.size):
             word = " ".join(g.labels[v] for v in h.canonical_word())
             print(word if word else "1")
         return 0
-    for an in enumerate_animals(args.size, args.lattice, args.source):
+    lattice, source = args.lattice or "square", args.source or "point"
+    for an in enumerate_animals(args.size, lattice, source):
         print(animal_to_json(an))
     return 0
 
@@ -142,6 +145,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_gas(args: argparse.Namespace) -> int:
     if args.at is not None and not args.linear:
         raise ValueError("--at applies to --linear only")
+    if args.linear and args.graph:
+        raise ValueError("--graph and --linear exclude each other")
     if args.linear:
         # evaluate first so a bad --at leaves no partial output
         density = None if args.at is None else gasmod.evaluate_density(args.at)
@@ -165,6 +170,8 @@ def _cmd_gas(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    if args.decomposition and (args.radius is not None or args.rotation is not None):
+        raise ValueError("--radius and --rotation apply to SVG, not --decomposition")
     if args.input:
         text = Path(args.input).read_text()
     else:
@@ -178,7 +185,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if not animals:
         print("render: no animal JSON on input", file=sys.stderr)
         return 2
-    opts = RenderOptions(cell_radius=args.radius, rotation=args.rotation)
+    given = (("cell_radius", args.radius), ("rotation", args.rotation))
+    opts = RenderOptions(**{k: v for k, v in given if v is not None})
     for animal in animals:
         if args.decomposition:
             sys.stdout.write(render_decomposition(animal))
@@ -204,8 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all animals (or heaps) of a size")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--lattice", choices=("square", "triangular"), default="square")
-    p.add_argument("--source", choices=("point", "compact"), default="point")
+    # no argparse defaults: _cmd_enumerate must see whether these were given
+    p.add_argument("--lattice", choices=("square", "triangular"))  # default square
+    p.add_argument("--source", choices=("point", "compact"))  # default point
     p.add_argument("--graph", help="graph literal file: enumerate heaps instead")
     p.set_defaults(fn=_cmd_enumerate)
 
@@ -241,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="render animal JSON to SVG or text")
     p.add_argument("--input", help="file of animal JSON lines (default stdin)")
-    p.add_argument("--radius", type=_finite_float, default=0.4)
-    p.add_argument("--rotation", choices=("heap", "lattice"), default="lattice")
+    # no argparse defaults: _cmd_render must see whether these were given
+    p.add_argument("--radius", type=_finite_float)
+    p.add_argument("--rotation", choices=("heap", "lattice"))
     p.add_argument(
         "--decomposition", action="store_true", help="dump the equerre decomposition"
     )

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .graphs import CommutationGraph
 from .heaps import enumerate_heaps
-from .series import Q, UnivariateSeries, configurations_series, project
+from .series import UnivariateSeries, configurations_series, project
 
 
 class GasError(ValueError):
@@ -43,17 +43,17 @@ def mean_particles_pyramids(g: CommutationGraph, degree: int) -> UnivariateSerie
     counts = [0] * (degree + 1)
     for h in enumerate_heaps(g, degree, pyramids_only=True):
         counts[h.size] += 1
-    coeffs = [Q(0)] + [
-        Q(-1) ** (n - 1) * counts[n] for n in range(1, degree + 1)
-    ]
+    coeffs = [0] + [(-1) ** (n - 1) * counts[n] for n in range(1, degree + 1)]
     return UnivariateSeries(degree, tuple(coeffs))
 
 
 def linear_density(degree: int) -> UnivariateSeries:
-    """Per-site density series of the chain: sum (-1)^{n-1} C(2n,n)/2 t^n."""
-    coeffs = [Q(0)] + [
-        Q(-1) ** (n - 1) * Fraction(math.comb(2 * n, n), 2)
-        for n in range(1, degree + 1)
+    """Per-site density series of the chain: sum (-1)^{n-1} C(2n,n)/2 t^n.
+
+    C(2n, n) = 2 C(2n-1, n-1) is even for n >= 1, so every coefficient is an int.
+    """
+    coeffs = [0] + [
+        (-1) ** (n - 1) * math.comb(2 * n, n) // 2 for n in range(1, degree + 1)
     ]
     return UnivariateSeries(degree, tuple(coeffs))
 
@@ -72,13 +72,13 @@ def density_taylor_oracle(degree: int) -> UnivariateSeries:
     (1+x)^(-1/2) = sum binom(-1/2, k) x^k with x = 4t, kept in exact
     rationals; used to cross-check linear_density.
     """
-    coeffs = [Q(0)] * (degree + 1)
-    binom = Q(1)  # binom(-1/2, k), built up multiplicatively
+    half = Fraction(1, 2)
+    binom = Fraction(1)  # binom(-1/2, k), built up multiplicatively
     power = 1  # 4^k
-    coeffs[0] = Q(1, 2) - Q(1, 2) * binom * power
+    coeffs = [half - half * binom * power]
     for k in range(1, degree + 1):
-        binom *= Fraction(-1, 2) - (k - 1)
+        binom *= -half - (k - 1)
         binom /= k
         power *= 4
-        coeffs[k] = -Q(1, 2) * binom * power
+        coeffs.append(-half * binom * power)
     return UnivariateSeries(degree, tuple(coeffs))

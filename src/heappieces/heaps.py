@@ -335,14 +335,14 @@ def heap_to_json(h: Heap) -> str:
 
 def heap_from_json(text: str) -> Heap:
     payload = json.loads(text)
-    g = parse_graph_literal(payload["graph"])
     try:
+        g = parse_graph_literal(payload["graph"])
         layers = tuple(
             tuple(sorted(g.index(lab) for lab in layer))
             for layer in payload["layers"]
         )
-    except GraphError as exc:
-        raise HeapError(str(exc)) from exc
+    except (KeyError, TypeError, AttributeError, GraphError) as exc:
+        raise HeapError(f"bad heap JSON: {exc}") from exc
     h = Heap(g, layers)
     h.validate()
     return h

@@ -190,42 +190,33 @@ def count_paths(n: int, r: int, kind: str) -> int:
     return ways[0] if kind == "word" else sum(ways)
 
 
-def _split_motzkin(letters: str) -> tuple[str, str, str]:
-    """Non-empty Motzkin word -> (head, U, V) with W = head U [b V]."""
-    head = letters[0]
-    if head in ("c", "d"):
-        return head, letters[1:], ""
-    # head == 'a': V starts at the first return to level zero
-    h = 0
-    for i, ch in enumerate(letters):
-        if ch == "a":
-            h += 1
-        elif ch == "b":
-            h -= 1
-            if h == 0:
-                return "a", letters[1:i], letters[i + 1 :]
-    raise WordError("unbalanced word passed to _split_motzkin")
-
-
 def bicolored_to_dyck(w: StepWord) -> StepWord:
     """Bijection: bicolored Motzkin words of length n-1 -> Dyck words of length 2n.
 
     Rules: eps -> ab, cU -> ab U', dU -> a U' b, aUbV -> a U' b V'.
+    Read left to right, a factor U runs to the end of the word or to the
+    `b` matching the `a` that opened it, and its image ends with the `ab`
+    of eps followed by one `b` per `d` read in U.  So one pass with a
+    stack of per-factor `d` counts emits the image, and word length is
+    bounded by memory, not the call stack.
     """
     if w.r != 2 or not is_motzkin_word(w):
         raise WordError("input must be a bicolored Motzkin word")
-
-    def rec(letters: str) -> str:
-        if not letters:
-            return "ab"
-        head, u, v = _split_motzkin(letters)
-        if head == "c":
-            return "ab" + rec(u)
-        if head == "d":
-            return "a" + rec(u) + "b"
-        return "a" + rec(u) + "b" + rec(v)
-
-    return StepWord(0, rec(w.unmarked().letters))
+    out: list[str] = []
+    open_d = [0]  # per open factor: d's whose closing b is still owed
+    for ch in w.unmarked().letters:
+        if ch == "c":
+            out.append("ab")
+        elif ch == "d":
+            out.append("a")
+            open_d[-1] += 1
+        elif ch == "a":
+            out.append("a")
+            open_d.append(0)
+        else:  # "b" closes the factor opened by its matching "a"
+            out.append("ab" + "b" * open_d.pop() + "b")
+    out.append("ab" + "b" * open_d.pop())
+    return StepWord(0, "".join(out))
 
 
 def bicolored_prefix_to_dyck_prefix(w: StepWord) -> StepWord:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .animals import Animal, animal_of_codes, lattice_colors
+from .animals import SOURCES, Animal, animal_of_codes, lattice_colors
 from .paths import StepWord, word_from_codes
 
 # step height contribution per letter code (a, b, c, d)
@@ -132,14 +132,15 @@ def random_animal(
     if n < 1:
         raise ValueError("n must be >= 1")
     r = lattice_colors(lattice)
+    # checked before the draw, so a rejected call consumes no operation
+    if source_kind not in SOURCES:
+        raise ValueError(f"unknown source {source_kind!r}")
     rng = source._operation_rng()
     if source_kind == "compact":
         codes = rng.integers(0, r + 2, size=n - 1, dtype=np.int64)
         nb = n - 1
-    elif source_kind == "point":
-        codes, nb = _sample_prefix_codes(n - 1, r, rng)
     else:
-        raise ValueError(f"unknown source {source_kind!r}")
+        codes, nb = _sample_prefix_codes(n - 1, r, rng)
     letters = codes.tolist()
     animal = animal_of_codes(letters, lattice, source_kind)
     return animal, GenerationReport(word_from_codes(r, letters), nb)

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .animals import Animal, AnimalError, beta_inverse
-from .paths import mark_celibates
+from .animals import Animal, AnimalError, _decode
 
 
 @dataclass(frozen=True)
@@ -70,22 +69,14 @@ def render_decomposition(an: Animal) -> str:
     Line k holds the k-th equerre of the main stacking loop: its letters
     (Motzkin factor plus the separator that closed it), indented by the
     equerre's base fiber.  Stripping indentation and concatenating the
-    lines gives back the celibate-marked word of beta_inverse.
+    lines gives back the celibate-marked word of beta_inverse; the k-th
+    equerre's base is fiber k, as each celibate ascent `A` moves it one
+    fiber right (a Motzkin prefix has no celibate descent).
     """
     if an.source != "point":
         raise AnimalError("decomposition dump is defined for point sources only")
-    marked = mark_celibates(beta_inverse(an)).letters
-    lines = []
-    base = 0
-    bucket: list[str] = []
-    for ch in marked:
-        bucket.append(ch)
-        if ch in ("A", "B"):
-            lines.append("  " * base + "".join(bucket))
-            bucket = []
-            base += 1 if ch == "A" else 2
-    lines.append("  " * base + "".join(bucket))
-    return "\n".join(lines) + "\n"
+    chains = _decode(an).replace("A", "A\n").split("\n")
+    return "".join("  " * k + chain + "\n" for k, chain in enumerate(chains))
 
 
 def decomposition_flatten(dump: str) -> str:

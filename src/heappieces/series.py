@@ -7,12 +7,12 @@ The classic identities live at this level: the alternating configuration
 series inverts the heap series, and the pyramid series is the right
 logarithmic derivative of the heap series.
 
-All arithmetic is exact.  Trace series coefficients are heap counts, so
-they are kept as plain ints; only a true non-integer (from scaling by a
-fraction) stays a fractions.Fraction, and a Fraction with denominator 1
-is stored as its int.  Univariate series keep Fractions throughout,
-because their inverse divides.  Mixing truncation degrees or graphs
-raises instead of silently re-truncating.
+All arithmetic is exact, and trace and univariate series follow one
+coefficient rule: a coefficient is a plain int unless it is a true
+non-integer (from scaling by a fraction, or inverting a series whose
+constant term is not +-1), which stays a fractions.Fraction; a Fraction
+with denominator 1 is stored as its int.  Mixing truncation degrees or
+graphs raises instead of silently re-truncating.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Mapping
 from .graphs import CommutationGraph
 from .heaps import Heap, empty_heap, enumerate_heaps, product
 
-Q = Fraction
 Coefficient = int | Fraction
 
 
@@ -36,7 +35,7 @@ def _exact(c: Coefficient) -> Coefficient:
     """c as an int when it is an integer, else as a Fraction."""
     if type(c) is int:
         return c
-    q = Q(c)
+    q = Fraction(c)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -193,15 +192,15 @@ class UnivariateSeries:
     """Truncated power series in one variable with exact coefficients."""
 
     degree: int
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[Coefficient, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(Q(c) for c in self.coefficients)
+        coeffs = tuple(_exact(c) for c in self.coefficients)
         if len(coeffs) != self.degree + 1:
             raise SeriesError("coefficient count must be degree + 1")
         object.__setattr__(self, "coefficients", coeffs)
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> Coefficient:
         return self.coefficients[n]
 
     def __add__(self, other: "UnivariateSeries") -> "UnivariateSeries":
@@ -212,16 +211,12 @@ class UnivariateSeries:
         )
 
     def __sub__(self, other: "UnivariateSeries") -> "UnivariateSeries":
-        self._check(other)
-        return UnivariateSeries(
-            self.degree,
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
-        )
+        return self + other.scale(-1)
 
     def __mul__(self, other: "UnivariateSeries") -> "UnivariateSeries":
         self._check(other)
         n = self.degree
-        out = [Q(0)] * (n + 1)
+        out: list[Coefficient] = [0] * (n + 1)
         for i, a in enumerate(self.coefficients):
             if a == 0:
                 continue
@@ -231,8 +226,8 @@ class UnivariateSeries:
                     out[i + j] += a * b
         return UnivariateSeries(n, tuple(out))
 
-    def scale(self, c: Fraction | int) -> "UnivariateSeries":
-        c = Q(c)
+    def scale(self, c: Coefficient) -> "UnivariateSeries":
+        c = _exact(c)
         return UnivariateSeries(
             self.degree, tuple(c * a for a in self.coefficients)
         )
@@ -245,32 +240,15 @@ class UnivariateSeries:
         )
 
     def invert(self) -> "UnivariateSeries":
-        if self.coefficients[0] == 0:
+        """out_0 = 1/c0 and out_k = -(1/c0) sum_{j >= 1} c_j out_{k-j}."""
+        c = self.coefficients
+        if c[0] == 0:
             raise SeriesError("constant term zero is not invertible")
-        n = self.degree
-        c0 = self.coefficients[0]
-        out = [Q(0)] * (n + 1)
-        out[0] = 1 / c0
-        for k in range(1, n + 1):
-            s = Q(0)
-            for j in range(1, k + 1):
-                s += self.coefficients[j] * out[k - j]
-            out[k] = -s / c0
-        return UnivariateSeries(n, tuple(out))
-
-    def compose(self, inner: "UnivariateSeries") -> "UnivariateSeries":
-        """self(inner(t)); inner must have zero constant term."""
-        self._check(inner)
-        if inner.coefficients[0] != 0:
-            raise SeriesError("composition needs zero constant term")
-        n = self.degree
-        acc = constant(n, self.coefficients[0])
-        power = one(n)
-        for k in range(1, n + 1):
-            power = power * inner
-            if self.coefficients[k] != 0:
-                acc = acc + power.scale(self.coefficients[k])
-        return acc
+        inv0 = _exact(Fraction(1, c[0]))  # never 1 / c[0]: int / int is a float
+        out: list[Coefficient] = [inv0]
+        for k in range(1, self.degree + 1):
+            out.append(-inv0 * sum(c[j] * out[k - j] for j in range(1, k + 1)))
+        return UnivariateSeries(self.degree, tuple(out))
 
     def _check(self, other: "UnivariateSeries") -> None:
         if self.degree != other.degree:
@@ -282,18 +260,10 @@ class UnivariateSeries:
         return " ".join(str(c) for c in self.coefficients)
 
 
-def constant(degree: int, c: Fraction | int = 0) -> UnivariateSeries:
-    return UnivariateSeries(degree, (Q(c),) + (Q(0),) * degree)
-
-
-def one(degree: int) -> UnivariateSeries:
-    return constant(degree, 1)
-
-
 def from_coefficient_fn(
-    degree: int, fn: Callable[[int], Fraction | int]
+    degree: int, fn: Callable[[int], Coefficient]
 ) -> UnivariateSeries:
-    return UnivariateSeries(degree, tuple(Q(fn(n)) for n in range(degree + 1)))
+    return UnivariateSeries(degree, tuple(fn(n) for n in range(degree + 1)))
 
 
 def project(s: TraceSeries) -> UnivariateSeries:
@@ -304,27 +274,27 @@ def project(s: TraceSeries) -> UnivariateSeries:
     return UnivariateSeries(s.degree, tuple(out))
 
 
-def geometric_substitution(degree: int, alternating: bool) -> UnivariateSeries:
-    """t/(1-t) = t + t^2 + ... or t/(1+t) = t - t^2 + t^3 - ..."""
-    coeffs = [Q(0)] + [
-        Q(-1) ** (n - 1) if alternating else Q(1) for n in range(1, degree + 1)
-    ]
-    return UnivariateSeries(degree, tuple(coeffs))
-
-
 def univariate_substitute(s: UnivariateSeries, mode: str) -> UnivariateSeries:
     """Compose with t/(1-t) (mode 't/(1-t)') or t/(1+t) (mode 't/(1+t)').
 
     The first turns a strict-object counting series into the general one;
-    the second inverts it.
+    the second inverts it.  With e = +1 or -1 respectively,
+    (t/(1-e t))^k = sum_n C(n-1, k-1) e^(n-k) t^n, so
+    [t^n] s(t/(1-e t)) = sum_{k=1..n} C(n-1, k-1) e^(n-k) s_k for n >= 1.
+    Row n of the signed binomials follows from row n-1 by Pascal's rule,
+    P_n[k] = e P_{n-1}[k] + P_{n-1}[k-1]: O(degree^2) steps, no products
+    of series.
     """
-    if mode == "t/(1-t)":
-        inner = geometric_substitution(s.degree, alternating=False)
-    elif mode == "t/(1+t)":
-        inner = geometric_substitution(s.degree, alternating=True)
-    else:
+    if mode not in ("t/(1-t)", "t/(1+t)"):
         raise SeriesError(f"unknown substitution mode {mode!r}")
-    return s.compose(inner)
+    e = 1 if mode == "t/(1-t)" else -1
+    head, *tail = s.coefficients
+    out = [head]
+    row = [1]  # P_n[1..n], from n = 1
+    for _ in range(s.degree):
+        out.append(sum(p * c for p, c in zip(row, tail)))
+        row = [e * p + q for p, q in zip(row + [0], [0] + row)]
+    return UnivariateSeries(s.degree, tuple(out))
 
 
 def dump_trace_series(s: TraceSeries) -> str:

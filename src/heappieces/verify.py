@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import gas
 from .animals import (
@@ -29,6 +28,7 @@ from .randgen import RandomSource, random_animal, random_motzkin_prefix
 from .series import (
     configurations_series,
     derive,
+    from_coefficient_fn,
     heaps_series,
     pyramids_series,
     series_mul,
@@ -101,11 +101,11 @@ def suite_micro() -> list[Check]:
     g = build_graph("abc", [("a", "b"), ("b", "c")])
     gamma_bar = configurations_series(g, 3, signed=True)
     want = {
-        (): Fraction(1),
-        ((0,),): Fraction(-1),
-        ((1,),): Fraction(-1),
-        ((2,),): Fraction(-1),
-        ((0, 2),): Fraction(1),
+        (): 1,
+        ((0,),): -1,
+        ((1,),): -1,
+        ((2,),): -1,
+        ((0, 2),): 1,
     }
     got = {h.layers: c for h, c in gamma_bar.terms.items()}
     checks = [Check("micro", "path3 gamma-bar = 1-a-b-c+ac", got == want)]
@@ -197,8 +197,6 @@ def suite_bijection(max_length: int = 7) -> list[Check]:
 
 def suite_substitution(degree: int = 8) -> list[Check]:
     """Square-lattice counting series maps to triangular under t -> t/(1-t)."""
-    from .series import from_coefficient_fn
-
     strict = from_coefficient_fn(
         degree, lambda n: animal_count(n, "square", "point") if n else 0
     )

@@ -150,6 +150,14 @@ class TestEnumerate:
         assert code == 0
         assert len(out.strip().splitlines()) == 12
 
+    def test_graph_rejects_animal_options(self, capsys, path3_file):
+        for flag, value in (("--lattice", "triangular"), ("--source", "compact")):
+            code, out, err = run(
+                capsys, "enumerate", "--size", "1", "--graph", path3_file, flag, value
+            )
+            assert code == 2 and out == ""
+            assert "apply to animals, not --graph" in err
+
 
 class TestSeries:
     def test_gamma_bar_dump(self, capsys, path3_file):
@@ -243,6 +251,13 @@ class TestGas:
         assert code == 2 and out == ""
         assert "--at applies to --linear only" in err
 
+    def test_graph_with_linear_is_usage_error(self, capsys, path3_file):
+        code, out, err = run(
+            capsys, "gas", "--graph", path3_file, "--linear", "--degree", "4"
+        )
+        assert code == 2 and out == ""
+        assert "--graph and --linear exclude each other" in err
+
     def test_bad_at_leaves_no_partial_output(self, capsys):
         code, out, err = run(capsys, "gas", "--linear", "--degree", "4", "--at", "-1")
         assert code == 2 and out == ""
@@ -275,6 +290,17 @@ class TestErrors:
             )
             assert code == 2 and out == ""
             assert "--radius: must be finite" in err
+
+    def test_render_decomposition_rejects_svg_options(self, capsys, tmp_path):
+        an, _ = random_animal(4, "square", "point", RandomSource(1))
+        stream = tmp_path / "animals.jsonl"
+        stream.write_text(animal_to_json(an))
+        for flag, value in (("--radius", "3"), ("--rotation", "heap")):
+            code, out, err = run(
+                capsys, "render", "--input", str(stream), "--decomposition", flag, value
+            )
+            assert code == 2 and out == ""
+            assert "apply to SVG, not --decomposition" in err
 
     def test_render_empty_input_exits_2(self, capsys, tmp_path):
         empty = tmp_path / "empty"

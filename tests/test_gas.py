@@ -83,6 +83,10 @@ class TestLinearDensity:
         got = linear_density(4)
         assert got.coefficients == (Q(0), Q(1), Q(-3), Q(10), Q(-35))
 
+    def test_int_coefficients(self, path3):
+        for s in (linear_density(30), mean_particles_pyramids(path3, 6)):
+            assert all(type(c) is int for c in s.coefficients)
+
     def test_matches_taylor_oracle_deg12(self):
         assert linear_density(12) == density_taylor_oracle(12)
 

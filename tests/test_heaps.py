@@ -479,6 +479,13 @@ class TestJson:
         text = heap_to_json(heap_of_word(path3, (0, 2, 1)))
         assert '"layers":[["a","c"],["b"]]' in text
 
+    @pytest.mark.parametrize(
+        "text", ['{"graph": "vertices: a"}', "[1]", '{"graph": 5, "layers": []}']
+    )
+    def test_malformed_payload_is_heap_error(self, text):
+        with pytest.raises(HeapError, match="bad heap JSON"):
+            heap_from_json(text)
+
     def test_rejects_bad_layers(self, path3):
         bad = '{"graph": "vertices: a b c\\nedge: a b\\nedge: b c\\n", "layers": [["a","b"]]}'
         with pytest.raises(HeapError):

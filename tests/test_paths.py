@@ -39,6 +39,23 @@ def simulate(letters):
     return ok, h
 
 
+def bicolored_to_dyck_oracle(letters):
+    """The recursive rules eps -> ab, cU -> ab U', dU -> a U' b, aUbV -> a U' b V'."""
+    if not letters:
+        return "ab"
+    if letters[0] == "c":
+        return "ab" + bicolored_to_dyck_oracle(letters[1:])
+    if letters[0] == "d":
+        return "a" + bicolored_to_dyck_oracle(letters[1:]) + "b"
+    h = 0  # letters[0] == "a": U ends at the first return to level zero
+    for i, ch in enumerate(letters):
+        h += {"a": 1, "b": -1}.get(ch, 0)
+        if h == 0:
+            u, v = letters[1:i], letters[i + 1 :]
+            return "a" + bicolored_to_dyck_oracle(u) + "b" + bicolored_to_dyck_oracle(v)
+    raise AssertionError("unbalanced word")
+
+
 class TestStepWord:
     def test_illegal_letters(self):
         with pytest.raises(WordError):
@@ -220,6 +237,25 @@ class TestDyckBijections:
             assert images == targets
             for s in images:
                 assert len(s) == 2 * length + 2
+
+    def test_matches_recursive_oracle(self):
+        for length in range(9):
+            for w in all_words(length, 2):
+                if is_motzkin_word(w):
+                    want = bicolored_to_dyck_oracle(w.letters)
+                    assert bicolored_to_dyck(w).letters == want
+
+    def test_ten_thousand_letters(self):
+        """Past the recursion limit: the map is one pass, not a recursion."""
+        n = 10_000
+        got = bicolored_to_dyck(StepWord(2, "d" * n)).letters
+        assert got == "a" * (n + 1) + "b" * (n + 1)
+        assert bicolored_to_dyck(StepWord(2, "c" * n)).letters == "ab" * (n + 1)
+        m = n // 2  # a^m b^m -> a^m ab (bab)^m, from aUbV -> a U' b V' with V empty
+        nested = StepWord(2, "a" * m + "b" * m)
+        assert bicolored_to_dyck(nested).letters == "a" * (m + 1) + "b" + "bab" * m
+        prefix = bicolored_prefix_to_dyck_prefix(StepWord(2, "d" * n))
+        assert prefix.letters == "a" * (n + 1) + "b" * n
 
     def test_prefix_map_base(self):
         assert bicolored_prefix_to_dyck_prefix(StepWord(2, "")).letters == "a"

@@ -9,7 +9,9 @@ from heappieces import (
     RandomSource,
     beta,
     beta_inverse,
+    colored_layers,
     compact_animal,
+    linear_window,
     random_animal,
     random_motzkin_prefix,
     random_word,
@@ -155,6 +157,30 @@ class TestRandomAnimal:
                     an.validate()
                     assert rep.nb_tirages == n - 1
                     assert an.cells == compact_animal(rep.word, lattice).cells
+
+    def test_stacking_matches_colored_heap_kernel(self):
+        """Independent of animal_of_codes: the cells, in drop order, are the
+        colored layering of their fibres on the chain window of radius
+        R = max |fibre| + 1 with its parity colouring, cell (x, y) in layer y + 1."""
+        for lattice in ("square", "triangular"):
+            for source_kind in ("point", "compact"):
+                src = RandomSource(17)
+                for n in (1, 2, 3, 7, 25, 300, 5000):
+                    an, _ = random_animal(n, lattice, source_kind, src)
+                    radius = max(abs(x) for x, _ in an.cells) + 1
+                    g, coloring = linear_window(radius)
+                    fibres = [x + radius for x, _ in an.cells]
+                    layers = colored_layers(g, coloring, fibres).layers
+                    got = {(v, i + 1) for i, layer in enumerate(layers) for v in layer}
+                    assert got == {(x + radius, y + 1) for x, y in an.cells}
+
+    def test_rejected_source_consumes_no_operation(self):
+        src = RandomSource(8)
+        with pytest.raises(ValueError, match="unknown source"):
+            random_animal(5, "square", "bogus", src)
+        an, _ = random_animal(30, "square", "point", src)
+        fresh, _ = random_animal(30, "square", "point", RandomSource(8))
+        assert an.cells == fresh.cells
 
     def test_point_source_invariants_hold(self):
         src = RandomSource(40)

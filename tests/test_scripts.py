@@ -1,5 +1,11 @@
-"""Smoke tests of the scripts in scripts/: each runs and writes what it says."""
+"""Smoke tests of the scripts in scripts/: each runs and writes what it says.
 
+Also checks, without running it, that the benchmark in heapbench/ still
+finds every name it imports from the library.
+"""
+
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -45,3 +51,25 @@ def test_gallery(tmp_path):
         "triangular_point_30.txt",
     ]
     assert all(p.read_text().startswith("<?xml") for p in tmp_path.glob("*.svg"))
+
+
+def test_heapbench_imports_resolve():
+    missing = []
+    for path in sorted((ROOT / "heapbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                targets = [(alias.name, []) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                targets = [(node.module, [alias.name for alias in node.names])]
+            else:
+                continue
+            for module_name, names in targets:
+                if module_name.split(".")[0] != "heappieces":
+                    continue
+                module = importlib.import_module(module_name)
+                missing += [
+                    f"{path.name}: {module_name}.{name}"
+                    for name in names
+                    if not hasattr(module, name)
+                ]
+    assert missing == []

@@ -37,7 +37,7 @@ def from_counts(degree, counts):
 
 
 def poly_compose_oracle(outer, inner):
-    """Composition by explicit power accumulation, independent of compose()."""
+    """outer(inner(t)) by power accumulation: the oracle of univariate_substitute."""
     n = outer.degree
     coeffs = [Q(0)] * (n + 1)
     power = [Q(1)] + [Q(0)] * n  # inner^k, grown by raw convolution
@@ -311,10 +311,60 @@ class TestUnivariate:
         got = univariate_substitute(motzkin, "t/(1-t)")
         assert got == catalan
         # independent composition oracle agrees
-        from heappieces.series import geometric_substitution
-
-        inner = geometric_substitution(7, alternating=False)
+        inner = from_counts(7, (0,) + (1,) * 7)  # t/(1-t)
         assert poly_compose_oracle(motzkin, inner) == got
+
+    @pytest.mark.parametrize("mode, sign", [("t/(1-t)", 1), ("t/(1+t)", -1)])
+    def test_substitute_matches_oracle(self, mode, sign):
+        for degree in range(11):
+            # t/(1-t) = t + t^2 + ..., t/(1+t) = t - t^2 + t^3 - ...
+            inner = from_counts(
+                degree, [0] + [sign ** (n - 1) for n in range(1, degree + 1)]
+            )
+            for coeffs in (
+                [(-2) ** n + 3 * n for n in range(degree + 1)],
+                [Q(n - 2, n + 1) for n in range(degree + 1)],
+            ):
+                s = from_counts(degree, coeffs)
+                assert univariate_substitute(s, mode) == poly_compose_oracle(s, inner)
+
+    def test_substitute_square_to_triangular_at_degree_1000(self):
+        from heappieces import animal_count
+        from heappieces.series import from_coefficient_fn
+
+        def counts(lattice):
+            return from_coefficient_fn(
+                1000, lambda n: animal_count(n, lattice, "point") if n else 0
+            )
+
+        square, triangular = counts("square"), counts("triangular")
+        assert univariate_substitute(square, "t/(1-t)") == triangular
+        assert univariate_substitute(triangular, "t/(1+t)") == square
+
+    def test_substitute_rejects_unknown_mode(self):
+        with pytest.raises(SeriesError):
+            univariate_substitute(from_counts(2, (1,)), "t/(1-2t)")
+
+    def test_coefficient_types(self):
+        """The trace-series rule: an int unless a true fraction arises, never a float."""
+
+        def exact(x):
+            return all(
+                type(c) is (int if c.denominator == 1 else Q) for c in x.coefficients
+            )
+
+        s = from_counts(6, (1, 3, 1))
+        t = from_counts(6, (2, -1, 0, 5))
+        for x in (
+            s, s + t, s - t, s * t, s.scale(3), s.t_derivative(), s.invert(),
+            univariate_substitute(s, "t/(1-t)"), univariate_substitute(s, "t/(1+t)"),
+            from_counts(6, (Q(4, 2), Q(1))), s.scale(Q(1, 2)).scale(2),
+        ):
+            assert exact(x) and all(type(c) is int for c in x.coefficients)
+        for x in (s.scale(Q(1, 2)), t.invert()):
+            assert exact(x) and any(type(c) is Q for c in x.coefficients)
+        assert t.invert()[0] == Q(1, 2)
+        assert t.invert() * t == from_counts(6, (1,))
 
     def test_substitute_round_trip(self):
         s = from_counts(6, (1, 4, 1, 5, 9, 2, 6))
