@@ -307,12 +307,12 @@ def enumerate_animals(n: int, lattice: str, source: str = "point") -> list[Anima
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    triangular = lattice_colors(lattice) == 2  # rejects an unknown lattice
     bound = ORACLE_BOUNDS[lattice]
     if n > bound:
         raise AnimalError(f"oracle bound is {bound} for {lattice}")
     if source not in SOURCES:
         raise AnimalError(f"unknown source {source!r}")
-    triangular = lattice == "triangular"
 
     seeds: list[frozenset[tuple[int, int]]] = []
     if source == "point":

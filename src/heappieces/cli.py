@@ -54,6 +54,8 @@ def _read_graph(path: str):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.size < 1:  # --samples 0 would otherwise never reach the sampler's check
+        raise ValueError(f"--size must be >= 1, got {args.size}")
     src = RandomSource(args.seed)
     total = 0
     for _ in range(args.samples):
@@ -187,11 +189,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
         return 2
     given = (("cell_radius", args.radius), ("rotation", args.rotation))
     opts = RenderOptions(**{k: v for k, v in given if v is not None})
-    for animal in animals:
-        if args.decomposition:
-            sys.stdout.write(render_decomposition(animal))
-        else:
-            sys.stdout.write(render_svg(animal, opts))
+    # every page is built before any is written, so an error leaves stdout empty
+    if args.decomposition:
+        pages = [render_decomposition(animal) for animal in animals]
+    else:
+        pages = [render_svg(animal, opts) for animal in animals]
+    sys.stdout.write("".join(pages))
     return 0
 
 

@@ -181,63 +181,54 @@ def is_strict(h: Heap) -> bool:
 def strict_skeleton(h: Heap) -> tuple[Heap, dict[Cell, int]]:
     """Unique strict heap S and cell multiplicities expanding back to h.
 
-    Greedy run-merging: each letter of the canonical word slides left past
-    commuting runs and merges with an equal run when it reaches one.  Runs
-    never reorder, so a mergeable pair can never survive: the result has
-    the minimal number of runs and its support word is strict.
+    Runs are vertical columns: a cell (v, j) joins the run of (v, j-1)
+    when that cell is in h, and starts a new run otherwise.  For j > 1,
+    v at height j rests on a cell of N[v] at height j-1; that cell is
+    either v itself, which the letter merges with, or a true neighbour,
+    which blocks it from sliding any lower.  Runs are read in the
+    canonical order of their bottom cells, so the support word is strict.
     """
     g = h.graph
     runs: list[list[int]] = []  # [vertex, multiplicity]
-    for v in h.canonical_word():
-        merged = False
-        for run in reversed(runs):
-            u = run[0]
-            if u == v:
-                run[1] += 1
-                merged = True
-                break
-            if g.are_neighbors(u, v):
-                break
-        if not merged:
-            runs.append([v, 1])
+    below: dict[int, list[int]] = {}  # fibre -> its run in the layer below
+    for layer in h.layers:
+        here = {}
+        for v in layer:
+            run = below.get(v)
+            if run is None:
+                run = [v, 0]
+                runs.append(run)
+            run[1] += 1
+            here[v] = run
+        below = here
     support = tuple(v for v, _ in runs)
     heights = _landings(g, support, {})
     mult = {(v, height): m for (v, m), height in zip(runs, heights)}
     return Heap(g, _place((), support, heights)), mult
 
 
-def _up_closure(h: Heap, c: Cell) -> set[Cell]:
-    """Cells >= c for the order generated by: neighbours at lower height precede."""
-    cells = h.cells()
-    if c not in cells:
-        raise HeapError(f"cell {c} not in heap")
-    g = h.graph
-    closure = {c}
-    frontier = [c]
-    while frontier:
-        v, i = frontier.pop()
-        for cell in cells:
-            if cell in closure:
-                continue
-            u, j = cell
-            if j > i and g.are_neighbors(u, v):
-                closure.add(cell)
-                frontier.append(cell)
-    return closure
-
-
-def _restack(h: Heap, cells: Iterable[Cell]) -> Heap:
-    """Heap of the chosen cells read in canonical (height, vertex) order."""
-    word = [v for v, _ in sorted(cells, key=lambda c: (c[1], c[0]))]
-    return heap_of_word(h.graph, word)
-
-
 def pyramid_split(h: Heap, c: Cell) -> tuple[Heap, Heap]:
-    """Unique factorization h = X * P with P the pyramid generated by cell c."""
-    closure = _up_closure(h, c)
-    rest = [cell for cell in h.cells() if cell not in closure]
-    pyramid = _restack(h, closure)
-    return _restack(h, rest), pyramid
+    """Unique factorization h = X * P with P the pyramid generated by cell c.
+
+    P is c plus every higher cell whose closed neighbourhood meets a fibre
+    P reached in a lower layer: one sweep up the layers, growing the set of
+    reached fibres, decides every cell.  Cells of one layer never interact
+    (layers are stable sets), and both words come out in canonical order.
+    """
+    neigh = h.graph.neighborhood
+    reached: set[int] = set()
+    rest: list[int] = []
+    pyramid: list[int] = []
+    for height, layer in enumerate(h.layers, 1):
+        for v in layer:
+            if (v, height) == c or not reached.isdisjoint(neigh(v)):
+                reached.add(v)
+                pyramid.append(v)
+            else:
+                rest.append(v)
+    if not pyramid:
+        raise HeapError(f"cell {c} not in heap")
+    return heap_of_word(h.graph, rest), heap_of_word(h.graph, pyramid)
 
 
 def enumerate_heaps(

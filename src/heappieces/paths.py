@@ -68,25 +68,20 @@ def word_from_codes(r: int, codes: list[int] | tuple[int, ...]) -> StepWord:
     return StepWord(r, "".join(_CODE_TO_CHAR[c] for c in codes))
 
 
-def heights(w: StepWord) -> list[int]:
-    """Running height after each step (marks count as their letters)."""
-    h = 0
-    out = []
-    for ch in w.letters:
-        ch = ch.lower()
-        if ch == "a":
-            h += 1
-        elif ch == "b":
-            h -= 1
-        out.append(h)
-    return out
-
-
 def classify(w: StepWord) -> tuple[PathKind, int]:
-    """Kind of the word plus its final height (#ascends - #descends)."""
-    hs = heights(w)
-    height = hs[-1] if hs else 0
-    if any(h < 0 for h in hs):
+    """Kind of the word plus its final height (#ascends - #descends).
+
+    One walk: `a`/`A` count up, `b`/`B` down, and the walk keeps its minimum.
+    """
+    height = low = 0
+    for ch in w.letters:
+        if ch in "aA":
+            height += 1
+        elif ch in "bB":
+            height -= 1
+            if height < low:
+                low = height
+    if low < 0:
         return PathKind.GENERAL, height
     if height == 0:
         return PathKind.MOTZKIN_WORD, height
@@ -145,26 +140,18 @@ def catalan_factorize(
 ) -> tuple[tuple[StepWord, ...], tuple[StepWord, ...]]:
     """Split at celibate steps: (U_0..U_k around descents, U_{k+1}.. after ascents).
 
-    Every factor is a complete Motzkin word and interleaving the factors
-    with the marked separators reconcatenates to the input.
+    No celibate descent follows a celibate ascent: the path never comes
+    back down to the level that ascent left, so it never reaches a new
+    minimum after it.  The marked word is therefore U_0 B .. B U_k, then
+    A U_{k+1} A ..; splitting it at its first `A`, the head at `B` and the
+    tail at `A` gives the factors.  Every factor is a complete Motzkin
+    word and interleaving the factors with the marked separators
+    reconcatenates to the input.
     """
-    marked = mark_celibates(w)
-    pre: list[StepWord] = []
-    post: list[StepWord] = []
-    bucket: list[str] = []
-    seen_ascent = False
-    for ch in marked.letters:
-        if ch == "B":
-            pre.append(StepWord(w.r, "".join(bucket)))
-            bucket = []
-        elif ch == "A":
-            (post if seen_ascent else pre).append(StepWord(w.r, "".join(bucket)))
-            bucket = []
-            seen_ascent = True
-        else:
-            bucket.append(ch)
-    (post if seen_ascent else pre).append(StepWord(w.r, "".join(bucket)))
-    return tuple(pre), tuple(post)
+    head, sep, tail = mark_celibates(w).letters.partition("A")
+    pre = tuple(StepWord(w.r, u) for u in head.split("B"))
+    post = tuple(StepWord(w.r, u) for u in tail.split("A")) if sep else ()
+    return pre, post
 
 
 def count_paths(n: int, r: int, kind: str) -> int:
@@ -227,15 +214,6 @@ def bicolored_prefix_to_dyck_prefix(w: StepWord) -> StepWord:
     """
     if w.r != 2 or not is_motzkin_prefix(w):
         raise WordError("input must be a bicolored Motzkin prefix")
-    _, factors = _factor_prefix(w)
-    pieces = [bicolored_to_dyck(u).letters[:-1] for u in factors]
+    factors = mark_celibates(w).letters.split("A")  # a prefix has no `B`
+    pieces = [bicolored_to_dyck(StepWord(2, u)).letters[:-1] for u in factors]
     return StepWord(0, "a".join(pieces))
-
-
-def _factor_prefix(w: StepWord) -> tuple[int, tuple[StepWord, ...]]:
-    """(height l, factors U_0..U_l) of a Motzkin prefix W = U_0 a U_1 a .. U_l."""
-    pre, post = catalan_factorize(w)
-    if len(pre) != 1:
-        raise WordError("word has celibate descents; not a Motzkin prefix")
-    factors = pre + post
-    return len(factors) - 1, factors

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 from . import gas
 from .animals import (
+    ORACLE_BOUNDS,
+    AnimalError,
     all_prefixes,
     animal_count,
     animal_to_json,
@@ -173,6 +175,9 @@ def suite_counting() -> list[Check]:
 
 def suite_bijection(max_length: int = 7) -> list[Check]:
     """beta round-trips and its image matches the growth oracle."""
+    for lattice, bound in ORACLE_BOUNDS.items():  # before any word is built
+        if max_length + 1 > bound:
+            raise AnimalError(f"oracle bound is {bound} for {lattice}")
     checks = []
     for lattice in ("square", "triangular"):
         r = 1 if lattice == "square" else 2

@@ -167,6 +167,10 @@ class TestOracleAgreement:
         with pytest.raises(AnimalError):
             enumerate_animals(13, "square", "point")
 
+    def test_unknown_lattice(self):
+        with pytest.raises(AnimalError, match="unknown lattice"):
+            enumerate_animals(3, "hex")
+
 
 class TestDecompositionAlgebra:
     """Equerre factors multiply back to the whole heap in the heap monoid."""

@@ -1,5 +1,6 @@
 """CLI: thin adapters, stable bytes, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from heappieces import (
+    AnimalError,
     RandomSource,
     animal_to_json,
     build_graph,
@@ -16,6 +18,7 @@ from heappieces import (
     mark_celibates,
     random_animal,
 )
+from heappieces import verify
 from heappieces.cli import cli_main
 from heappieces.render import decomposition_flatten
 
@@ -134,6 +137,12 @@ class TestGenerate:
         assert code == 2 and out == ""
         assert "--samples: must be >= 0" in err
 
+    def test_rejects_size_below_one(self, capsys):
+        # with no samples the sampler's own check is never reached
+        code, out, err = run(capsys, "generate", "--size", "-5", "--samples", "0")
+        assert code == 2 and out == ""
+        assert "--size must be >= 1" in err
+
 
 class TestEnumerate:
     def test_animals(self, capsys):
@@ -215,6 +224,19 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", "colored", "--degree", "4")
         assert code == 2 and out == ""
         assert "takes no --degree" in err
+
+    def test_bijection_past_oracle_bound_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "bijection", "--degree", "10")
+        assert code == 2 and out == ""
+        assert "oracle bound is 10 for triangular" in err
+
+    def test_bijection_checks_bound_before_building_words(self, monkeypatch):
+        def no_words(*args):
+            raise AssertionError("a word was built before the bound check")
+
+        monkeypatch.setattr(verify, "all_prefixes", no_words)
+        with pytest.raises(AnimalError, match="oracle bound is 10 for triangular"):
+            verify.suite_bijection(10)
 
 
 class TestGas:
@@ -302,8 +324,65 @@ class TestErrors:
             assert code == 2 and out == ""
             assert "apply to SVG, not --decomposition" in err
 
+    def test_render_error_leaves_stdout_empty(self, capsys, tmp_path):
+        # the first animal renders; the second (compact source) has no dump
+        stream = tmp_path / "animals.jsonl"
+        stream.write_text("\n".join(
+            animal_to_json(random_animal(4, "square", source, RandomSource(1))[0])
+            for source in ("point", "compact")
+        ))
+        code, out, err = run(capsys, "render", "--input", str(stream), "--decomposition")
+        assert code == 2 and out == ""
+        assert "point sources only" in err
+
     def test_render_empty_input_exits_2(self, capsys, tmp_path):
         empty = tmp_path / "empty"
         empty.write_text("")
         code, _, _ = run(capsys, "render", "--input", str(empty))
         assert code == 2
+
+
+# First 16 hex digits of the sha256 of stdout, recorded before the
+# one-pass factorization rewrites; a changed digest is a changed output.
+# {path5} is the path5 graph literal, {animals} the stdout of
+# `generate --size 3000 --seed 7`.
+CLI_DIGESTS = [
+    ("generate --size 5000 --seed 42", "448ce7a291cd72cd"),
+    ("generate --size 5000 --seed 42 --source compact", "792c60d77e859d3a"),
+    ("generate --size 5000 --seed 42 --lattice triangular", "1409f61f36e7aeac"),
+    (
+        "generate --size 5000 --seed 42 --lattice triangular --source compact",
+        "ef209edd2e26ac8a",
+    ),
+    ("generate --samples 200 --size 7", "2a413b6f6248483e"),
+    ("series --graph {path5} --kind theta --degree 5", "68594ee2ab2aa075"),
+    (
+        "series --graph {path5} --kind pi-bar --base c --degree 5 --project",
+        "259c251ed7d7bb50",
+    ),
+    (
+        "series --graph {path5} --kind theta-strict --degree 6 --project",
+        "e53889145fb18ec1",
+    ),
+    ("gas --graph {path5} --degree 6", "2b7169dfce81c5d1"),
+    ("gas --linear --degree 30 --at 0.5", "b68a720f3864dcac"),
+    ("count --size 3000 --lattice triangular --source equerre", "76bbadfdb986fc4e"),
+    ("enumerate --size 6 --lattice triangular", "f38f4cfa9b93aec0"),
+    ("enumerate --graph {path5} --size 4", "e9a1374c7262974d"),
+    ("render --input {animals}", "d6fef46a5acb6f4b"),
+    ("render --input {animals} --decomposition", "b83332b224469c39"),
+    ("render --input {animals} --rotation heap --radius 0.25", "1c14a626d765add8"),
+]
+
+
+@pytest.mark.parametrize("command, digest", CLI_DIGESTS)
+def test_stdout_digest(capsys, tmp_path, path5, command, digest):
+    graph = tmp_path / "path5.graph"
+    graph.write_text(format_graph_literal(path5))
+    code, animals, _ = run(capsys, "generate", "--size", "3000", "--seed", "7")
+    stream = tmp_path / "animals.jsonl"
+    stream.write_text(animals)
+    argv = [arg.format(path5=graph, animals=stream) for arg in command.split()]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

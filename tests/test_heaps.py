@@ -1,5 +1,6 @@
 """Heap monoid: canonical form, product, duality, strictness, pyramids."""
 
+import random
 from collections import deque
 
 import pytest
@@ -20,6 +21,7 @@ from heappieces import (
     heap_of_word,
     heap_to_json,
     is_strict,
+    linear_window,
     product,
     project,
     push,
@@ -48,6 +50,64 @@ def is_strict_by_word(h):
                 return False
         last_seen[v] = i
     return True
+
+
+def strict_skeleton_by_merging(h):
+    """Declared oracle for strict_skeleton: greedy run-merging.
+
+    Each letter of the canonical word slides left past commuting runs and
+    merges with an equal run when it reaches one; the support word lands
+    by the drop rule.
+    """
+    g = h.graph
+    runs = []  # [vertex, multiplicity]
+    for v in h.canonical_word():
+        merged = False
+        for run in reversed(runs):
+            u = run[0]
+            if u == v:
+                run[1] += 1
+                merged = True
+                break
+            if g.are_neighbors(u, v):
+                break
+        if not merged:
+            runs.append([v, 1])
+    support = tuple(v for v, _ in runs)
+    heights = _landings(g, support, {})
+    mult = {(v, height): m for (v, m), height in zip(runs, heights)}
+    return heap_of_word(g, support), mult
+
+
+def pyramid_split_by_closure(h, c):
+    """Declared oracle for pyramid_split: the up-closure search.
+
+    P is every cell >= c for the order in which a cell precedes the
+    higher cells of its closed neighbourhood; each part is restacked from
+    its cells in (height, vertex) order.
+    """
+    cells = h.cells()
+    if c not in cells:
+        raise HeapError(f"cell {c} not in heap")
+    closure = {c}
+    frontier = [c]
+    while frontier:
+        v, i = frontier.pop()
+        for cell in cells:
+            u, j = cell
+            if cell not in closure and j > i and h.graph.are_neighbors(u, v):
+                closure.add(cell)
+                frontier.append(cell)
+
+    def restack(chosen):
+        word = [v for v, _ in sorted(chosen, key=lambda cell: (cell[1], cell[0]))]
+        return heap_of_word(h.graph, word)
+
+    return restack(set(cells) - closure), restack(closure)
+
+
+def oracle_graphs(cube):
+    return [g for _, g in graph_suite()] + [cube]
 
 
 def expand_skeleton(skeleton, mult):
@@ -321,6 +381,41 @@ class TestStrict:
             assert all_counts[n] == sum(
                 strict_counts[k] * math.comb(n - 1, k - 1) for k in range(1, n + 1)
             )
+
+
+class TestFactorizationOracles:
+    """The one-sweep rewrites against the searches they replaced."""
+
+    def test_skeleton_equals_run_merging(self, cube):
+        for g in oracle_graphs(cube):
+            for h in enumerate_heaps(g, 6):
+                assert strict_skeleton(h) == strict_skeleton_by_merging(h)
+
+    def test_pyramid_split_equals_up_closure(self, cube):
+        for g in oracle_graphs(cube):
+            for h in enumerate_heaps(g, 6):
+                for cell in h.cells():
+                    assert pyramid_split(h, cell) == pyramid_split_by_closure(h, cell)
+
+
+class TestFactorizationsAtScale:
+    @pytest.fixture(scope="class")
+    def big_heap(self):
+        g, _ = linear_window(30)
+        rng = random.Random(10_000)
+        return heap_of_word(g, [rng.randrange(g.vertex_count) for _ in range(10_000)])
+
+    def test_skeleton_expands_back(self, big_heap):
+        s, mult = strict_skeleton(big_heap)
+        assert is_strict(s)
+        assert expand_skeleton(s, mult) == big_heap
+
+    def test_pyramid_splits(self, big_heap):
+        cells = big_heap.cells()
+        for cell in cells[:: len(cells) // 20][:20]:
+            x, p = pyramid_split(big_heap, cell)
+            assert p.is_pyramid()
+            assert product(x, p) == big_heap
 
 
 class TestPyramids:

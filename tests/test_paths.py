@@ -56,6 +56,39 @@ def bicolored_to_dyck_oracle(letters):
     raise AssertionError("unbalanced word")
 
 
+def catalan_factorize_by_buckets(w):
+    """Declared oracle for catalan_factorize: the bucket loop over the marked word.
+
+    Letters collect in a bucket that each separator closes; a bucket goes
+    to the ascent side once any `A` has been read.
+    """
+    pre, post, bucket = [], [], []
+    seen_ascent = False
+    for ch in mark_celibates(w).letters:
+        if ch == "B":
+            pre.append(StepWord(w.r, "".join(bucket)))
+            bucket = []
+        elif ch == "A":
+            (post if seen_ascent else pre).append(StepWord(w.r, "".join(bucket)))
+            bucket = []
+            seen_ascent = True
+        else:
+            bucket.append(ch)
+    (post if seen_ascent else pre).append(StepWord(w.r, "".join(bucket)))
+    return tuple(pre), tuple(post)
+
+
+def dyck_prefix_by_buckets(w):
+    """Declared oracle for bicolored_prefix_to_dyck_prefix via the bucket loop."""
+    pre, post = catalan_factorize_by_buckets(w)
+    assert len(pre) == 1  # a Motzkin prefix has no celibate descent
+    return "a".join(bicolored_to_dyck(u).letters[:-1] for u in pre + post)
+
+
+def every_word(max_len, r):
+    return [w for n in range(max_len + 1) for w in all_words(n, r)]
+
+
 class TestStepWord:
     def test_illegal_letters(self):
         with pytest.raises(WordError):
@@ -92,6 +125,16 @@ class TestClassify:
             assert kind is PathKind.MOTZKIN_WORD
         else:
             assert kind is PathKind.MOTZKIN_PREFIX
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_every_word_marked_or_not(self, r):
+        for w in every_word(7, r):
+            kind, height = classify(w)
+            nonneg, end = simulate(w.letters)
+            assert height == end
+            assert (kind is PathKind.GENERAL) == (not nonneg)
+            assert (kind is PathKind.MOTZKIN_WORD) == (nonneg and end == 0)
+            assert classify(mark_celibates(w)) == (kind, height)
 
 
 class TestMarking:
@@ -177,6 +220,20 @@ class TestFactorize:
         assert (len(pre) - 1, len(post)) == (
             marked.count("B"), marked.count("A"),
         )
+
+
+class TestFactorizationOracles:
+    """The split-at-marks rewrites against the bucket loop they replaced."""
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_catalan_factorize_equals_buckets(self, r):
+        for w in every_word(7, r):
+            assert catalan_factorize(w) == catalan_factorize_by_buckets(w)
+
+    def test_prefix_map_equals_buckets(self):
+        for n in range(8):
+            for w in all_prefixes(n, 2):
+                assert bicolored_prefix_to_dyck_prefix(w).letters == dyck_prefix_by_buckets(w)
 
 
 class TestCounts:
