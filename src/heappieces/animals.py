@@ -29,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .paths import (
     CODE_A,
@@ -71,6 +72,8 @@ class Animal:
     _cell_set: frozenset[tuple[int, int]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # set by the first validate() that passes: the cells never change
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lattice not in LATTICES:
@@ -104,30 +107,60 @@ class Animal:
         return [((x + y) // 2, (y - x) // 2) for x, y in self.cells]
 
     def validate(self) -> None:
-        cells = self.cell_set()
-        if len(cells) != len(self.cells):
+        """Raise AnimalError unless this is a directed animal of its source kind.
+
+        Each cell is keyed as the int x*m + y, m = 2n + 1, and one pass
+        checks every cell against the key set.  A valid n-cell animal has
+        0 <= y <= 2(n-1), so in that range keys are distinct exactly when
+        cells are, and each support is one key lookup.  A cell out of the
+        range is itself unsupported, so a key it aliases never makes an
+        invalid animal pass.  Faults are reported in the order duplicate,
+        empty, ground, then the first bad cell.  A pass is recorded, so
+        the checks run once per animal.
+        """
+        if self._valid:
+            return
+        cells = self.cells
+        n = len(cells)
+        m = 2 * n + 1
+        keys = {x * m + y for x, y in cells}
+        # fewer keys than cells: a duplicate, or an out-of-range cell's alias
+        if len(keys) != n and len(self.cell_set()) != n:
             raise AnimalError("duplicate cell")
-        if not cells:
+        if not n:
             raise AnimalError("empty animal")
         triangular = self.lattice == "triangular"
-        ground = sorted((x, y) for x, y in cells if y == 0)
-        if self.source == "point":
-            if ground != [(0, 0)]:
-                raise AnimalError("point source requires exactly cell (0,0) on the ground")
-        else:
-            want = [(2 * i, 0) for i in range(len(ground))]
-            if ground != want or not ground:
-                raise AnimalError("compact source requires ground cells at fibers 0,2,...")
+        # keys of the supports (x-1, y-1) and (x+1, y-1) are k - left and k + right
+        left, right = m + 1, m - 1
+        ground: list[int] = []
+        fault = None
         for x, y in cells:
-            if (x + y) % 2 != 0:
-                raise AnimalError(f"cell ({x},{y}) off the even sublattice")
-            if y == 0:
+            if not y:
+                ground.append(x)  # an odd ground fiber fails the ground rule
+            elif (x + y) & 1:
+                fault = fault or f"cell ({x},{y}) off the even sublattice"
+            elif 0 < y < m and (
+                (k := x * m + y) - left in keys
+                or k + right in keys
+                # y = 1 would alias k - 2 to the cell (x-1, m-1)
+                or (triangular and y > 1 and k - 2 in keys)
+            ):
                 continue
-            supported = (x - 1, y - 1) in cells or (x + 1, y - 1) in cells
-            if not supported and triangular:
-                supported = (x, y - 2) in cells
-            if not supported:
-                raise AnimalError(f"unsupported cell ({x},{y})")
+            else:
+                fault = fault or f"unsupported cell ({x},{y})"
+        if self.source == "point":
+            if ground != [0]:
+                raise AnimalError("point source requires exactly cell (0,0) on the ground")
+        elif (
+            not ground
+            or min(ground) < 0
+            or max(ground) != 2 * (len(ground) - 1)
+            or any(x & 1 for x in ground)
+        ):
+            raise AnimalError("compact source requires ground cells at fibers 0,2,...")
+        if fault:
+            raise AnimalError(fault)
+        object.__setattr__(self, "_valid", True)
 
 
 def animal_of_codes(codes: list[int], lattice: str, source: str) -> Animal:
@@ -424,21 +457,30 @@ def average_width(n: int, lattice: str) -> Fraction:
 
 
 def animal_to_json(an: Animal) -> str:
-    payload = {
-        "lattice": an.lattice,
-        "source": an.source,
-        "cells": [[x, y] for x, y in an.cells],
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    """Compact JSON, byte-identical to json.dumps(..., separators=(",", ":")).
+
+    Lattice and source are names from LATTICES and SOURCES, which need no
+    escaping.
+    """
+    cells = ",".join(["[%d,%d]" % c for c in an.cells])
+    return f'{{"lattice":"{an.lattice}","source":"{an.source}","cells":[{cells}]}}'
 
 
 def animal_from_json(text: str) -> Animal:
+    """Parse and validate one animal; every coordinate must be a JSON integer."""
     payload = json.loads(text)
     try:
-        cells = tuple((int(x), int(y)) for x, y in payload["cells"])
-        an = Animal(payload["lattice"], payload["source"], cells)
+        raw = payload["cells"]
+        if type(raw) is not list:
+            raise TypeError("cells must be a list")
+        if raw and (set(map(type, raw)) != {list} or set(map(len, raw)) != {2}):
+            raise TypeError("every cell must be a list of two coordinates")
+        if raw and set(map(type, chain.from_iterable(raw))) != {int}:
+            raise TypeError("every coordinate must be an integer")
+        an = Animal(payload["lattice"], payload["source"], tuple(map(tuple, raw)))
     except (KeyError, TypeError, ValueError) as exc:
         raise AnimalError(f"bad animal JSON: {exc}") from exc
+    del payload, raw  # free the parsed lists before validate builds its key set
     an.validate()
     return an
 

@@ -78,6 +78,16 @@ def _sample_prefix_codes(
     Letters are drawn in chunks into `buf` and read from position `pos`;
     a chunk is only ever replaced, never written, so accepted blocks may
     stay views of it.
+
+    Each step scans a window of at most `window` letters: 256 on a fresh
+    attempt, doubled after every window the attempt survives.  Most
+    attempts die within a few letters, so scanning the rest of a
+    65,536-letter chunk for each of them would cost up to a hundred times
+    the letters actually drawn; with the window the scan stays within a
+    small multiple of them.  The window decides only how far ahead the
+    running height is computed, not which letters are drawn or where an
+    attempt dies, so codes and draw count equal those of the one-letter
+    loop, and for n <= 256 every scan is the whole remaining prefix.
     """
     chunk = min(max(256, 2 * n), 1 << 16)
     buf = np.empty(0, dtype=np.int64)
@@ -86,11 +96,12 @@ def _sample_prefix_codes(
     blocks: list[np.ndarray] = []
     got = 0
     h = 0
+    window = 256
     while got < n:
         if pos == len(buf):
             buf = rng.integers(0, r + 2, size=chunk, dtype=np.int64)
             pos = 0
-        sub = buf[pos : pos + n - got]
+        sub = buf[pos : pos + min(window, n - got)]
         cum = np.cumsum(_DELTA[sub]) + h
         neg = np.nonzero(cum < 0)[0]
         if neg.size:
@@ -100,6 +111,7 @@ def _sample_prefix_codes(
             blocks.clear()
             got = 0
             h = 0
+            window = 256
         else:
             m = len(sub)
             nb += m
@@ -107,6 +119,7 @@ def _sample_prefix_codes(
             blocks.append(sub)
             got += m
             h = int(cum[-1])
+            window *= 2
     codes = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
     return codes, nb
 

@@ -1,6 +1,8 @@
 """Animals: stacking bijections, inverse, oracle agreement, counts, widths."""
 
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -309,6 +311,112 @@ class TestWidth:
             assert mean_emp == average_width(n, lattice)
 
 
+def validate_by_cell_set(an):
+    """Test oracle: the tuple-set validator, a frozenset and probe tuples per cell."""
+    cells = an.cell_set()
+    if len(cells) != len(an.cells):
+        raise AnimalError("duplicate cell")
+    if not cells:
+        raise AnimalError("empty animal")
+    triangular = an.lattice == "triangular"
+    ground = sorted((x, y) for x, y in cells if y == 0)
+    if an.source == "point":
+        if ground != [(0, 0)]:
+            raise AnimalError("point source requires exactly cell (0,0) on the ground")
+    else:
+        want = [(2 * i, 0) for i in range(len(ground))]
+        if ground != want or not ground:
+            raise AnimalError("compact source requires ground cells at fibers 0,2,...")
+    for x, y in cells:
+        if (x + y) % 2 != 0:
+            raise AnimalError(f"cell ({x},{y}) off the even sublattice")
+        if y == 0:
+            continue
+        supported = (x - 1, y - 1) in cells or (x + 1, y - 1) in cells
+        if not supported and triangular:
+            supported = (x, y - 2) in cells
+        if not supported:
+            raise AnimalError(f"unsupported cell ({x},{y})")
+
+
+def accepts(validator, an):
+    try:
+        validator(an)
+    except AnimalError:
+        return False
+    return True
+
+
+def mutations(an, indices):
+    """One-cell mutations of `an` at the given cell indices (index 0 is a root)."""
+    cells = list(an.cells)
+    n = len(cells)
+    moves = ((1, 1), (1, -1), (-1, 1), (-1, -1), (0, 2), (0, -2), (2, 0), (-2, 0))
+    for i in indices:
+        x, y = cells[i]
+        if i:
+            yield cells[:i] + cells[i + 1:]
+        yield cells + [cells[i]]
+        for dx, dy in moves:
+            yield cells[:i] + [(x + dx, y + dy)] + cells[i + 1:]
+        for y2 in (-1, 2 * n + 3):
+            yield cells[:i] + [(x, y2)] + cells[i + 1:]
+
+
+class TestValidateAgainstCellSetOracle:
+    """The one-pass int-key validator accepts exactly what the oracle accepts."""
+
+    PAIRS = [(lat, src) for lat in ("square", "triangular") for src in ("point", "compact")]
+
+    def _agree(self, lattice, source, cells):
+        fast = Animal(lattice, source, tuple(cells))
+        slow = Animal(lattice, source, tuple(cells))
+        assert accepts(Animal.validate, fast) == accepts(validate_by_cell_set, slow), (
+            lattice, source, cells,
+        )
+
+    @pytest.mark.parametrize("lattice,source", PAIRS)
+    def test_enumerated_animals_and_their_mutations(self, lattice, source):
+        for n in range(1, 9):
+            for an in enumerate_animals(n, lattice, source):
+                assert accepts(Animal.validate, an) and accepts(validate_by_cell_set, an)
+                if n <= 4:
+                    for cells in mutations(an, range(n)):
+                        self._agree(lattice, source, cells)
+
+    @pytest.mark.parametrize("lattice,source", PAIRS)
+    def test_random_animals_and_their_mutations(self, lattice, source):
+        an, _ = random_animal(10**4, lattice, source, RandomSource(7))
+        assert accepts(Animal.validate, an) and accepts(validate_by_cell_set, an)
+        picks = random.Random(7).sample(range(1, an.size), 4)
+        for cells in mutations(an, [0, an.size - 1, *picks]):
+            self._agree(lattice, source, cells)
+
+    @pytest.mark.parametrize("lattice,source", PAIRS)
+    def test_ground_rows(self, lattice, source):
+        for xs in ([0], [2], [1], [0, 2], [2, 0], [0, 1], [1, 2], [-2, 0], [-2, 2],
+                   [0, 4], [0, 2, 4], [0, 2, 2]):
+            self._agree(lattice, source, [(x, 0) for x in xs])
+
+    def test_y1_probe_does_not_alias_the_top_row(self):
+        # n = 3, m = 7: key(3, 1) - 2 == key(2, 6), and 6 == 2n; (3, 1) is
+        # named first only if the probe (3, -1) is not read as (2, 6)
+        cells = [(0, 0), (3, 1), (2, 6)]
+        self._agree("triangular", "point", cells)
+        with pytest.raises(AnimalError, match=r"unsupported cell \(3,1\)"):
+            Animal("triangular", "point", tuple(cells)).validate()
+
+
+class CountingCells(tuple):
+    """Cell tuple that counts full iterations over it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        type(self).iterations += 1
+        return super().__iter__()
+
+
 class TestJsonAndValidation:
     def test_round_trip(self):
         an = beta(StepWord(2, "acdb"), "triangular")
@@ -337,6 +445,65 @@ class TestJsonAndValidation:
     def test_square_rejects_triangular_stacking(self):
         with pytest.raises(AnimalError):
             Animal("square", "point", ((0, 0), (0, 2))).validate()
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            "[[0,0],[1.7,1.2]]",  # floats: int() would truncate to (1, 1)
+            "[[0,0],[1.0,1]]",
+            '[[0,0],["1",1]]',
+            "[[0,0],[1,true]]",
+            "[[0,0],[null,1]]",
+        ],
+    )
+    def test_rejects_non_integer_coordinates(self, cells):
+        with pytest.raises(AnimalError, match="bad animal JSON"):
+            animal_from_json('{"lattice":"square","source":"point","cells":%s}' % cells)
+
+    @pytest.mark.parametrize(
+        "cells", ["[[0,0],[1]]", "[[0,0],[1,1,0]]", '[[0,0],"11"]', '[[0,0],{"1":1}]']
+    )
+    def test_rejects_cell_that_is_not_a_pair(self, cells):
+        with pytest.raises(AnimalError, match="bad animal JSON"):
+            animal_from_json('{"lattice":"square","source":"point","cells":%s}' % cells)
+
+    @pytest.mark.parametrize("cells", ['{"0":0}', '"00"', "null", "7"])
+    def test_rejects_cells_that_are_not_a_list(self, cells):
+        with pytest.raises(AnimalError, match="bad animal JSON"):
+            animal_from_json('{"lattice":"square","source":"point","cells":%s}' % cells)
+
+    @pytest.mark.parametrize("lattice", ["square", "triangular"])
+    @pytest.mark.parametrize("source", ["point", "compact"])
+    def test_writer_and_reader_match_json_module(self, lattice, source):
+        src = RandomSource(99)
+        for n in (1, 2, 200, 10**4):
+            an, _ = random_animal(n, lattice, source, src)
+            payload = {
+                "lattice": lattice,
+                "source": source,
+                "cells": [[x, y] for x, y in an.cells],
+            }
+            text = animal_to_json(an)
+            assert text == json.dumps(payload, separators=(",", ":"))
+            back = animal_from_json(text)
+            assert back.cells == an.cells
+            assert animal_from_json(json.dumps(payload, indent=1)).cells == back.cells
+
+    def test_validate_runs_once(self):
+        an, _ = random_animal(50, "triangular", "point", RandomSource(3))
+        good = Animal("triangular", "point", CountingCells(an.cells))
+        start = CountingCells.iterations
+        good.validate()
+        passes = CountingCells.iterations - start
+        assert passes > 0
+        good.validate()  # recorded: reads no cell
+        assert CountingCells.iterations - start == passes
+        bad = Animal("triangular", "point", CountingCells(((0, 0), (4, 4))))
+        for _ in range(3):
+            start = CountingCells.iterations
+            with pytest.raises(AnimalError, match="unsupported cell"):
+                bad.validate()
+            assert CountingCells.iterations > start
 
     def test_lattice_cells_rotation(self):
         an = beta(StepWord(1, "a"), "square")  # cells (0,0), (1,1)

@@ -335,6 +335,17 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "point sources only" in err
 
+    def test_render_rejects_non_integer_coordinates(self, capsys, tmp_path):
+        good = animal_to_json(random_animal(4, "square", "point", RandomSource(1))[0])
+        stream = tmp_path / "animals.jsonl"
+        for bad in ("[1.7,1.2]", '["1",true]', "[1,null]"):
+            # int() would truncate 1.7 to the supported cell (1, 1)
+            line = '{"lattice":"square","source":"point","cells":[[0,0],%s]}' % bad
+            stream.write_text(good + "\n" + line + "\n")
+            code, out, err = run(capsys, "render", "--input", str(stream))
+            assert code == 2 and out == ""
+            assert "bad animal JSON" in err
+
     def test_render_empty_input_exits_2(self, capsys, tmp_path):
         empty = tmp_path / "empty"
         empty.write_text("")
@@ -343,7 +354,9 @@ class TestErrors:
 
 
 # First 16 hex digits of the sha256 of stdout, recorded before the
-# one-pass factorization rewrites; a changed digest is a changed output.
+# one-pass factorization rewrites (the two 10^5-cell pins before the
+# windowed restart scan and the direct JSON writer); a changed digest is a
+# changed output.  Seed 1 at 10^5 cells restarts 1,052 times.
 # {path5} is the path5 graph literal, {animals} the stdout of
 # `generate --size 3000 --seed 7`.
 CLI_DIGESTS = [
@@ -353,6 +366,11 @@ CLI_DIGESTS = [
     (
         "generate --size 5000 --seed 42 --lattice triangular --source compact",
         "ef209edd2e26ac8a",
+    ),
+    ("generate --size 100000 --seed 1", "6eb138f6e30600d2"),
+    (
+        "generate --size 100000 --seed 1 --lattice triangular --source compact",
+        "8bbf0f7939282264",
     ),
     ("generate --samples 200 --size 7", "2a413b6f6248483e"),
     ("series --graph {path5} --kind theta --degree 5", "68594ee2ab2aa075"),

@@ -1,5 +1,6 @@
 """Random generation: determinism, stream semantics, uniformity at desk scale."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from heappieces import (
     RandomSource,
+    animal_to_json,
     beta,
     beta_inverse,
     colored_layers,
@@ -111,6 +113,54 @@ class TestPrefixSampler:
                 random_motzkin_prefix(n, 1, src).nb_tirages for _ in range(runs)
             )
             assert 1.6 <= total / (runs * n) <= 2.4
+
+
+class TestSamplerStream:
+    """Pins of the letter stream, recorded before the windowed restart scan."""
+
+    # n -> digest of (letters, nb_tirages) over r in (1, 2), seeds 0, 1, 2;
+    # 256 is the first scan window and 70000 spans two 65,536-letter chunks
+    PREFIX_DIGESTS = {
+        1: "5235af76b94a5915",
+        255: "0f82c208cfaef619",
+        256: "6deec5dc8e996b8c",
+        257: "55f69a4ec8c5bc60",
+        1000: "3657e951d535de5c",
+        70000: "5b8657bffae3e5eb",
+    }
+
+    @pytest.mark.parametrize("n", sorted(PREFIX_DIGESTS))
+    def test_prefix_digest(self, n):
+        h = hashlib.sha256()
+        for r in (1, 2):
+            for s in (0, 1, 2):
+                rep = random_motzkin_prefix(n, r, RandomSource(s))
+                h.update(f"{r}:{s}:{rep.word.letters}:{rep.nb_tirages};".encode())
+        assert h.hexdigest()[:16] == self.PREFIX_DIGESTS[n]
+
+    def test_restart_heavy_animal_digest(self):
+        # seed 1 restarts 1,052 times over 7 chunks before its 99,999 letters
+        an, rep = random_animal(10**5, "square", "point", RandomSource(1))
+        assert rep.nb_tirages == 454_572
+        text = f"{animal_to_json(an)}\n{rep.nb_tirages}"
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "3112809cc24a8d45"
+
+    @pytest.mark.parametrize("n", [20_000, 100_000])
+    def test_scan_is_linear_in_draws(self, monkeypatch, n):
+        """Letters scanned for the running height stay within 4x letters drawn;
+        scanning the rest of the chunk on every restart read up to ~100x."""
+        scanned = []
+        cumsum = np.cumsum
+
+        def counting_cumsum(a, *args, **kwargs):
+            scanned.append(len(a))
+            return cumsum(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counting_cumsum)
+        for seed in range(5):
+            scanned.clear()
+            rep = random_motzkin_prefix(n, 1, RandomSource(seed))
+            assert sum(scanned) <= 4 * rep.nb_tirages, seed
 
 
 class TestWordSampler:
