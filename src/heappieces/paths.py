@@ -24,6 +24,8 @@ from enum import Enum
 CODE_A, CODE_B, CODE_C, CODE_D, CODE_MA, CODE_MB = 0, 1, 2, 3, 4, 5
 _CODE_TO_CHAR = "abcdAB"
 _CHAR_TO_CODE = {ch: i for i, ch in enumerate(_CODE_TO_CHAR)}
+# code byte -> letter byte; every byte from 6 up maps to NUL, which no word holds
+_CODE_BYTES = _CODE_TO_CHAR.encode().ljust(256, b"\0")
 
 
 class WordError(ValueError):
@@ -47,9 +49,9 @@ class StepWord:
         if self.r not in (0, 1, 2):
             raise WordError(f"r must be 0, 1 or 2, got {self.r}")
         allowed = "abAB" + "cd"[: self.r]
-        for ch in self.letters:
-            if ch not in allowed:
-                raise WordError(f"letter {ch!r} illegal for r={self.r}")
+        if not set(self.letters) <= set(allowed):
+            bad = next(ch for ch in self.letters if ch not in allowed)
+            raise WordError(f"letter {bad!r} illegal for r={self.r}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -65,7 +67,15 @@ class StepWord:
 
 
 def word_from_codes(r: int, codes: list[int] | tuple[int, ...]) -> StepWord:
-    return StepWord(r, "".join(_CODE_TO_CHAR[c] for c in codes))
+    """Word of step codes 0..5; any other code raises WordError."""
+    try:
+        letters = bytes(codes).translate(_CODE_BYTES)
+    except ValueError:  # a code below 0 or above 255
+        letters = b"\0"
+    if b"\0" in letters:
+        bad = next(c for c in codes if not 0 <= c <= 5)
+        raise WordError(f"step code {bad!r} outside 0..5")
+    return StepWord(r, letters.decode("ascii"))
 
 
 def classify(w: StepWord) -> tuple[PathKind, int]:

@@ -4,7 +4,8 @@ The prefix sampler is rejection with full restart: letters are drawn one
 at a time and the whole attempt is discarded the moment the running
 height dips below zero.  Restarting preserves uniformity over prefixes of
 the target length, and the expected number of letter draws is about 2n;
-`nb_tirages` counts every draw, discarded ones included.
+`nb_tirages` counts every draw, discarded ones included, `restarts` the
+discarded attempts; how the draws are scanned never changes a seed's output.
 
 Randomness comes from one named, versioned generator (numpy PCG64).  A
 RandomSource derives an independent PCG64 stream per sampling call from
@@ -23,16 +24,17 @@ import numpy as np
 from .animals import SOURCES, Animal, animal_of_codes, lattice_colors
 from .paths import StepWord, word_from_codes
 
-# step height contribution per letter code (a, b, c, d)
-_DELTA = np.array([1, -1, 0, 0], dtype=np.int64)
+# step depth (minus height) contribution per letter code (a, b, c, d)
+_DEPTH = np.array([-1, 1, 0, 0], dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class GenerationReport:
-    """Sampled word plus the number of letters drawn to obtain it."""
+    """Sampled word, letters drawn to obtain it, attempts rejected on the way."""
 
     word: StepWord
     nb_tirages: int
+    restarts: int = 0
 
 
 class RandomSource:
@@ -72,56 +74,47 @@ def random_word(n: int, r: int, source: RandomSource) -> StepWord:
 
 def _sample_prefix_codes(
     n: int, r: int, rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """Restart sampler returning (codes of a uniform prefix, total draws).
+) -> tuple[np.ndarray, int, int]:
+    """Restart sampler: (codes of a uniform prefix, total draws, restarts).
 
-    Letters are drawn in chunks into `buf` and read from position `pos`;
-    a chunk is only ever replaced, never written, so accepted blocks may
-    stay views of it.
-
-    Each step scans a window of at most `window` letters: 256 on a fresh
-    attempt, doubled after every window the attempt survives.  Most
-    attempts die within a few letters, so scanning the rest of a
-    65,536-letter chunk for each of them would cost up to a hundred times
-    the letters actually drawn; with the window the scan stays within a
-    small multiple of them.  The window decides only how far ahead the
-    running height is computed, not which letters are drawn or where an
-    attempt dies, so codes and draw count equal those of the one-letter
-    loop, and for n <= 256 every scan is the whole remaining prefix.
+    Letters are drawn `chunk` at a time.  Measure depth = -height from the
+    live attempt's start and never reset it: an attempt that starts right
+    after a death at depth k dies at the first later step to depth k + 1,
+    so a chunk's deaths are the first hits of depths 1, 2, 3, ... of the
+    running depth (one cumsum, running maximum and searchsorted, as ndarray
+    methods: numpy's function wrappers cost microseconds each at 256
+    letters).  A loop over the deaths finds the first attempt that lasts n
+    letters; the live attempt's letters (views of chunks, which are never
+    written) and height carry into the next chunk.  The chunk size changes
+    only how the stream is read: codes, draw count and restarts equal those
+    of the one-letter loop.
     """
     chunk = min(max(256, 2 * n), 1 << 16)
-    buf = np.empty(0, dtype=np.int64)
-    pos = 0
-    nb = 0
-    blocks: list[np.ndarray] = []
-    got = 0
-    h = 0
-    window = 256
-    while got < n:
-        if pos == len(buf):
-            buf = rng.integers(0, r + 2, size=chunk, dtype=np.int64)
-            pos = 0
-        sub = buf[pos : pos + min(window, n - got)]
-        cum = np.cumsum(_DELTA[sub]) + h
-        neg = np.nonzero(cum < 0)[0]
-        if neg.size:
-            k = int(neg[0]) + 1
-            nb += k
-            pos += k
-            blocks.clear()
-            got = 0
-            h = 0
-            window = 256
-        else:
-            m = len(sub)
-            nb += m
-            pos += m
-            blocks.append(sub)
-            got += m
-            h = int(cum[-1])
-            window *= 2
-    codes = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-    return codes, nb
+    blocks: list[np.ndarray] = []  # the live attempt's letters so far
+    got = 0  # their number
+    h = 0  # its height
+    drawn = restarts = 0  # letters and deaths of the chunks before this one
+    while n:
+        buf = rng.integers(0, r + 2, size=chunk, dtype=np.int64)
+        depth = _DEPTH[buf]
+        depth[0] -= h
+        depth.cumsum(out=depth)
+        peak = np.maximum.accumulate(depth)
+        deaths = peak.searchsorted(np.arange(1, peak[-1] + 1)).tolist()
+        start = -got  # first letter of the live attempt, as an index into buf
+        for k, end in enumerate(deaths + [chunk]):
+            if end - start >= n:
+                tail = buf[max(start, 0) : start + n]
+                codes = np.concatenate(blocks + [tail]) if start < 0 else tail
+                return codes, drawn + start + n, restarts + k
+            if end < chunk:
+                start = end + 1
+        blocks = [buf[start:]] if deaths else blocks + [buf]
+        got = chunk - start
+        h = len(deaths) - int(depth[-1])
+        restarts += len(deaths)
+        drawn += chunk
+    return np.empty(0, dtype=np.int64), 0, 0
 
 
 def random_motzkin_prefix(n: int, r: int, source: RandomSource) -> GenerationReport:
@@ -130,8 +123,8 @@ def random_motzkin_prefix(n: int, r: int, source: RandomSource) -> GenerationRep
         raise ValueError("n must be >= 0")
     if r not in (1, 2):
         raise ValueError("r must be 1 or 2")
-    codes, nb = _sample_prefix_codes(n, r, source._operation_rng())
-    return GenerationReport(word_from_codes(r, codes.tolist()), nb)
+    codes, nb, restarts = _sample_prefix_codes(n, r, source._operation_rng())
+    return GenerationReport(word_from_codes(r, codes.tolist()), nb, restarts)
 
 
 def random_animal(
@@ -151,9 +144,9 @@ def random_animal(
     rng = source._operation_rng()
     if source_kind == "compact":
         codes = rng.integers(0, r + 2, size=n - 1, dtype=np.int64)
-        nb = n - 1
+        nb, restarts = n - 1, 0
     else:
-        codes, nb = _sample_prefix_codes(n - 1, r, rng)
+        codes, nb, restarts = _sample_prefix_codes(n - 1, r, rng)
     letters = codes.tolist()
     animal = animal_of_codes(letters, lattice, source_kind)
-    return animal, GenerationReport(word_from_codes(r, letters), nb)
+    return animal, GenerationReport(word_from_codes(r, letters), nb, restarts)

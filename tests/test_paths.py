@@ -17,7 +17,7 @@ from heappieces import (
     mark_celibates,
 )
 from heappieces.animals import all_prefixes, all_words
-from heappieces.paths import is_motzkin_word
+from heappieces.paths import is_motzkin_word, word_from_codes
 
 
 def words(r, max_len=10):
@@ -100,6 +100,38 @@ class TestStepWord:
     def test_bad_r(self):
         with pytest.raises(WordError):
             StepWord(3, "a")
+
+    def test_error_names_first_illegal_letter(self):
+        with pytest.raises(WordError, match="letter 'd' illegal for r=1"):
+            StepWord(1, "acdBdx")
+
+
+class TestWordFromCodes:
+    def test_every_code(self):
+        assert word_from_codes(2, [0, 1, 2, 3, 4, 5]) == StepWord(2, "abcdAB")
+        assert word_from_codes(1, []) == StepWord(1, "")
+
+    def test_negative_code(self):
+        # a negative index would read the letter table from its end
+        with pytest.raises(WordError, match="step code -1 outside 0..5"):
+            word_from_codes(1, [-1, -2, 0])
+
+    def test_code_six(self):
+        with pytest.raises(WordError, match="step code 6 outside 0..5"):
+            word_from_codes(1, [0, 6])
+
+    def test_code_of_a_letter_byte(self):
+        # 97 is the byte of "a"; it must not pass through as a letter
+        with pytest.raises(WordError, match="step code 97 outside 0..5"):
+            word_from_codes(1, [97])
+
+    def test_code_beyond_a_byte(self):
+        with pytest.raises(WordError, match="step code 256 outside 0..5"):
+            word_from_codes(1, [2, 256])
+
+    def test_letters_still_checked_against_r(self):
+        with pytest.raises(WordError, match="letter 'd' illegal for r=1"):
+            word_from_codes(1, [3])
 
 
 class TestClassify:

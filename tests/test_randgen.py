@@ -1,5 +1,6 @@
 """Random generation: determinism, stream semantics, uniformity at desk scale."""
 
+import functools
 import hashlib
 from collections import Counter
 
@@ -26,13 +27,18 @@ from heappieces.paths import (
 )
 
 
-def naive_prefix_reference(n, r, rng):
-    """Scalar transcription of the restart loop, one draw per iteration."""
+def naive_prefix_reference(n, r, letters):
+    """Scalar transcription of the restart loop, one letter per iteration.
+
+    Returns the prefix, the number of letters read and the stream positions
+    of the letters that killed an attempt (one per restart).
+    """
     word = []
+    deaths = []
     nb = 0
     h = 0
     while len(word) < n:
-        letter = int(rng.integers(0, r + 2))
+        letter = next(letters)
         nb += 1
         word.append(letter)
         if letter == CODE_A:
@@ -40,9 +46,50 @@ def naive_prefix_reference(n, r, rng):
         elif letter == CODE_B:
             h -= 1
             if h < 0:
+                deaths.append(nb - 1)
                 word.clear()
                 h = 0
-    return word_from_codes(r, word), nb
+    return word_from_codes(r, word), nb, deaths
+
+
+def operation_letters(seed, r, block=1):
+    """The letters of the first operation of RandomSource(seed), drawn
+    `block` at a time (see test_block_draws_equal_scalar_draws)."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0, 0))
+    rng = np.random.Generator(np.random.PCG64(ss))
+    while True:
+        yield from rng.integers(0, r + 2, size=block).tolist()
+
+
+@functools.cache
+def naive_case(n, r, seed):
+    """The oracle on the stream of RandomSource(seed)'s first operation;
+    long streams are drawn in blocks."""
+    letters = operation_letters(seed, r, block=1 if n < 1000 else 4096)
+    return naive_prefix_reference(n, r, letters)
+
+
+def chunk_of(n):
+    """Letters per draw of `randgen._sample_prefix_codes` for length n."""
+    return min(max(256, 2 * n), 1 << 16)
+
+
+# (n, r, seed) checked against the oracle: every n <= 12 (n = 0 included)
+# with 20 seeds, the lengths around the first chunk sizes and two 2^15-ish
+# lengths whose attempts cross chunk boundaries, (110, 1, 12), whose
+# accepted attempt ends on the last letter of its chunk, and two lengths
+# past the 65,536-letter cap whose accepted attempts span three chunks
+NAIVE_CASES = (
+    [(n, r, s) for n in range(13) for r in (1, 2) for s in range(20)]
+    + [
+        (n, r, s)
+        for n in (255, 256, 257, 511, 512, 32768, 32769, 40000)
+        for r in (1, 2)
+        for s in range(3)
+    ]
+    + [(40, 2, 5), (110, 1, 12), (183, 1, 9), (600, 2, 3)]
+    + [(70_000, 2, 4), (100_000, 2, 0)]
+)
 
 
 class TestDeterminism:
@@ -85,16 +132,48 @@ class TestPrefixSampler:
             assert classify(rep.word)[0].value in ("motzkin_word", "motzkin_prefix")
             assert rep.nb_tirages >= len(rep.word) == 17
 
-    @pytest.mark.parametrize("n,r,seed", [(7, 1, 0), (40, 2, 5), (183, 1, 9), (600, 2, 3)])
+    @pytest.mark.parametrize("n,r,seed", NAIVE_CASES)
     def test_matches_naive_reference(self, n, r, seed):
         got = random_motzkin_prefix(n, r, RandomSource(seed))
-        # rebuild the exact child stream the operation consumed
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(0, 0))
-        ref_word, ref_nb = naive_prefix_reference(
-            n, r, np.random.Generator(np.random.PCG64(ss))
-        )
+        ref_word, ref_nb, deaths = naive_case(n, r, seed)
         assert got.word == ref_word
         assert got.nb_tirages == ref_nb
+        assert got.restarts == len(deaths)
+
+    def test_cases_reach_every_chunk_branch(self):
+        """Read off the oracle, so the sampler does not judge its own cases."""
+        seen = set()
+        for n, r, seed in NAIVE_CASES:
+            _, nb, deaths = naive_case(n, r, seed)
+            chunk = chunk_of(n)
+            if n == 0:
+                seen.add("n = 0")
+            if nb - n == 0 and n:
+                seen.add("accepted without a restart")
+            if (nb - n) // chunk < (nb - 1) // chunk:
+                seen.add("accepted attempt crosses a chunk boundary")
+            if (nb - n) // chunk + 2 <= (nb - 1) // chunk:
+                seen.add("accepted attempt spans three chunks")
+            if nb % chunk == 0 and n:
+                seen.add("accepted attempt ends at a chunk's end")
+            for prev, d in zip([-1] + deaths, deaths):
+                if d >= chunk and d % chunk == 0:
+                    seen.add("death on the first letter of a later chunk")
+                if d % chunk == chunk - 1:
+                    seen.add("death on the last letter of a chunk")
+                if (prev + 1) // chunk < d // chunk:
+                    seen.add("dead attempt crosses a chunk boundary")
+        assert len(seen) == 8, seen
+
+    def test_block_draws_equal_scalar_draws(self):
+        # numpy's bounded integers read the bit stream per element, so the
+        # sampler's chunks and the oracle's blocks see the scalar stream
+        for r in (1, 2):
+            scalar = operation_letters(1, r)
+            blocks = operation_letters(1, r, block=4096)
+            assert [next(scalar) for _ in range(5000)] == [
+                next(blocks) for _ in range(5000)
+            ]
 
     def test_length_one_frequencies(self):
         src = RandomSource(5)
@@ -116,12 +195,17 @@ class TestPrefixSampler:
 
 
 class TestSamplerStream:
-    """Pins of the letter stream, recorded before the windowed restart scan."""
+    """Pins of the letter stream.  Prefix lengths 1, 255-257, 1000 and 70000
+    were recorded before the windowed restart scan; 5, 6, 200 and the
+    protocol digests before the record-depth scan."""
 
     # n -> digest of (letters, nb_tirages) over r in (1, 2), seeds 0, 1, 2;
-    # 256 is the first scan window and 70000 spans two 65,536-letter chunks
+    # 70000 spans two 65,536-letter chunks
     PREFIX_DIGESTS = {
         1: "5235af76b94a5915",
+        5: "2ca2b7b3220f3cc3",
+        6: "11677018fe8e4845",
+        200: "d6a476588501120e",
         255: "0f82c208cfaef619",
         256: "6deec5dc8e996b8c",
         257: "55f69a4ec8c5bc60",
@@ -138,29 +222,51 @@ class TestSamplerStream:
                 h.update(f"{r}:{s}:{rep.word.letters}:{rep.nb_tirages};".encode())
         assert h.hexdigest()[:16] == self.PREFIX_DIGESTS[n]
 
+    # criterion 9's protocols: digest of (cells, nb_tirages) of the first
+    # 1,000 animals of seed 2024
+    PROTOCOL_DIGESTS = {
+        ("square", "point", 6): "d93a693101cf5c9c",
+        ("triangular", "point", 5): "9c79c91f618bd4b3",
+        ("square", "compact", 5): "1f1f6c8baee5a8f4",
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOL_DIGESTS))
+    def test_protocol_digest(self, protocol):
+        lattice, source_kind, n = protocol
+        src = RandomSource(2024)
+        h = hashlib.sha256()
+        for _ in range(1000):
+            an, rep = random_animal(n, lattice, source_kind, src)
+            h.update(f"{an.cells}:{rep.nb_tirages};".encode())
+        assert h.hexdigest()[:16] == self.PROTOCOL_DIGESTS[protocol]
+
     def test_restart_heavy_animal_digest(self):
         # seed 1 restarts 1,052 times over 7 chunks before its 99,999 letters
         an, rep = random_animal(10**5, "square", "point", RandomSource(1))
         assert rep.nb_tirages == 454_572
+        assert rep.restarts == 1_052
         text = f"{animal_to_json(an)}\n{rep.nb_tirages}"
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == "3112809cc24a8d45"
 
     @pytest.mark.parametrize("n", [20_000, 100_000])
     def test_scan_is_linear_in_draws(self, monkeypatch, n):
-        """Letters scanned for the running height stay within 4x letters drawn;
-        scanning the rest of the chunk on every restart read up to ~100x."""
+        """Letters scanned for the running depth record stay within 4x the
+        letters kept or discarded; scanning the rest of the chunk on every
+        restart read up to ~100x.  The lower bound fails a scan that no
+        longer goes through the hook, rather than letting it count 0."""
         scanned = []
-        cumsum = np.cumsum
+        maximum = np.maximum
 
-        def counting_cumsum(a, *args, **kwargs):
-            scanned.append(len(a))
-            return cumsum(a, *args, **kwargs)
+        class CountingMaximum:
+            def accumulate(self, a, *args, **kwargs):
+                scanned.append(len(a))
+                return maximum.accumulate(a, *args, **kwargs)
 
-        monkeypatch.setattr(np, "cumsum", counting_cumsum)
+        monkeypatch.setattr(np, "maximum", CountingMaximum())
         for seed in range(5):
             scanned.clear()
             rep = random_motzkin_prefix(n, 1, RandomSource(seed))
-            assert sum(scanned) <= 4 * rep.nb_tirages, seed
+            assert rep.nb_tirages <= sum(scanned) <= 4 * rep.nb_tirages, seed
 
 
 class TestWordSampler:
@@ -231,6 +337,15 @@ class TestRandomAnimal:
         an, _ = random_animal(30, "square", "point", src)
         fresh, _ = random_animal(30, "square", "point", RandomSource(8))
         assert an.cells == fresh.cells
+
+    def test_restarts_count_rejected_attempts(self):
+        for lattice, r in (("square", 1), ("triangular", 2)):
+            for seed in range(10):
+                _, rep = random_animal(30, lattice, "point", RandomSource(seed))
+                _, nb, deaths = naive_case(29, r, seed)
+                assert (rep.nb_tirages, rep.restarts) == (nb, len(deaths))
+                _, rep = random_animal(30, lattice, "compact", RandomSource(seed))
+                assert rep.restarts == 0
 
     def test_point_source_invariants_hold(self):
         src = RandomSource(40)
