@@ -13,9 +13,11 @@ word left to right, `a` opens a sub-equerre one fiber left and queues a
 sibling on the current fiber, `c` moves one fiber left, `d` stays (same
 fiber, two levels up), `b` closes back to the queued sibling, and marked
 `A`/`B` jump to a fresh base one/two fibers right of the previous base.
-Height bookkeeping is the usual heap drop with the same-fiber double
-bump.  The loop below is the iterative form of that recursion, so word
-length is bounded by memory, not the call stack.
+Heights follow the parity-coloured drop on both lattices: one level above
+the highest neighbour fiber, or two above the cell's own fiber when it is
+strictly highest, which square words never reach.  The loop below is the
+iterative form of that recursion, so word length is bounded by memory,
+not the call stack.
 
 The inverse replays the same stacking forwards: with each fiber's heights
 sorted once, every step places the next cell in O(1) amortised time by
@@ -76,8 +78,7 @@ class Animal:
     _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.lattice not in LATTICES:
-            raise AnimalError(f"unknown lattice {self.lattice!r}")
+        lattice_colors(self.lattice)  # rejects an unknown lattice
         if self.source not in SOURCES:
             raise AnimalError(f"unknown source {self.source!r}")
 
@@ -174,7 +175,6 @@ def animal_of_codes(codes: list[int], lattice: str, source: str) -> Animal:
     compact = source == "compact"
     n_cells = len(codes) + 1
     marked = mark_celibate_codes(codes, descents=compact)
-    triangular = lattice == "triangular"
     off = n_cells + 1
     max_right = 2 * n_cells if compact else n_cells
     fibre = [-1] * (n_cells + max_right + 3 + off)
@@ -191,7 +191,7 @@ def animal_of_codes(codes: list[int], lattice: str, source: str) -> Animal:
         m = left if left >= mid else mid
         if right > m:
             m = right
-        h = m + 2 if (triangular and mid == m and left < mid) else m + 1
+        h = m + 2 if (mid == m and left < mid) else m + 1
         fibre[j] = h
         append((f, h))
         if code == CODE_A:
@@ -468,8 +468,10 @@ def animal_to_json(an: Animal) -> str:
 
 def animal_from_json(text: str) -> Animal:
     """Parse and validate one animal; every coordinate must be a JSON integer."""
-    payload = json.loads(text)
     try:
+        payload = json.loads(text)
+        if type(payload) is not dict:
+            raise TypeError("not a JSON object")
         raw = payload["cells"]
         if type(raw) is not list:
             raise TypeError("cells must be a list")

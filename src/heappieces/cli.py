@@ -13,7 +13,14 @@ import sys
 from pathlib import Path
 
 from . import gas as gasmod
-from .animals import animal_count, animal_from_json, animal_to_json, enumerate_animals
+from .animals import (
+    LATTICES,
+    SOURCES,
+    animal_count,
+    animal_from_json,
+    animal_to_json,
+    enumerate_animals,
+)
 from .graphs import parse_graph_literal
 from .heaps import enumerate_heaps
 from .randgen import RandomSource, random_animal
@@ -149,6 +156,8 @@ def _cmd_gas(args: argparse.Namespace) -> int:
         raise ValueError("--at applies to --linear only")
     if args.linear and args.graph:
         raise ValueError("--graph and --linear exclude each other")
+    if not args.linear and not args.graph:
+        raise ValueError("gas: need --graph FILE or --linear")
     if args.linear:
         # evaluate first so a bad --at leaves no partial output
         density = None if args.at is None else gasmod.evaluate_density(args.at)
@@ -156,9 +165,6 @@ def _cmd_gas(args: argparse.Namespace) -> int:
         if density is not None:
             print(f"density({args.at}) = {density:.15f}")
         return 0
-    if not args.graph:
-        print("gas: need --graph FILE or --linear", file=sys.stderr)
-        return 2
     g = _read_graph(args.graph)
     z = gasmod.partition_function(g, args.degree)
     direct = gasmod.mean_particles_direct(g, args.degree)
@@ -185,8 +191,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
             continue
         animals.append(animal_from_json(line))
     if not animals:
-        print("render: no animal JSON on input", file=sys.stderr)
-        return 2
+        raise ValueError("render: no animal JSON on input")
     given = (("cell_radius", args.radius), ("rotation", args.rotation))
     opts = RenderOptions(**{k: v for k, v in given if v is not None})
     # every page is built before any is written, so an error leaves stdout empty
@@ -208,25 +213,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample uniform random animals")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lattice", choices=("square", "triangular"), default="square")
-    p.add_argument("--source", choices=("point", "compact"), default="point")
+    p.add_argument("--lattice", choices=LATTICES, default="square")
+    p.add_argument("--source", choices=SOURCES, default="point")
     p.add_argument("--samples", type=_non_negative_int, default=1)
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("enumerate", help="list all animals (or heaps) of a size")
     p.add_argument("--size", type=int, required=True)
     # no argparse defaults: _cmd_enumerate must see whether these were given
-    p.add_argument("--lattice", choices=("square", "triangular"))  # default square
-    p.add_argument("--source", choices=("point", "compact"))  # default point
+    p.add_argument("--lattice", choices=LATTICES)  # default square
+    p.add_argument("--source", choices=SOURCES)  # default point
     p.add_argument("--graph", help="graph literal file: enumerate heaps instead")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("count", help="closed-form animal counts")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--lattice", choices=("square", "triangular"), default="square")
-    p.add_argument(
-        "--source", choices=("point", "compact", "equerre"), default="point"
-    )
+    p.add_argument("--lattice", choices=LATTICES, default="square")
+    p.add_argument("--source", choices=(*SOURCES, "equerre"), default="point")
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("series", help="dump a trace series over a graph")

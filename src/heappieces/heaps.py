@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .graphs import Coloring, CommutationGraph, GraphError, parse_graph_literal, format_graph_literal
+from .graphs import Coloring, CommutationGraph, parse_graph_literal, format_graph_literal
 
 Cell = tuple[int, int]  # (vertex index, 1-based height)
 
@@ -325,14 +325,16 @@ def heap_to_json(h: Heap) -> str:
 
 
 def heap_from_json(text: str) -> Heap:
-    payload = json.loads(text)
     try:
+        payload = json.loads(text)
+        if type(payload) is not dict:
+            raise TypeError("not a JSON object")
         g = parse_graph_literal(payload["graph"])
         layers = tuple(
             tuple(sorted(g.index(lab) for lab in layer))
             for layer in payload["layers"]
         )
-    except (KeyError, TypeError, AttributeError, GraphError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise HeapError(f"bad heap JSON: {exc}") from exc
     h = Heap(g, layers)
     h.validate()

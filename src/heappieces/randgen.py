@@ -46,7 +46,9 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed)
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in 0..2**64-1, got {self.seed}")
         self._op_index = 0
 
     def _operation_rng(self) -> np.random.Generator:
@@ -61,14 +63,23 @@ class RandomSource:
         return RandomSource(child_seed)
 
 
-def random_word(n: int, r: int, source: RandomSource) -> StepWord:
-    """Uniform word of length n over the (r+2)-letter alphabet; n draws."""
+def _draw(
+    n: int, r: int, prefix: bool, source: RandomSource
+) -> tuple[np.ndarray, int, int]:
+    """One operation: codes, draws and restarts of a uniform word or prefix."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if r not in (1, 2):
         raise ValueError("r must be 1 or 2")
     rng = source._operation_rng()
-    codes = rng.integers(0, r + 2, size=n, dtype=np.int64)
+    if prefix:
+        return _sample_prefix_codes(n, r, rng)
+    return rng.integers(0, r + 2, size=n, dtype=np.int64), n, 0
+
+
+def random_word(n: int, r: int, source: RandomSource) -> StepWord:
+    """Uniform word of length n over the (r+2)-letter alphabet; n draws."""
+    codes, _, _ = _draw(n, r, False, source)
     return word_from_codes(r, codes.tolist())
 
 
@@ -119,11 +130,7 @@ def _sample_prefix_codes(
 
 def random_motzkin_prefix(n: int, r: int, source: RandomSource) -> GenerationReport:
     """Uniform Motzkin prefix of length n by rejection with full restart."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if r not in (1, 2):
-        raise ValueError("r must be 1 or 2")
-    codes, nb, restarts = _sample_prefix_codes(n, r, source._operation_rng())
+    codes, nb, restarts = _draw(n, r, True, source)
     return GenerationReport(word_from_codes(r, codes.tolist()), nb, restarts)
 
 
@@ -141,12 +148,7 @@ def random_animal(
     # checked before the draw, so a rejected call consumes no operation
     if source_kind not in SOURCES:
         raise ValueError(f"unknown source {source_kind!r}")
-    rng = source._operation_rng()
-    if source_kind == "compact":
-        codes = rng.integers(0, r + 2, size=n - 1, dtype=np.int64)
-        nb, restarts = n - 1, 0
-    else:
-        codes, nb, restarts = _sample_prefix_codes(n - 1, r, rng)
+    codes, nb, restarts = _draw(n - 1, r, source_kind == "point", source)
     letters = codes.tolist()
     animal = animal_of_codes(letters, lattice, source_kind)
     return animal, GenerationReport(word_from_codes(r, letters), nb, restarts)

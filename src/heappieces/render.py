@@ -29,15 +29,9 @@ class RenderOptions:
             raise ValueError(f"unknown rotation {self.rotation!r}")
 
 
-def _coords(an: Animal, opts: RenderOptions) -> list[tuple[float, float]]:
-    if opts.rotation == "lattice":
-        return [(float(x), float(y)) for x, y in an.lattice_cells()]
-    return [(float(x), float(y)) for x, y in an.cells]
-
-
 def render_svg(an: Animal, opts: RenderOptions = RenderOptions()) -> str:
     """SVG 1.1 document with one disk per cell; y flipped so height points up."""
-    pts = _coords(an, opts)
+    pts = an.lattice_cells() if opts.rotation == "lattice" else an.cells
     rad = opts.cell_radius
     pad = rad + 0.6
     xs = [p for p, _ in pts]
@@ -53,12 +47,9 @@ def render_svg(an: Animal, opts: RenderOptions = RenderOptions()) -> str:
         f'width="{width * scale:.3f}" height="{height * scale:.3f}" '
         f'viewBox="0 0 {width:.3f} {height:.3f}">',
     ]
-    for x, y in pts:
-        cx = x - x0
-        cy = y1 - y  # flip: larger height = higher on the page
-        lines.append(
-            f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{rad:.3f}" fill="black"/>'
-        )
+    # y flipped: larger height = higher on the page
+    circle = '<circle cx="%%.3f" cy="%%.3f" r="%.3f" fill="black"/>' % rad
+    lines += [circle % (x - x0, y1 - y) for x, y in pts]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

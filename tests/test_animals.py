@@ -173,6 +173,13 @@ class TestOracleAgreement:
         with pytest.raises(AnimalError, match="unknown lattice"):
             enumerate_animals(3, "hex")
 
+    @pytest.mark.parametrize("count", [enumerate_animals, animal_count])
+    def test_rejects_size_below_one_and_unknown_source(self, count):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            count(0, "square")
+        with pytest.raises(AnimalError, match="unknown source 'line'"):
+            count(3, "square", "line")
+
 
 class TestDecompositionAlgebra:
     """Equerre factors multiply back to the whole heap in the heap monoid."""
@@ -441,6 +448,32 @@ class TestJsonAndValidation:
             animal_from_json(
                 '{"lattice":"square","source":"compact","cells":[[0,0],[1,0]]}'
             )
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ("[1,2]", "not a JSON object"),
+            ('"cells"', "not a JSON object"),
+            ("NaN", "not a JSON object"),
+            ("nan", "Expecting value"),
+            ('{"lattice":"square","source":"point"}', "'cells'"),
+        ],
+    )
+    def test_rejects_payload_that_is_not_an_animal(self, text, fault):
+        with pytest.raises(AnimalError, match="bad animal JSON: " + fault):
+            animal_from_json(text)
+
+    def test_rejects_unknown_lattice_and_source(self):
+        with pytest.raises(AnimalError, match="unknown lattice 'hex'"):
+            Animal("hex", "point", ((0, 0),))
+        with pytest.raises(AnimalError, match="unknown source 'line'"):
+            Animal("square", "line", ((0, 0),))
+
+    def test_hash_follows_the_cell_set(self):
+        a = Animal("square", "point", ((0, 0), (1, 1), (-1, 1)))
+        b = Animal("square", "point", ((0, 0), (-1, 1), (1, 1)))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert Animal("triangular", "point", a.cells) not in {a, b}
 
     def test_square_rejects_triangular_stacking(self):
         with pytest.raises(AnimalError):

@@ -1,6 +1,7 @@
 """CLI: thin adapters, stable bytes, exit codes."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -137,6 +138,18 @@ class TestGenerate:
         assert code == 2 and out == ""
         assert "--samples: must be >= 0" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_rejects_seed_out_of_range(self, capsys, seed):
+        # a 64-bit mask once made these equal to seeds 2**64-1 and 0
+        code, out, err = run(capsys, "generate", "--size", "3", "--seed", seed)
+        assert code == 2 and out == ""
+        assert "seed must be in 0..2**64-1" in err
+
+    def test_rejects_non_numeric_samples(self, capsys):
+        code, out, err = run(capsys, "generate", "--size", "5", "--samples", "two")
+        assert code == 2 and out == ""
+        assert "--samples: invalid int value: 'two'" in err
+
     def test_rejects_size_below_one(self, capsys):
         # with no samples the sampler's own check is never reached
         code, out, err = run(capsys, "generate", "--size", "-5", "--samples", "0")
@@ -220,6 +233,12 @@ class TestVerify:
         assert len(lines) == 5
         assert all(l.startswith("PASS inversion:") for l in lines)
 
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        failing = lambda: [verify.Check("micro", "forced", False)]
+        monkeypatch.setitem(verify.SUITES, "micro", failing)
+        code, out, err = run(capsys, "verify", "--suite", "micro")
+        assert (code, out, err) == (1, "FAIL micro: forced\n", "1 check(s) failed\n")
+
     def test_degree_on_suite_without_degree_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "colored", "--degree", "4")
         assert code == 2 and out == ""
@@ -280,6 +299,10 @@ class TestGas:
         assert code == 2 and out == ""
         assert "--graph and --linear exclude each other" in err
 
+    def test_neither_graph_nor_linear_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "gas", "--degree", "4")
+        assert (code, out, err) == (2, "", "error: gas: need --graph FILE or --linear\n")
+
     def test_bad_at_leaves_no_partial_output(self, capsys):
         code, out, err = run(capsys, "gas", "--linear", "--degree", "4", "--at", "-1")
         assert code == 2 and out == ""
@@ -301,6 +324,37 @@ class TestErrors:
             "--degree", "2",
         )
         assert code == 2 and "error" in err
+
+    def test_render_reads_stdin(self, capsys, monkeypatch, tmp_path):
+        code, animals, _ = run(capsys, "generate", "--size", "30", "--samples", "2")
+        stream = tmp_path / "animals.jsonl"
+        stream.write_text(animals)
+        code, from_file, _ = run(capsys, "render", "--input", str(stream))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(animals))
+        code, from_stdin, _ = run(capsys, "render")
+        assert code == 0 and from_stdin == from_file
+        assert from_stdin.count("<circle") == 60
+
+    @pytest.mark.parametrize(
+        "line, fault",
+        [
+            ("[1,2]", "not a JSON object"),
+            ('"cells"', "not a JSON object"),
+            ("nan", "Expecting value"),
+            ('{"lattice":"square","source":"point"}', "'cells'"),
+        ],
+    )
+    def test_render_names_a_bad_json_line(self, capsys, monkeypatch, line, fault):
+        good = animal_to_json(random_animal(4, "square", "point", RandomSource(1))[0])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(good + "\n" + line + "\n"))
+        code, out, err = run(capsys, "render")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: bad animal JSON: {fault}")
+
+    def test_render_rejects_non_numeric_radius(self, capsys):
+        code, out, err = run(capsys, "render", "--radius", "wide")
+        assert code == 2 and out == ""
+        assert "--radius: invalid float value: 'wide'" in err
 
     def test_render_rejects_non_finite_radius(self, capsys, tmp_path):
         an, _ = random_animal(5, "square", "point", RandomSource(1))
@@ -349,8 +403,8 @@ class TestErrors:
     def test_render_empty_input_exits_2(self, capsys, tmp_path):
         empty = tmp_path / "empty"
         empty.write_text("")
-        code, _, _ = run(capsys, "render", "--input", str(empty))
-        assert code == 2
+        code, out, err = run(capsys, "render", "--input", str(empty))
+        assert (code, out, err) == (2, "", "error: render: no animal JSON on input\n")
 
 
 # First 16 hex digits of the sha256 of stdout, recorded before the

@@ -581,6 +581,19 @@ class TestJson:
         with pytest.raises(HeapError, match="bad heap JSON"):
             heap_from_json(text)
 
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ("[1,2]", "not a JSON object"),
+            ('"graph"', "not a JSON object"),
+            ("nan", "Expecting value"),
+            ('{"graph": "vertices: a"}', "'layers'"),
+        ],
+    )
+    def test_names_the_fault(self, text, fault):
+        with pytest.raises(HeapError, match="bad heap JSON: " + fault):
+            heap_from_json(text)
+
     def test_rejects_bad_layers(self, path3):
         bad = '{"graph": "vertices: a b c\\nedge: a b\\nedge: b c\\n", "layers": [["a","b"]]}'
         with pytest.raises(HeapError):

@@ -19,6 +19,7 @@ from heappieces import (
     random_motzkin_prefix,
     random_word,
 )
+from heappieces.animals import all_prefixes, all_words
 from heappieces.paths import (
     CODE_A,
     CODE_B,
@@ -110,6 +111,33 @@ class TestDeterminism:
         rep = random_motzkin_prefix(10, 1, RandomSource(0))
         assert rep.word.letters == "acccbcacaa"
         assert rep.nb_tirages == 16
+
+    def test_rejects_negative_seed(self):
+        assert RandomSource(0).seed == 0
+        with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\*\*64-1, got -1"):
+            RandomSource(-1)
+
+    def test_rejects_seed_past_64_bits(self):
+        assert RandomSource(2**64 - 1).seed == 2**64 - 1
+        with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\*\*64-1"):
+            RandomSource(2**64)
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda src: random_word(-1, 1, src), "n must be >= 0"),
+            (lambda src: random_word(3, 3, src), "r must be 1 or 2"),
+            (lambda src: random_motzkin_prefix(-1, 2, src), "n must be >= 0"),
+            (lambda src: random_motzkin_prefix(3, 0, src), "r must be 1 or 2"),
+            (lambda src: random_animal(0, "square", "point", src), "n must be >= 1"),
+        ],
+        ids=["word-n", "word-r", "prefix-n", "prefix-r", "animal-n"],
+    )
+    def test_rejected_arguments_consume_no_operation(self, call, match):
+        src = RandomSource(8)
+        with pytest.raises(ValueError, match=match):
+            call(src)
+        assert random_word(9, 1, src) == random_word(9, 1, RandomSource(8))
 
     def test_split_is_deterministic_and_independent(self):
         root = RandomSource(9)
@@ -317,18 +345,30 @@ class TestRandomAnimal:
     def test_stacking_matches_colored_heap_kernel(self):
         """Independent of animal_of_codes: the cells, in drop order, are the
         colored layering of their fibres on the chain window of radius
-        R = max |fibre| + 1 with its parity colouring, cell (x, y) in layer y + 1."""
-        for lattice in ("square", "triangular"):
+        R = max |fibre| + 1 with its parity colouring, cell (x, y) in layer y + 1.
+        One drop rule serves both lattices, so this runs on every square word
+        of length <= 8 and every triangular word of length <= 6, each as a
+        compact word and, when it is a Motzkin prefix, as a point prefix, and
+        on random animals of up to 5000 cells."""
+        animals = []
+        for lattice, r, top in (("square", 1, 8), ("triangular", 2, 6)):
+            for length in range(top + 1):
+                animals += [compact_animal(w, lattice) for w in all_words(length, r)]
+                animals += [beta(w, lattice) for w in all_prefixes(length, r)]
             for source_kind in ("point", "compact"):
                 src = RandomSource(17)
                 for n in (1, 2, 3, 7, 25, 300, 5000):
-                    an, _ = random_animal(n, lattice, source_kind, src)
-                    radius = max(abs(x) for x, _ in an.cells) + 1
-                    g, coloring = linear_window(radius)
-                    fibres = [x + radius for x, _ in an.cells]
-                    layers = colored_layers(g, coloring, fibres).layers
-                    got = {(v, i + 1) for i, layer in enumerate(layers) for v in layer}
-                    assert got == {(x + radius, y + 1) for x, y in an.cells}
+                    animals.append(random_animal(n, lattice, source_kind, src)[0])
+        windows = {}
+        for an in animals:
+            radius = max(abs(x) for x, _ in an.cells) + 1
+            if radius not in windows:
+                windows[radius] = linear_window(radius)
+            g, coloring = windows[radius]
+            fibres = [x + radius for x, _ in an.cells]
+            layers = colored_layers(g, coloring, fibres).layers
+            got = {(v, i + 1) for i, layer in enumerate(layers) for v in layer}
+            assert got == {(x + radius, y + 1) for x, y in an.cells}
 
     def test_rejected_source_consumes_no_operation(self):
         src = RandomSource(8)

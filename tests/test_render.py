@@ -56,6 +56,10 @@ class TestSvg:
             with pytest.raises(ValueError):
                 RenderOptions(cell_radius=bad)
 
+    def test_rejects_unknown_rotation(self):
+        with pytest.raises(ValueError, match="unknown rotation 'sideways'"):
+            RenderOptions(rotation="sideways")
+
 
 class TestDecomposition:
     def test_single_cell(self):
