@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Record heapbench runs of a parent checkout and this one to BENCH files.
+
+For every workload and seed the recorder runs `python3 heapbench/run.py
+--trace 0` at BENCHMARK.json's `run_seconds` once in the parent checkout
+and once in this one, each in its own directory, so each side measures
+its own `src`.  The side that runs first alternates from seed to seed, so
+the runs of the same seed form alternating pairs.  Standard library only.
+
+It writes BENCH_<label>_parent.json and BENCH_<label>_change.json to the
+repository root.  Each holds, per workload, every run's end-to-end metrics
+in seed order and their median and quartiles, the slowdown the harness
+measured (see heapbench/README.md), the failed and attempted op counts,
+and the machine facts the harness printed.  It then prints, per workload
+and metric, how many pairs the change won.
+
+Usage:
+    python scripts/bench_record.py --label pr12 --parent ../parent \\
+        --seeds 301 302 303
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+HIGHER_IS_BETTER = {m["name"]: m["better"] == "higher" for m in BENCHMARK["end_to_end"]}
+
+
+def parse_run(stdout: str) -> dict:
+    """One run's result object, slowdown and context from run.py's stdout."""
+    lines = stdout.strip().splitlines()
+    run = {"result": json.loads(lines[-1])}
+    for line in lines[:-1]:
+        key, _, rest = line.partition(" ")
+        if key == "slowdown":
+            run["slowdown"] = float(rest.split()[0])
+        elif key == "context":
+            run["context"] = json.loads(rest)
+    return run
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method) of the values, in run order."""
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = values[0]
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def aggregate(runs: list[dict]) -> dict:
+    """Summary of one side's runs of one workload, in seed order."""
+    metrics = runs[0]["result"]["metrics"]
+    return {
+        "seeds": [run["context"]["seed"] for run in runs],
+        "correct_runs": sum(run["result"]["correct"] for run in runs),
+        "failed_ops": sum(run["result"]["failed"] for run in runs),
+        "attempted_ops": sum(run["result"]["attempted"] for run in runs),
+        "slowdown": spread([run["slowdown"] for run in runs]),
+        "metrics": {
+            name: {
+                "unit": metric["unit"],
+                **spread([run["result"]["metrics"][name]["value"] for run in runs]),
+            }
+            for name, metric in metrics.items()
+        },
+    }
+
+
+def pair_wins(base: dict, other: dict, metric: str) -> tuple[int, int]:
+    """(pairs `other` won, pairs with a winner) over runs of equal seed."""
+    higher = HIGHER_IS_BETTER[metric]
+    a = base["metrics"][metric]["values"]
+    b = other["metrics"][metric]["values"]
+    won = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
+    return won, sum(x != y for x, y in zip(a, b))
+
+
+def git_state(checkout: Path) -> dict:
+    """The checkout's HEAD commit and whether it has uncommitted changes."""
+
+    def git(*args):
+        done = subprocess.run(
+            ["git", "-C", str(checkout), *args], capture_output=True, text=True
+        )
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    dirty = bool(git("status", "--porcelain"))
+    return {"commit": git("rev-parse", "HEAD"), "dirty": dirty}
+
+
+def run_one(checkout: Path, workload: str, seed: int) -> dict:
+    done = subprocess.run(
+        [sys.executable, "heapbench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
+        cwd=checkout,
+        capture_output=True,
+        text=True,
+    )
+    if done.returncode != 0:
+        where = f"{workload} seed {seed} in {checkout}"
+        raise RuntimeError(f"{where}:\n{done.stderr[-2000:]}")
+    return parse_run(done.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="BENCH file prefix, e.g. pr12")
+    parser.add_argument("--parent", type=Path, required=True, metavar="DIR")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = parser.parse_args(argv)
+    if not (args.parent / "heapbench" / "run.py").is_file():
+        parser.error(f"--parent {args.parent}: not a heapbench checkout")
+    sides = [("parent", args.parent.resolve()), ("change", ROOT)]
+
+    runs: dict[str, dict[str, list[dict]]] = {side: {} for side, _ in sides}
+    for workload in WORKLOADS:
+        for i, seed in enumerate(args.seeds):
+            for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+                run = run_one(checkout, workload, seed)
+                runs[side].setdefault(workload, []).append(run)
+                value = run["result"]["metrics"]["ops_per_s"]["value"]
+                print(f"{workload} seed {seed} {side}: ops_per_s {value:.4g}",
+                      flush=True)
+
+    records = {}
+    for side, checkout in sides:
+        first = runs[side][WORKLOADS[0]][0]
+        records[side] = {
+            "label": f"{args.label}_{side}",
+            "checkout": git_state(checkout),
+            "command": "python3 heapbench/run.py --trace 0",
+            "seconds": BENCHMARK["run_seconds"],
+            "machine": first["context"]["machine"],
+            "workloads": {w: aggregate(r) for w, r in runs[side].items()},
+        }
+        path = ROOT / f"BENCH_{args.label}_{side}.json"
+        path.write_text(json.dumps(records[side], indent=1) + "\n")
+        print(f"wrote {path}")
+    for workload in WORKLOADS:
+        a = records["parent"]["workloads"][workload]
+        b = records["change"]["workloads"][workload]
+        for metric in HIGHER_IS_BETTER:
+            won, decided = pair_wins(a, b, metric)
+            print(
+                f"{workload} {metric}: parent {a['metrics'][metric]['median']:.4g}"
+                f" change {b['metrics'][metric]['median']:.4g},"
+                f" change won {won}/{decided} pairs"
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

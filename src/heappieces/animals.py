@@ -27,6 +27,7 @@ so decoding an n-cell animal is O(n) after the per-fiber sort.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -468,6 +469,9 @@ def animal_to_json(an: Animal) -> str:
 
 def animal_from_json(text: str) -> Animal:
     """Parse and validate one animal; every coordinate must be a JSON integer."""
+    # collections here find no garbage: the parse keeps all it builds
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         payload = json.loads(text)
         if type(payload) is not dict:
@@ -482,6 +486,9 @@ def animal_from_json(text: str) -> Animal:
         an = Animal(payload["lattice"], payload["source"], tuple(map(tuple, raw)))
     except (KeyError, TypeError, ValueError) as exc:
         raise AnimalError(f"bad animal JSON: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
     del payload, raw  # free the parsed lists before validate builds its key set
     an.validate()
     return an

@@ -31,6 +31,7 @@ class CommutationGraph:
     _neighborhoods: tuple[frozenset[int], ...] = field(
         init=False, repr=False, compare=False
     )
+    _hash: int = field(init=False, repr=False, compare=False)  # heap hashes reuse it
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -47,6 +48,10 @@ class CommutationGraph:
         object.__setattr__(
             self, "_neighborhoods", tuple(frozenset(s) for s in adj)
         )
+        object.__setattr__(self, "_hash", hash((self.labels, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def vertex_count(self) -> int:

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .graphs import Coloring, CommutationGraph, parse_graph_literal, format_graph_literal
 
 Cell = tuple[int, int]  # (vertex index, 1-based height)
+Layers = tuple[tuple[int, ...], ...]
 
 
 class HeapError(ValueError):
@@ -35,26 +36,21 @@ class Heap:
     """Canonical layered heap; empty tuple of layers = unit of the monoid."""
 
     graph: CommutationGraph
-    layers: tuple[tuple[int, ...], ...]
+    layers: Layers
 
-    @cached_property
+    @property
     def size(self) -> int:
-        # computed once per heap: series products read it for every pair
-        return sum(len(layer) for layer in self.layers)
+        return sum(map(len, self.layers))
 
     def cells(self) -> list[Cell]:
         return [(v, i + 1) for i, layer in enumerate(self.layers) for v in layer]
 
     def fibre_heights(self) -> dict[int, int]:
         """Topmost occupied height per fibre (vertices absent if empty)."""
-        tops: dict[int, int] = {}
-        for i, layer in enumerate(self.layers):
-            for v in layer:
-                tops[v] = i + 1
-        return tops
+        return {v: i for i, layer in enumerate(self.layers, 1) for v in layer}
 
     def canonical_word(self) -> tuple[int, ...]:
-        return tuple(v for layer in self.layers for v in layer)
+        return tuple(chain.from_iterable(self.layers))
 
     def is_pyramid(self) -> bool:
         """Non-empty with a singleton base layer."""
@@ -92,14 +88,17 @@ def _landings(
     A letter on fibre v lands one above the highest occupied cell of its
     closed neighbourhood, read from `tops` (fibre -> top height, updated in
     place).  With a coloring it rises further to the next layer of its own
-    color, layer i carrying color ((i-1) mod r) + 1.  Out-of-range letters
-    raise GraphError.
+    color, layer i carrying color ((i-1) mod r) + 1.  Out-of-range letters,
+    negative ones included, raise GraphError (checked inline: hot loop).
     """
-    neigh = g.neighborhood
+    neighborhoods = g._neighborhoods
+    count = len(neighborhoods)
     heights: list[int] = []
     for v in word:
+        if not 0 <= v < count:
+            g.check_vertex(v)
         floor = 0
-        for u in neigh(v):
+        for u in neighborhoods[v]:
             top = tops.get(u, 0)
             if top > floor:
                 floor = top
@@ -112,9 +111,7 @@ def _landings(
     return heights
 
 
-def _place(
-    layers: tuple[tuple[int, ...], ...], word: Iterable[int], heights: list[int]
-) -> tuple[tuple[int, ...], ...]:
+def _place(layers: Layers, word: Iterable[int], heights: list[int]) -> Layers:
     """`layers` with each letter added at its height; re-sorts only touched layers."""
     out = list(layers)
     grown: dict[int, list[int]] = {}
@@ -130,15 +127,15 @@ def _place(
     return tuple(out)
 
 
-def _drop(h: Heap, word: Iterable[int], tops: dict[int, int]) -> Heap:
-    """Heap h with `word` dropped letter by letter; `tops` are h's fibre tops."""
+def _drop(h: Heap, word: Iterable[int], tops: dict[int, int]) -> Layers:
+    """Layers of h with `word` dropped letter by letter; `tops` are h's fibre tops."""
     word = tuple(word)
-    return Heap(h.graph, _place(h.layers, word, _landings(h.graph, word, tops)))
+    return _place(h.layers, word, _landings(h.graph, word, tops))
 
 
 def push(h: Heap, v: int) -> Heap:
     """Drop one cell on fibre v onto h (see `_landings` for the rule)."""
-    return _drop(h, (v,), h.fibre_heights())
+    return Heap(h.graph, _drop(h, (v,), h.fibre_heights()))
 
 
 def heap_of_word(g: CommutationGraph, word: Iterable[int]) -> Heap:
@@ -148,14 +145,21 @@ def heap_of_word(g: CommutationGraph, word: Iterable[int]) -> Heap:
     tracks only fibre tops, so n cells cost O(n * maxdeg) plus one sort
     per layer.
     """
-    return _drop(empty_heap(g), word, {})
+    return Heap(g, _drop(empty_heap(g), word, {}))
 
 
 def product(h1: Heap, h2: Heap) -> Heap:
     """Monoid product: drop h2's canonical word on h1's fibre tops."""
-    if h1.graph != h2.graph:
+    if h2.graph is not h1.graph and h2.graph != h1.graph:
         raise HeapError("product of heaps over different graphs")
-    return _drop(h1, h2.canonical_word(), h1.fibre_heights())
+    return Heap(h1.graph, _drop(h1, h2.canonical_word(), h1.fibre_heights()))
+
+
+def drop_words(h: Heap, words: Iterable[Iterable[int]]) -> Iterator[Layers]:
+    """Layers of h times each word, as in `product`; h's fibre tops are read once."""
+    tops = h.fibre_heights()
+    for word in words:
+        yield _drop(h, word, dict(tops))
 
 
 def equivalent(g: CommutationGraph, u: Iterable[int], v: Iterable[int]) -> bool:

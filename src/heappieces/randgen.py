@@ -17,6 +17,7 @@ draws).  Parallel batches split deterministically via (seed, task-index).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = operator.index(seed)  # int() would take 1.9 or "7" as a seed
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in 0..2**64-1, got {self.seed}")
         self._op_index = 0

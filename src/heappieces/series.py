@@ -19,12 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping
 
 from .graphs import CommutationGraph
-from .heaps import Heap, empty_heap, enumerate_heaps, product
+from .heaps import Heap, Layers, drop_words, empty_heap, enumerate_heaps
 
 Coefficient = int | Fraction
+Term = tuple[tuple[int, ...], Coefficient]  # (canonical word, coefficient)
+Sums = list[dict[Layers, Coefficient]]  # per size: product layers -> coefficient
 
 
 class SeriesError(ValueError):
@@ -52,7 +55,7 @@ class TraceSeries:
             {h: _exact(c) for h, c in self.terms.items() if c != 0},
         )
         for h in self.terms:
-            if h.graph != self.graph:
+            if h.graph is not self.graph and h.graph != self.graph:
                 raise SeriesError("term over a different graph")
             if h.size > self.degree:
                 raise SeriesError("term beyond truncation degree")
@@ -93,23 +96,31 @@ def unit_series(g: CommutationGraph, degree: int) -> TraceSeries:
     return TraceSeries(g, degree, {empty_heap(g): 1})
 
 
+def _words_up_to(s: TraceSeries) -> list[list[Term]]:
+    """Entry j: (canonical word, coefficient) of each term of s of size <= j."""
+    parts: list[list[Term]] = [[] for _ in range(s.degree + 1)]
+    for h, c in s.terms.items():
+        parts[h.size].append((h.canonical_word(), c))
+    return list(accumulate(parts))
+
+
+def _add_products(accs: Sums, h1: Heap, c1: Coefficient, items: list[Term]) -> None:
+    """accs[size][layers of h1 * h2] += c1 * c2 for each (word of h2, c2) in `items`."""
+    m = h1.size
+    for key, (word, c2) in zip(drop_words(h1, (w for w, _ in items)), items):
+        acc = accs[m + len(word)]
+        acc[key] = acc.get(key, 0) + c1 * c2
+
+
 def series_mul(s1: TraceSeries, s2: TraceSeries) -> TraceSeries:
-    """Truncated product; enumerates key pairs instead of factorizing keys."""
+    """Truncated product over key pairs, summed by layer tuple; one Heap per result."""
     _check_compat(s1, s2)
-    n = s1.degree
-    acc: dict[Heap, Coefficient] = {}
-    by_size: dict[int, list[tuple[Heap, Coefficient]]] = {}
-    for h, c in s2.terms.items():
-        by_size.setdefault(h.size, []).append((h, c))
+    g, n = s1.graph, s1.degree
+    upto = _words_up_to(s2)
+    accs: Sums = [{} for _ in range(n + 1)]
     for h1, c1 in s1.terms.items():
-        room = n - h1.size
-        for size2, items in by_size.items():
-            if size2 > room:
-                continue
-            for h2, c2 in items:
-                key = product(h1, h2)
-                acc[key] = acc.get(key, 0) + c1 * c2
-    return TraceSeries(s1.graph, n, acc)
+        _add_products(accs, h1, c1, upto[n - h1.size])
+    return TraceSeries(g, n, {Heap(g, k): c for a in accs for k, c in a.items() if c})
 
 
 def _counting_series(
@@ -163,28 +174,25 @@ def invert(s: TraceSeries) -> TraceSeries:
 
     One pass by size from T s = 1: T_0 = c0 and, for k >= 1,
     T_k = -c0 * sum_{j >= 1} T_{k-j} s_j, with s_j, T_j the size-j parts
-    (c0 is its own inverse).  This visits the key pairs of a single
-    truncated product, each dropping a short term of s onto a heap of T.
-    In the graded cancellative heap monoid the left inverse so built is
-    also the right inverse.
+    (c0 is its own inverse).  Each heap of a complete T_m is dropped on
+    once, its products with s_1..s_{n-m} summed by layer tuple into
+    T_{m+1}..T_n.  In the graded cancellative heap monoid the left
+    inverse so built is also the right inverse.
     """
     g, n = s.graph, s.degree
     c0 = s.coefficient(empty_heap(g))
     if c0 not in (1, -1):
         raise SeriesError(f"constant term {c0} is not invertible")
-    s_parts: list[list[tuple[Heap, Coefficient]]] = [[] for _ in range(n + 1)]
-    for h, c in s.terms.items():
-        s_parts[h.size].append((h, c))
-    t_parts = [[(empty_heap(g), c0)]]
-    for k in range(1, n + 1):
-        acc: dict[Heap, Coefficient] = {}
-        for j in range(1, k + 1):
-            for h1, c1 in t_parts[k - j]:
-                for h2, c2 in s_parts[j]:
-                    key = product(h1, h2)
-                    acc[key] = acc.get(key, 0) - c0 * c1 * c2
-        t_parts.append([(h, c) for h, c in acc.items() if c])
-    return TraceSeries(g, n, {h: c for part in t_parts for h, c in part})
+    upto = [items[1:] for items in _words_up_to(s)]  # all but the constant term
+    accs: Sums = [{(): c0}] + [{} for _ in range(n)]
+    terms: dict[Heap, Coefficient] = {}
+    for m, acc in enumerate(accs):  # T_m: complete once every T_k, k < m, is dropped
+        for key, c1 in acc.items():
+            if c1:
+                h1 = Heap(g, key)
+                terms[h1] = c1
+                _add_products(accs, h1, -c0 * c1, upto[n - m])
+    return TraceSeries(g, n, terms)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from heappieces import (
     pyramid_split,
     strict_skeleton,
 )
-from heappieces.heaps import _landings
+from heappieces.heaps import _landings, drop_words
 from heappieces.verify import graph_suite
 
 from conftest import to_word
@@ -257,6 +257,13 @@ class TestDropKernel:
         w1, w2 = to_word(cube, "acbegeaf"), to_word(cube, "cgdhbe")
         got = product(heap_of_word(cube, w1), heap_of_word(cube, w2))
         assert got == heap_of_word(cube, w1 + w2)
+
+    @given(data=st.data())
+    def test_drop_words_is_product_per_word(self, path5, data):
+        h = heap_of_word(path5, data.draw(word_strategy(path5, 8)))
+        words = data.draw(st.lists(word_strategy(path5, 6), max_size=4))
+        want = [heap_of_word(path5, h.canonical_word() + w).layers for w in words]
+        assert list(drop_words(h, words)) == want
 
     def test_push_is_appended_letter(self, path5):
         for h in enumerate_heaps(path5, 5):

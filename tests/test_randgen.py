@@ -122,6 +122,20 @@ class TestDeterminism:
         with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\*\*64-1"):
             RandomSource(2**64)
 
+    @pytest.mark.parametrize("seed", [1.9, 1.0, "7"])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(TypeError):
+            RandomSource(seed)
+
+    def test_numpy_integer_seed_replays_int_seed(self):
+        a, b = RandomSource(np.uint64(5)), RandomSource(5)
+        assert type(a.seed) is int and a.seed == 5
+        for _ in range(3):
+            assert random_word(40, 2, a) == random_word(40, 2, b)
+            assert random_animal(30, "square", "point", a) == random_animal(
+                30, "square", "point", b
+            )
+
     @pytest.mark.parametrize(
         "call, match",
         [

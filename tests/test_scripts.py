@@ -1,11 +1,14 @@
 """Smoke tests of the scripts in scripts/: each runs and writes what it says.
 
 Also checks, without running it, that the benchmark in heapbench/ still
-finds every name it imports from the library.
+finds every name it imports from the library, and checks the bench
+recorder's aggregation on canned run output.
 """
 
 import ast
 import importlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -73,3 +76,57 @@ def test_heapbench_imports_resolve():
                     if not hasattr(module, name)
                 ]
     assert missing == []
+
+
+def canned_run(seed, ops_per_s, p50_ms, slowdown, failed=0):
+    """stdout of one `heapbench/run.py --trace 0` run, trimmed to what it prints."""
+    metrics = {
+        "ops_per_s": (ops_per_s, "1/s"),
+        "op_p50_ms": (p50_ms, "ms"),
+        "peak_rss_mb": (100.0, "MB"),
+        "setup_s": (0.5, "s"),
+    }
+    context = {"workload": "exact", "seed": seed, "machine": {"nproc": 2}}
+    result = {
+        "correct": failed == 0,
+        "attempted": 64,
+        "failed": failed,
+        "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
+    }
+    return "\n".join(
+        [f"context {json.dumps(context)}"]
+        + [f"{k} {v!r} {u}" for k, (v, u) in metrics.items()]
+        + [f"slowdown {slowdown!r} (median over cycles)", "raw ops_per_s 9.0 1/s"]
+        + [f"fail_ratio {failed / 64!r} ratio ({failed}/64 ops)", json.dumps(result)]
+    )
+
+
+def test_bench_record_aggregates_canned_runs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", ROOT / "scripts" / "bench_record.py"
+    )
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+
+    parent = [
+        bench_record.parse_run(canned_run(s, v, 80.0, 1.2))
+        for s, v in ((1, 10.0), (2, 14.0), (3, 12.0), (4, 11.0), (5, 13.0))
+    ]
+    change = [
+        bench_record.parse_run(canned_run(s, v, m, 1.0, failed=s == 5))
+        for s, v, m in ((1, 15.0, 60.0), (2, 13.0, 80.0), (3, 16.0, 61.0),
+                        (4, 17.0, 62.0), (5, 18.0, 63.0))
+    ]
+    assert parent[0]["slowdown"] == 1.2 and parent[0]["context"]["seed"] == 1
+    a, b = bench_record.aggregate(parent), bench_record.aggregate(change)
+    assert a["seeds"] == [1, 2, 3, 4, 5]
+    ops = a["metrics"]["ops_per_s"]
+    assert ops["unit"] == "1/s" and ops["values"] == [10.0, 14.0, 12.0, 11.0, 13.0]
+    assert (ops["q1"], ops["median"], ops["q3"]) == (11.0, 12.0, 13.0)
+    assert a["slowdown"]["median"] == 1.2
+    assert (b["correct_runs"], b["failed_ops"], b["attempted_ops"]) == (4, 1, 320)
+    # seed 2 is the parent's, and the tied p50 of seed 2 counts for neither side
+    assert bench_record.pair_wins(a, b, "ops_per_s") == (4, 5)
+    assert bench_record.pair_wins(a, b, "op_p50_ms") == (4, 4)
+    one = bench_record.spread([3.0])
+    assert one == {"median": 3.0, "q1": 3.0, "q3": 3.0, "values": [3.0]}

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heappieces import (
+    GraphError,
+    Heap,
     SeriesError,
     build_graph,
     configurations_series,
@@ -14,6 +16,7 @@ from heappieces import (
     heaps_series,
     invert,
     project,
+    product,
     pyramids_series,
     series_mul,
     strict_heaps_series,
@@ -92,6 +95,68 @@ class TestTraceProduct:
             series_mul(heaps_series(path3, 3, False), heaps_series(path3, 4, False))
         with pytest.raises(SeriesError):
             series_mul(heaps_series(path3, 3, False), heaps_series(k3, 3, False))
+
+
+def pairwise_mul(s1, s2):
+    """Declared oracle for series_mul: `product(h1, h2)` summed pair by pair."""
+    acc = {}
+    for h1, c1 in s1.terms.items():
+        for h2, c2 in s2.terms.items():
+            if h1.size + h2.size <= s1.degree:
+                key = product(h1, h2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+    return TraceSeries(s1.graph, s1.degree, acc)
+
+
+def pairwise_inverse(s):
+    """Declared oracle for invert: T_k = -c0 sum_j T_{k-j} s_j, pair by pair."""
+    c0 = s.coefficient(empty_heap(s.graph))
+    parts = [{empty_heap(s.graph): c0}]
+    for k in range(1, s.degree + 1):
+        acc = {}
+        for h2, c2 in s.terms.items():
+            if 1 <= h2.size <= k:
+                for h1, c1 in parts[k - h2.size].items():
+                    key = product(h1, h2)
+                    acc[key] = acc.get(key, 0) - c0 * c1 * c2
+        parts.append(acc)
+    return TraceSeries(s.graph, s.degree, {h: c for p in parts for h, c in p.items()})
+
+
+class TestPairwiseOracle:
+    @pytest.mark.parametrize("name", [name for name, _ in graph_suite()] + ["cube"])
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_products_and_inverses_match(self, name, signed, request):
+        g = dict(graph_suite()).get(name) or request.getfixturevalue(name)
+        one = unit_series(g, 5)
+        gamma = configurations_series(g, 5, signed)
+        theta = heaps_series(g, 5, not signed)
+        halved = one + (gamma - one).scale(Q(1, 2))  # Fraction coefficients
+        for s1, s2 in ((gamma, theta), (theta, gamma), (halved, gamma)):
+            assert series_mul(s1, s2) == pairwise_mul(s1, s2)
+        for s in (gamma, theta, halved):
+            assert invert(s) == pairwise_inverse(s)
+
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_bad_vertex_raises(self, path3, bad):
+        s = TraceSeries(path3, 3, {empty_heap(path3): 1, Heap(path3, ((bad,),)): 1})
+        with pytest.raises(GraphError):
+            series_mul(unit_series(path3, 3), s)
+        with pytest.raises(GraphError):
+            invert(s)
+
+    def test_equal_graphs_built_twice(self, path3):
+        twin = build_graph("abc", [("a", "b"), ("b", "c")])
+        assert twin is not path3 and twin == path3 and hash(twin) == hash(path3)
+        ab, ca = heap_of_word(path3, (0, 1)), heap_of_word(twin, (2, 0))
+        assert hash(heap_of_word(twin, (0, 1))) == hash(ab)
+        assert product(ab, ca) == heap_of_word(path3, (0, 1, 2, 0))
+        gamma = configurations_series(path3, 4, signed=True)
+        theta = heaps_series(twin, 4, signed=False)
+        assert series_mul(gamma, theta) == unit_series(path3, 4)
+        assert series_mul(theta, gamma) == unit_series(twin, 4)
+        with pytest.raises(SeriesError):
+            series_mul(gamma, heaps_series(build_graph("abc", []), 4, signed=False))
 
 
 class TestNamedSeries:
