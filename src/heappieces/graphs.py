@@ -6,8 +6,9 @@ edge.  Vertex sets without adjacent pairs ("configurations", i.e. stable
 sets) are the legal hard-particle placements and the one-layer heaps.
 
 Vertices are dense indices 0..n-1; labels live in a separate table and
-only appear at the I/O boundary.  Graphs are immutable and hashable, so
-heaps and series can key on them.
+only appear at the I/O boundary.  Graphs are immutable and hashable;
+heaps compare their graph but hash by their layers alone, because the
+heaps of one series share one graph.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class CommutationGraph:
     _neighborhoods: tuple[frozenset[int], ...] = field(
         init=False, repr=False, compare=False
     )
-    _hash: int = field(init=False, repr=False, compare=False)  # heap hashes reuse it
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -48,10 +48,6 @@ class CommutationGraph:
         object.__setattr__(
             self, "_neighborhoods", tuple(frozenset(s) for s in adj)
         )
-        object.__setattr__(self, "_hash", hash((self.labels, self.edges)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def vertex_count(self) -> int:

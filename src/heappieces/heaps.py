@@ -11,14 +11,15 @@ this canonical form.
 
 Conventions: layers are tuples of ascending vertex indices; the canonical
 word of a heap enumerates the layers bottom-up, each in ascending index
-order.  Heap values are immutable and hashable.
+order.  Heap values are immutable; they hash by their layers alone and
+compare their graph too, so heaps over different graphs are never equal.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
+from itertools import chain, zip_longest
 from typing import Iterable, Iterator
 
 from .graphs import Coloring, CommutationGraph, parse_graph_literal, format_graph_literal
@@ -35,7 +36,7 @@ class HeapError(ValueError):
 class Heap:
     """Canonical layered heap; empty tuple of layers = unit of the monoid."""
 
-    graph: CommutationGraph
+    graph: CommutationGraph = field(hash=False)  # one graph serves a whole series
     layers: Layers
 
     @property
@@ -57,20 +58,12 @@ class Heap:
         return bool(self.layers) and len(self.layers[0]) == 1
 
     def validate(self) -> None:
-        g = self.graph
-        for i, layer in enumerate(self.layers):
-            if not layer:
-                raise HeapError(f"empty layer {i + 1}")
-            if tuple(sorted(layer)) != layer:
-                raise HeapError(f"layer {i + 1} not in ascending order")
-            if not g.is_configuration(layer):
-                raise HeapError(f"layer {i + 1} is not a stable set")
-            if i > 0:
-                below = g.neighborhood_of_set(self.layers[i - 1])
-                if any(v not in below for v in layer):
-                    raise HeapError(f"unsupported cell in layer {i + 1}")
-        if heap_of_word(g, self.canonical_word()) != self:
-            raise HeapError("layers are not the canonical form of their word")
+        """Raise HeapError unless dropping the canonical word rebuilds the layers."""
+        # the drop builds only non-empty, ascending, stable, supported layers
+        canonical = heap_of_word(self.graph, self.canonical_word()).layers
+        for i, (got, want) in enumerate(zip_longest(self.layers, canonical), 1):
+            if got != want:
+                raise HeapError(f"layer {i} is not the canonical form of its word")
 
 
 def empty_heap(g: CommutationGraph) -> Heap:
@@ -127,15 +120,10 @@ def _place(layers: Layers, word: Iterable[int], heights: list[int]) -> Layers:
     return tuple(out)
 
 
-def _drop(h: Heap, word: Iterable[int], tops: dict[int, int]) -> Layers:
-    """Layers of h with `word` dropped letter by letter; `tops` are h's fibre tops."""
-    word = tuple(word)
-    return _place(h.layers, word, _landings(h.graph, word, tops))
-
-
 def push(h: Heap, v: int) -> Heap:
     """Drop one cell on fibre v onto h (see `_landings` for the rule)."""
-    return Heap(h.graph, _drop(h, (v,), h.fibre_heights()))
+    (layers,) = drop_words(h, ((v,),))
+    return Heap(h.graph, layers)
 
 
 def heap_of_word(g: CommutationGraph, word: Iterable[int]) -> Heap:
@@ -145,21 +133,25 @@ def heap_of_word(g: CommutationGraph, word: Iterable[int]) -> Heap:
     tracks only fibre tops, so n cells cost O(n * maxdeg) plus one sort
     per layer.
     """
-    return Heap(g, _drop(empty_heap(g), word, {}))
+    (layers,) = drop_words(empty_heap(g), (word,))
+    return Heap(g, layers)
 
 
 def product(h1: Heap, h2: Heap) -> Heap:
     """Monoid product: drop h2's canonical word on h1's fibre tops."""
     if h2.graph is not h1.graph and h2.graph != h1.graph:
         raise HeapError("product of heaps over different graphs")
-    return Heap(h1.graph, _drop(h1, h2.canonical_word(), h1.fibre_heights()))
+    (layers,) = drop_words(h1, (h2.canonical_word(),))
+    return Heap(h1.graph, layers)
 
 
 def drop_words(h: Heap, words: Iterable[Iterable[int]]) -> Iterator[Layers]:
-    """Layers of h times each word, as in `product`; h's fibre tops are read once."""
+    """Layers of h times each word, read off a copy of h's tops: the one drop entry."""
+    g, layers = h.graph, h.layers
     tops = h.fibre_heights()
     for word in words:
-        yield _drop(h, word, dict(tops))
+        word = tuple(word)
+        yield _place(layers, word, _landings(g, word, dict(tops)))
 
 
 def equivalent(g: CommutationGraph, u: Iterable[int], v: Iterable[int]) -> bool:

@@ -58,8 +58,11 @@ class RandomSource:
         return np.random.Generator(np.random.PCG64(ss))
 
     def split(self, task_index: int) -> "RandomSource":
-        """Independent child source for parallel batch task `task_index`."""
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(1, int(task_index)))
+        """Independent child source for parallel batch task `task_index` (>= 0)."""
+        task_index = operator.index(task_index)  # as for the seed: no 1.9 or "1"
+        if task_index < 0:
+            raise ValueError(f"task_index must be >= 0, got {task_index}")
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(1, task_index))
         child_seed = int(ss.generate_state(1, dtype=np.uint64)[0])
         return RandomSource(child_seed)
 

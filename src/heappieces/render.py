@@ -41,6 +41,8 @@ def render_svg(an: Animal, opts: RenderOptions = RenderOptions()) -> str:
     width = x1 - x0
     height = y1 - y0
     scale = 20.0
+    if not (math.isfinite(width * scale) and math.isfinite(height * scale)):
+        raise ValueError(f"cell_radius {rad} makes the picture size overflow")
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

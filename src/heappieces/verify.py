@@ -261,15 +261,14 @@ CHI_SQUARE_PROTOCOLS = (
     ("triangular", "point", 5, 126),
     ("square", "compact", 5, 81),
 )
+# the statistical suites' fixed sizes and seeds
+SAMPLING_SAMPLES, SAMPLING_SEED = 100_000, 2024
+COST_N, COST_RUNS, COST_SEED = 200, 10_000, 7
+SCALE_SIZE, SCALE_SEED = 1_000_000, 42
 
 
 def chi_square_uniformity(
-    lattice: str,
-    source_kind: str,
-    n: int,
-    classes: int,
-    samples: int,
-    seed: int,
+    lattice: str, source_kind: str, n: int, classes: int
 ) -> tuple[float, float]:
     """(statistic, critical value at significance 0.01) for animal sampling."""
     # imported here: scipy costs about a second of start-up that no other
@@ -282,22 +281,20 @@ def chi_square_uniformity(
             f"class count mismatch: {len(expected_animals)} vs {classes}"
         )
     counts: dict[frozenset, int] = {an.cell_set(): 0 for an in expected_animals}
-    src = RandomSource(seed)
-    for _ in range(samples):
+    src = RandomSource(SAMPLING_SEED)
+    for _ in range(SAMPLING_SAMPLES):
         an, _ = random_animal(n, lattice, source_kind, src)
         counts[an.cell_set()] += 1
-    expected = samples / classes
+    expected = SAMPLING_SAMPLES / classes
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     critical = float(chi2.ppf(0.99, classes - 1))
     return stat, critical
 
 
-def suite_sampling(samples: int = 100_000, seed: int = 2024) -> list[Check]:
+def suite_sampling() -> list[Check]:
     out = []
     for lattice, source_kind, n, classes in CHI_SQUARE_PROTOCOLS:
-        stat, critical = chi_square_uniformity(
-            lattice, source_kind, n, classes, samples, seed
-        )
+        stat, critical = chi_square_uniformity(lattice, source_kind, n, classes)
         out.append(
             Check(
                 "sampling",
@@ -309,37 +306,37 @@ def suite_sampling(samples: int = 100_000, seed: int = 2024) -> list[Check]:
     return out
 
 
-def suite_cost(n: int = 200, runs: int = 10_000, seed: int = 7) -> list[Check]:
+def suite_cost() -> list[Check]:
     """Mean draws per letter of the restart sampler must sit near 2."""
-    src = RandomSource(seed)
+    src = RandomSource(COST_SEED)
     total = 0
-    for _ in range(runs):
-        total += random_motzkin_prefix(n, 1, src).nb_tirages
-    ratio = total / (runs * n)
+    for _ in range(COST_RUNS):
+        total += random_motzkin_prefix(COST_N, 1, src).nb_tirages
+    ratio = total / (COST_RUNS * COST_N)
     return [
         Check(
             "cost",
-            f"mean nb_tirages / n at n={n}",
+            f"mean nb_tirages / n at n={COST_N}",
             1.8 <= ratio <= 2.2,
             f"ratio={ratio:.3f}",
         )
     ]
 
 
-def suite_scale(size: int = 1_000_000, seed: int = 42) -> list[Check]:
+def suite_scale() -> list[Check]:
     """One large point-source animal generated and serialized under 5 s."""
     # the small check runs first: timed while the large animal and its JSON
     # are alive, it would mostly time collector passes over them
     t0 = time.perf_counter()
-    animal_to_json(random_animal(5000, "square", "point", RandomSource(seed))[0])
+    animal_to_json(random_animal(5000, "square", "point", RandomSource(SCALE_SEED))[0])
     small = time.perf_counter() - t0
     t0 = time.perf_counter()
-    an, _ = random_animal(size, "square", "point", RandomSource(seed))
+    an, _ = random_animal(SCALE_SIZE, "square", "point", RandomSource(SCALE_SEED))
     text = animal_to_json(an)
     elapsed = time.perf_counter() - t0
-    ok = elapsed < 5.0 and an.size == size and len(text) > size
+    ok = elapsed < 5.0 and an.size == SCALE_SIZE and len(text) > SCALE_SIZE
     return [
-        Check("scale", f"size {size} generate+serialize", ok, f"{elapsed:.2f}s"),
+        Check("scale", f"size {SCALE_SIZE} generate+serialize", ok, f"{elapsed:.2f}s"),
         Check("scale", "size 5000 generate+serialize", small < 0.1, f"{small * 1000:.1f}ms"),
     ]
 

@@ -78,7 +78,7 @@ def test_criterion_8_linear_density():
 
 
 def test_criterion_9_uniform_sampling():
-    checks = verify.suite_sampling(samples=100_000, seed=2024)
+    checks = verify.suite_sampling()
     report("criterion 9: chi-square uniformity, 3 protocols x 1e5 samples", checks)
 
 

@@ -367,6 +367,15 @@ class TestErrors:
             assert code == 2 and out == ""
             assert "--radius: must be finite" in err
 
+    def test_render_rejects_overflowing_radius(self, capsys, tmp_path):
+        # a finite radius whose picture size overflows to inf
+        an, _ = random_animal(5, "square", "point", RandomSource(1))
+        stream = tmp_path / "animals.jsonl"
+        stream.write_text(animal_to_json(an))
+        code, out, err = run(capsys, "render", "--input", str(stream), "--radius", "1e308")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cell_radius 1e+308")
+
     def test_render_decomposition_rejects_svg_options(self, capsys, tmp_path):
         an, _ = random_animal(4, "square", "point", RandomSource(1))
         stream = tmp_path / "animals.jsonl"

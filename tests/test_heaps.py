@@ -2,6 +2,7 @@
 
 import random
 from collections import deque
+from itertools import chain, product as product_of
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +105,41 @@ def pyramid_split_by_closure(h, c):
         return heap_of_word(h.graph, word)
 
     return restack(set(cells) - closure), restack(closure)
+
+
+def validate_by_checks(h):
+    """Declared oracle for Heap.validate: the layer conditions one by one.
+
+    Each layer is non-empty, ascending and stable, each cell above the
+    first layer has a neighbour in the layer below, and the layers are
+    the heap of their own word.
+    """
+    g = h.graph
+    for i, layer in enumerate(h.layers):
+        if not layer:
+            raise HeapError(f"empty layer {i + 1}")
+        if tuple(sorted(layer)) != layer:
+            raise HeapError(f"layer {i + 1} not in ascending order")
+        if not g.is_configuration(layer):
+            raise HeapError(f"layer {i + 1} is not a stable set")
+        if i > 0:
+            below = g.neighborhood_of_set(h.layers[i - 1])
+            if any(v not in below for v in layer):
+                raise HeapError(f"unsupported cell in layer {i + 1}")
+    if heap_of_word(g, h.canonical_word()) != h:
+        raise HeapError("layers are not the canonical form of their word")
+
+
+def layer_tuples(values, max_cells, count):
+    """Every tuple of `count` layers over `values` with at most max_cells
+    cells in all, empty and unsorted layers included."""
+    if count == 0:
+        yield ()
+        return
+    for cells in range(max_cells + 1):
+        for first in product_of(values, repeat=cells):
+            for rest in layer_tuples(values, max_cells - cells, count - 1):
+                yield (first, *rest)
 
 
 def oracle_graphs(cube):
@@ -299,6 +335,10 @@ class TestDropKernel:
             push(h, -1)
         with pytest.raises(GraphError):
             product(h, Heap(path3, ((7,),)))
+        with pytest.raises(GraphError):
+            product(h, Heap(path3, ((-1,),)))
+        with pytest.raises(GraphError):
+            heap_of_word(path3, (-1,))
 
 
 class TestEquivalence:
@@ -619,3 +659,55 @@ class TestValidate:
     def test_accepts_enumerated(self, path3):
         for h in enumerate_heaps(path3, 4):
             h.validate()
+
+    def test_names_the_first_differing_layer(self, path3):
+        with pytest.raises(HeapError, match="layer 1 is not the canonical form"):
+            Heap(path3, ((0,), (2,))).validate()
+        with pytest.raises(HeapError, match="layer 2 is not the canonical form"):
+            Heap(path3, ((0,), ())).validate()
+        with pytest.raises(HeapError, match="layer 3 is not the canonical form"):
+            Heap(path3, ((0,), (1,), (2,), (0,))).validate()
+
+    def test_out_of_range_vertex_is_graph_error(self, path3):
+        for layers in (((7,),), ((0,), (), (7,)), ((2, 0), (-1,))):
+            with pytest.raises(GraphError):
+                Heap(path3, layers).validate()
+
+    def test_agrees_with_layer_checks(self):
+        """Same verdict as the oracle on every tuple of up to 3 cells.
+
+        Vertices run over -1..V, so out-of-range cells sit behind empty
+        and unsorted layers too; there only the error class may differ.
+        """
+        for _, g in graph_suite():
+            values = range(-1, g.vertex_count + 1)
+            for layers in chain.from_iterable(
+                layer_tuples(values, 3, count) for count in range(4)
+            ):
+                h = Heap(g, layers)
+                try:
+                    validate_by_checks(h)
+                    want = None
+                except (HeapError, GraphError):
+                    want = HeapError
+                out_of_range = any(
+                    not 0 <= v < g.vertex_count for layer in layers for v in layer
+                )
+                if want and out_of_range:
+                    want = GraphError
+                if want is None:
+                    h.validate()
+                else:
+                    with pytest.raises(want):
+                        h.validate()
+
+
+class TestHashByLayers:
+    def test_heaps_over_two_graphs_stay_two_keys(self, path3, edgeless3):
+        a, b = heap_of_word(path3, (0, 2)), heap_of_word(edgeless3, (0, 2))
+        assert a.layers == b.layers and hash(a) == hash(b)
+        assert a != b
+        table = {a: "path3", b: "edgeless3"}
+        assert len(table) == 2
+        assert table[heap_of_word(path3, (2, 0))] == "path3"
+        assert table[heap_of_word(edgeless3, (2, 0))] == "edgeless3"

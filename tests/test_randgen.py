@@ -161,6 +161,20 @@ class TestDeterminism:
         assert words == [random_word(6, 1, c).letters for c in again]
         assert len(set(c.seed for c in children)) == 3
 
+    def test_split_pins_child_seed(self):
+        assert RandomSource(5).split(1).seed == 7914777250463872585
+        assert RandomSource(5).split(np.int64(3)).seed == RandomSource(5).split(3).seed
+
+    @pytest.mark.parametrize("task_index", [1.9, "1", 1.0])
+    def test_split_rejects_non_integer_index(self, task_index):
+        # int() took these as task 1
+        with pytest.raises(TypeError):
+            RandomSource(5).split(task_index)
+
+    def test_split_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="task_index must be >= 0, got -1"):
+            RandomSource(5).split(-1)
+
 
 class TestPrefixSampler:
     def test_zero_length(self):

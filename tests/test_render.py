@@ -56,6 +56,11 @@ class TestSvg:
             with pytest.raises(ValueError):
                 RenderOptions(cell_radius=bad)
 
+    def test_rejects_overflowing_picture(self):
+        an = Animal("square", "point", ((0, 0),))
+        with pytest.raises(ValueError, match="cell_radius 1e\\+308"):
+            render_svg(an, RenderOptions(cell_radius=1e308))
+
     def test_rejects_unknown_rotation(self):
         with pytest.raises(ValueError, match="unknown rotation 'sideways'"):
             RenderOptions(rotation="sideways")
