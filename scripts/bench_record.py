@@ -11,8 +11,11 @@ It writes BENCH_<label>_parent.json and BENCH_<label>_change.json to the
 repository root.  Each holds, per workload, every run's end-to-end metrics
 in seed order and their median and quartiles, the slowdown the harness
 measured (see heapbench/README.md), the failed and attempted op counts,
-and the machine facts the harness printed.  It then prints, per workload
-and metric, how many pairs the change won.
+and the machine facts the harness printed.  It then prints, per workload,
+each side's slowdown range (a wide one means the reference scaling moved
+within the batch, which is worth running again), and per metric both
+medians, the parent's quartiles, whether the change's median falls inside
+them, and how many pairs the change won.
 
 Usage:
     python scripts/bench_record.py --label pr12 --parent ../parent \\
@@ -84,6 +87,31 @@ def pair_wins(base: dict, other: dict, metric: str) -> tuple[int, int]:
     return won, sum(x != y for x, y in zip(a, b))
 
 
+def summary(parent: dict, change: dict) -> list[str]:
+    """The printed verdict lines of two sides' records, workload by workload."""
+    lines = []
+    for workload, a in parent["workloads"].items():
+        b = change["workloads"][workload]
+        ranges = [
+            f"{side} {min(slow):.3g}-{max(slow):.3g}"
+            for side, slow in (("parent", a["slowdown"]["values"]),
+                               ("change", b["slowdown"]["values"]))
+        ]
+        lines.append(f"{workload} slowdown: {', '.join(ranges)}")
+        for metric in HIGHER_IS_BETTER:
+            base, other = a["metrics"][metric], b["metrics"][metric]
+            inside = base["q1"] <= other["median"] <= base["q3"]
+            won, decided = pair_wins(a, b, metric)
+            lines.append(
+                f"{workload} {metric}: parent {base['median']:.4g}"
+                f" (quartiles {base['q1']:.4g}-{base['q3']:.4g})"
+                f" change {other['median']:.4g}"
+                f" {'inside' if inside else 'outside'} them,"
+                f" change won {won}/{decided} pairs"
+            )
+    return lines
+
+
 def git_state(checkout: Path) -> dict:
     """The checkout's HEAD commit and whether it has uncommitted changes."""
 
@@ -145,16 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         path = ROOT / f"BENCH_{args.label}_{side}.json"
         path.write_text(json.dumps(records[side], indent=1) + "\n")
         print(f"wrote {path}")
-    for workload in WORKLOADS:
-        a = records["parent"]["workloads"][workload]
-        b = records["change"]["workloads"][workload]
-        for metric in HIGHER_IS_BETTER:
-            won, decided = pair_wins(a, b, metric)
-            print(
-                f"{workload} {metric}: parent {a['metrics'][metric]['median']:.4g}"
-                f" change {b['metrics'][metric]['median']:.4g},"
-                f" change won {won}/{decided} pairs"
-            )
+    print("\n".join(summary(records["parent"], records["change"])))
     return 0
 
 

@@ -17,7 +17,8 @@ Heights follow the parity-coloured drop on both lattices: one level above
 the highest neighbour fiber, or two above the cell's own fiber when it is
 strictly highest, which square words never reach.  The loop below is the
 iterative form of that recursion, so word length is bounded by memory,
-not the call stack.
+not the call stack.  The stacker reads the word's letters: int step codes
+exist only inside `randgen`'s numpy draw.
 
 The inverse replays the same stacking forwards: with each fiber's heights
 sorted once, every step places the next cell in O(1) amortised time by
@@ -34,16 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
-from .paths import (
-    CODE_A,
-    CODE_B,
-    CODE_C,
-    CODE_MA,
-    CODE_MB,
-    StepWord,
-    is_motzkin_prefix,
-    mark_celibate_codes,
-)
+from .paths import StepWord, is_motzkin_prefix, mark_celibates
 
 LATTICES = ("square", "triangular")
 SOURCES = ("point", "compact")
@@ -165,8 +157,8 @@ class Animal:
         object.__setattr__(self, "_valid", True)
 
 
-def animal_of_codes(codes: list[int], lattice: str, source: str) -> Animal:
-    """Animal of an unmarked code word of length n-1: mark celibates, stack equerres.
+def animal_of_word(w: StepWord, lattice: str, source: str) -> Animal:
+    """Animal of a word of length n-1: mark celibates, stack equerres.
 
     Point sources mark celibate ascents only (the word is a Motzkin
     prefix); compact sources mark celibate descents too, and their bases
@@ -174,8 +166,8 @@ def animal_of_codes(codes: list[int], lattice: str, source: str) -> Animal:
     dropped per letter, plus the final one.
     """
     compact = source == "compact"
-    n_cells = len(codes) + 1
-    marked = mark_celibate_codes(codes, descents=compact)
+    n_cells = len(w) + 1
+    marked = mark_celibates(w, descents=compact).letters
     off = n_cells + 1
     max_right = 2 * n_cells if compact else n_cells
     fibre = [-1] * (n_cells + max_right + 3 + off)
@@ -184,7 +176,7 @@ def animal_of_codes(codes: list[int], lattice: str, source: str) -> Animal:
     pending: list[int] = []
     f = 0
     base = 0
-    for code in marked + [-1]:  # -1 = end-of-word terminator
+    for ch in marked + ".":  # "." = end-of-word terminator
         j = f + off
         left = fibre[j - 1]
         mid = fibre[j]
@@ -195,20 +187,20 @@ def animal_of_codes(codes: list[int], lattice: str, source: str) -> Animal:
         h = m + 2 if (mid == m and left < mid) else m + 1
         fibre[j] = h
         append((f, h))
-        if code == CODE_A:
+        if ch == "a":
             pending.append(f)
             f -= 1
-        elif code == CODE_C:
+        elif ch == "c":
             f -= 1
-        elif code == CODE_B:
+        elif ch == "b":
             f = pending.pop()
-        elif code == CODE_MA:
+        elif ch == "A":
             base += 1
             f = base
-        elif code == CODE_MB:
+        elif ch == "B":
             base += 2
             f = base
-        # CODE_D and the terminator leave f unchanged
+        # "d" and the terminator leave f unchanged
     return Animal(lattice, source, tuple(cells))
 
 
@@ -223,16 +215,15 @@ def _check_word_lattice(w: StepWord, lattice: str) -> None:
 def beta(w: StepWord, lattice: str) -> Animal:
     """Bijection Motzkin prefix of length n-1 -> point-source animal of size n."""
     _check_word_lattice(w, lattice)
-    word = w.unmarked()
-    if not is_motzkin_prefix(word):
+    if not is_motzkin_prefix(w):
         raise AnimalError("beta needs a Motzkin prefix")
-    return animal_of_codes(word.codes(), lattice, "point")
+    return animal_of_word(w, lattice, "point")
 
 
 def compact_animal(w: StepWord, lattice: str) -> Animal:
     """Any word of length n-1 -> compact-source animal of size n (a bijection)."""
     _check_word_lattice(w, lattice)
-    return animal_of_codes(w.unmarked().codes(), lattice, "compact")
+    return animal_of_word(w, lattice, "compact")
 
 
 def half_width(an: Animal) -> int:

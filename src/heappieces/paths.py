@@ -13,19 +13,16 @@ minimum, left-to-right for descents) follow the classic linear-time
 routines; descents are marked first, and the ascent scan skips letters
 already marked `B`, which is harmless because a descending celibate can
 never close an ascent.
+
+A step word is its letters everywhere: the samplers' int step codes
+exist only inside `randgen`'s numpy draw, which turns them into a
+StepWord once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-# integer step codes used by the samplers and the animal stacker
-CODE_A, CODE_B, CODE_C, CODE_D, CODE_MA, CODE_MB = 0, 1, 2, 3, 4, 5
-_CODE_TO_CHAR = "abcdAB"
-_CHAR_TO_CODE = {ch: i for i, ch in enumerate(_CODE_TO_CHAR)}
-# code byte -> letter byte; every byte from 6 up maps to NUL, which no word holds
-_CODE_BYTES = _CODE_TO_CHAR.encode().ljust(256, b"\0")
 
 
 class WordError(ValueError):
@@ -62,21 +59,6 @@ class StepWord:
     def unmarked(self) -> "StepWord":
         return StepWord(self.r, self.letters.lower())
 
-    def codes(self) -> list[int]:
-        return [_CHAR_TO_CODE[ch] for ch in self.letters]
-
-
-def word_from_codes(r: int, codes: list[int] | tuple[int, ...]) -> StepWord:
-    """Word of step codes 0..5; any other code raises WordError."""
-    try:
-        letters = bytes(codes).translate(_CODE_BYTES)
-    except ValueError:  # a code below 0 or above 255
-        letters = b"\0"
-    if b"\0" in letters:
-        bad = next(c for c in codes if not 0 <= c <= 5)
-        raise WordError(f"step code {bad!r} outside 0..5")
-    return StepWord(r, letters.decode("ascii"))
-
 
 def classify(w: StepWord) -> tuple[PathKind, int]:
     """Kind of the word plus its final height (#ascends - #descends).
@@ -106,43 +88,40 @@ def is_motzkin_prefix(w: StepWord) -> bool:
     return classify(w)[0] in (PathKind.MOTZKIN_WORD, PathKind.MOTZKIN_PREFIX)
 
 
-def mark_celibate_codes(codes: list[int], descents: bool = True) -> list[int]:
-    """Mark celibate steps in a code list (0=a,1=b,...); returns a new list.
+def mark_celibates(w: StepWord, descents: bool = True) -> StepWord:
+    """Celibate-marked copy of w; existing marks are recomputed.
 
     Descending scan first (left to right, running minimum), then ascending
-    (right to left); the ascending scan ignores codes already marked B.
+    (right to left); the ascending scan ignores letters already marked B.
+    `descents=False` skips the descending scan, which marks nothing on a
+    Motzkin prefix.
     """
-    out = list(codes)
+    out = list(w.letters.lower())
     n = len(out)
     if descents:
         h = 0
         hmin = 0
         for i in range(n):
-            c = out[i]
-            if c == CODE_A:
+            ch = out[i]
+            if ch == "a":
                 h += 1
-            elif c == CODE_B:
+            elif ch == "b":
                 h -= 1
                 if h < hmin:
                     hmin = h
-                    out[i] = CODE_MB
+                    out[i] = "B"
     h = 0
     hmin = 0
     for i in range(n - 1, -1, -1):
-        c = out[i]
-        if c == CODE_B:
+        ch = out[i]
+        if ch == "b":
             h += 1
-        elif c == CODE_A:
+        elif ch == "a":
             h -= 1
             if h < hmin:
                 hmin = h
-                out[i] = CODE_MA
-    return out
-
-
-def mark_celibates(w: StepWord) -> StepWord:
-    """Celibate-marked copy of w; existing marks are recomputed."""
-    return word_from_codes(w.r, mark_celibate_codes(w.unmarked().codes()))
+                out[i] = "A"
+    return StepWord(w.r, "".join(out))
 
 
 def catalan_factorize(

@@ -13,6 +13,10 @@ RandomSource derives an independent PCG64 stream per sampling call from
 independent of internal draw batching (numpy's bounded-integer rejection
 consumes its bit stream per element, so block draws equal repeated scalar
 draws).  Parallel batches split deterministically via (seed, task-index).
+
+The draw works on int step codes 0..3 (a, b, c, d) and only there: `_draw`
+turns the kept codes into a StepWord once, and everything after it,
+celibate marking and equerre stacking included, reads letters.
 """
 
 from __future__ import annotations
@@ -22,11 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .animals import SOURCES, Animal, animal_of_codes, lattice_colors
-from .paths import StepWord, word_from_codes
+from .animals import SOURCES, Animal, animal_of_word, lattice_colors
+from .paths import StepWord
 
 # step depth (minus height) contribution per letter code (a, b, c, d)
 _DEPTH = np.array([-1, 1, 0, 0], dtype=np.int64)
+# code byte -> letter byte
+_LETTERS = bytes.maketrans(b"\0\1\2\3", b"abcd")
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,8 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
+        if type(seed) is bool:  # operator.index(True) is 1: a flag is no seed
+            raise TypeError("seed must be an integer, not bool")
         self.seed = operator.index(seed)  # int() would take 1.9 or "7" as a seed
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in 0..2**64-1, got {self.seed}")
@@ -59,6 +67,8 @@ class RandomSource:
 
     def split(self, task_index: int) -> "RandomSource":
         """Independent child source for parallel batch task `task_index` (>= 0)."""
+        if type(task_index) is bool:
+            raise TypeError("task_index must be an integer, not bool")
         task_index = operator.index(task_index)  # as for the seed: no 1.9 or "1"
         if task_index < 0:
             raise ValueError(f"task_index must be >= 0, got {task_index}")
@@ -69,22 +79,24 @@ class RandomSource:
 
 def _draw(
     n: int, r: int, prefix: bool, source: RandomSource
-) -> tuple[np.ndarray, int, int]:
-    """One operation: codes, draws and restarts of a uniform word or prefix."""
+) -> tuple[StepWord, int, int]:
+    """One operation: word, draws and restarts of a uniform word or prefix."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if r not in (1, 2):
         raise ValueError("r must be 1 or 2")
     rng = source._operation_rng()
     if prefix:
-        return _sample_prefix_codes(n, r, rng)
-    return rng.integers(0, r + 2, size=n, dtype=np.int64), n, 0
+        codes, nb, restarts = _sample_prefix_codes(n, r, rng)
+    else:
+        codes, nb, restarts = rng.integers(0, r + 2, size=n, dtype=np.int64), n, 0
+    letters = codes.astype(np.uint8).tobytes().translate(_LETTERS)
+    return StepWord(r, letters.decode("ascii")), nb, restarts
 
 
 def random_word(n: int, r: int, source: RandomSource) -> StepWord:
     """Uniform word of length n over the (r+2)-letter alphabet; n draws."""
-    codes, _, _ = _draw(n, r, False, source)
-    return word_from_codes(r, codes.tolist())
+    return _draw(n, r, False, source)[0]
 
 
 def _sample_prefix_codes(
@@ -134,8 +146,7 @@ def _sample_prefix_codes(
 
 def random_motzkin_prefix(n: int, r: int, source: RandomSource) -> GenerationReport:
     """Uniform Motzkin prefix of length n by rejection with full restart."""
-    codes, nb, restarts = _draw(n, r, True, source)
-    return GenerationReport(word_from_codes(r, codes.tolist()), nb, restarts)
+    return GenerationReport(*_draw(n, r, True, source))
 
 
 def random_animal(
@@ -152,7 +163,5 @@ def random_animal(
     # checked before the draw, so a rejected call consumes no operation
     if source_kind not in SOURCES:
         raise ValueError(f"unknown source {source_kind!r}")
-    codes, nb, restarts = _draw(n - 1, r, source_kind == "point", source)
-    letters = codes.tolist()
-    animal = animal_of_codes(letters, lattice, source_kind)
-    return animal, GenerationReport(word_from_codes(r, letters), nb, restarts)
+    report = GenerationReport(*_draw(n - 1, r, source_kind == "point", source))
+    return animal_of_word(report.word, lattice, source_kind), report

@@ -17,7 +17,7 @@ from heappieces import (
     mark_celibates,
 )
 from heappieces.animals import all_prefixes, all_words
-from heappieces.paths import is_motzkin_word, word_from_codes
+from heappieces.paths import is_motzkin_word
 
 
 def words(r, max_len=10):
@@ -106,34 +106,6 @@ class TestStepWord:
             StepWord(1, "acdBdx")
 
 
-class TestWordFromCodes:
-    def test_every_code(self):
-        assert word_from_codes(2, [0, 1, 2, 3, 4, 5]) == StepWord(2, "abcdAB")
-        assert word_from_codes(1, []) == StepWord(1, "")
-
-    def test_negative_code(self):
-        # a negative index would read the letter table from its end
-        with pytest.raises(WordError, match="step code -1 outside 0..5"):
-            word_from_codes(1, [-1, -2, 0])
-
-    def test_code_six(self):
-        with pytest.raises(WordError, match="step code 6 outside 0..5"):
-            word_from_codes(1, [0, 6])
-
-    def test_code_of_a_letter_byte(self):
-        # 97 is the byte of "a"; it must not pass through as a letter
-        with pytest.raises(WordError, match="step code 97 outside 0..5"):
-            word_from_codes(1, [97])
-
-    def test_code_beyond_a_byte(self):
-        with pytest.raises(WordError, match="step code 256 outside 0..5"):
-            word_from_codes(1, [2, 256])
-
-    def test_letters_still_checked_against_r(self):
-        with pytest.raises(WordError, match="letter 'd' illegal for r=1"):
-            word_from_codes(1, [3])
-
-
 class TestClassify:
     def test_empty(self):
         assert classify(StepWord(1, "")) == (PathKind.MOTZKIN_WORD, 0)
@@ -189,6 +161,18 @@ class TestMarking:
             assert ups == downs == 0
         if kind in (PathKind.MOTZKIN_WORD, PathKind.MOTZKIN_PREFIX):
             assert downs == 0 and ups == height
+
+    @pytest.mark.parametrize("r, top", [(1, 10), (2, 7)])
+    def test_skipping_descents_is_a_fast_path_on_prefixes(self, r, top):
+        # a Motzkin prefix never reaches a new minimum, so it has no `B`
+        for length in range(top + 1):
+            for w in all_prefixes(length, r):
+                assert mark_celibates(w, descents=False) == mark_celibates(w)
+
+    def test_skipping_descents_leaves_new_minima_unmarked(self):
+        w = StepWord(1, "b")
+        assert mark_celibates(w).letters == "B"
+        assert mark_celibates(w, descents=False).letters == "b"
 
     @given(words(2))
     def test_remark_idempotent(self, w):

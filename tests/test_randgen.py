@@ -20,37 +20,34 @@ from heappieces import (
     random_word,
 )
 from heappieces.animals import all_prefixes, all_words
-from heappieces.paths import (
-    CODE_A,
-    CODE_B,
-    classify,
-    word_from_codes,
-)
+from heappieces.paths import StepWord, classify
 
 
-def naive_prefix_reference(n, r, letters):
+def naive_prefix_reference(n, r, codes):
     """Scalar transcription of the restart loop, one letter per iteration.
 
-    Returns the prefix, the number of letters read and the stream positions
-    of the letters that killed an attempt (one per restart).
+    `codes` yields the stream's draws 0..3, read here as the letters a, b,
+    c, d by this oracle's own table.  Returns the prefix, the number of
+    letters read and the stream positions of the letters that killed an
+    attempt (one per restart).
     """
     word = []
     deaths = []
     nb = 0
     h = 0
     while len(word) < n:
-        letter = next(letters)
+        letter = "abcd"[next(codes)]
         nb += 1
         word.append(letter)
-        if letter == CODE_A:
+        if letter == "a":
             h += 1
-        elif letter == CODE_B:
+        elif letter == "b":
             h -= 1
             if h < 0:
                 deaths.append(nb - 1)
                 word.clear()
                 h = 0
-    return word_from_codes(r, word), nb, deaths
+    return StepWord(r, "".join(word)), nb, deaths
 
 
 def operation_letters(seed, r, block=1):
@@ -122,7 +119,8 @@ class TestDeterminism:
         with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\*\*64-1"):
             RandomSource(2**64)
 
-    @pytest.mark.parametrize("seed", [1.9, 1.0, "7"])
+    # operator.index takes True as 1, so a bool is rejected by type
+    @pytest.mark.parametrize("seed", [1.9, 1.0, "7", True, False])
     def test_rejects_non_integer_seed(self, seed):
         with pytest.raises(TypeError):
             RandomSource(seed)
@@ -165,9 +163,9 @@ class TestDeterminism:
         assert RandomSource(5).split(1).seed == 7914777250463872585
         assert RandomSource(5).split(np.int64(3)).seed == RandomSource(5).split(3).seed
 
-    @pytest.mark.parametrize("task_index", [1.9, "1", 1.0])
+    @pytest.mark.parametrize("task_index", [1.9, "1", 1.0, True, False])
     def test_split_rejects_non_integer_index(self, task_index):
-        # int() took these as task 1
+        # int() took these as tasks; operator.index took a bool as task 0 or 1
         with pytest.raises(TypeError):
             RandomSource(5).split(task_index)
 
@@ -371,7 +369,7 @@ class TestRandomAnimal:
                     assert an.cells == compact_animal(rep.word, lattice).cells
 
     def test_stacking_matches_colored_heap_kernel(self):
-        """Independent of animal_of_codes: the cells, in drop order, are the
+        """Independent of animal_of_word: the cells, in drop order, are the
         colored layering of their fibres on the chain window of radius
         R = max |fibre| + 1 with its parity colouring, cell (x, y) in layer y + 1.
         One drop rule serves both lattices, so this runs on every square word

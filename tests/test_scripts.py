@@ -109,8 +109,9 @@ def test_bench_record_aggregates_canned_runs():
     spec.loader.exec_module(bench_record)
 
     parent = [
-        bench_record.parse_run(canned_run(s, v, 80.0, 1.2))
-        for s, v in ((1, 10.0), (2, 14.0), (3, 12.0), (4, 11.0), (5, 13.0))
+        bench_record.parse_run(canned_run(s, v, 80.0, slow))
+        for s, v, slow in ((1, 10.0, 1.2), (2, 14.0, 1.9), (3, 12.0, 1.2),
+                           (4, 11.0, 1.1), (5, 13.0, 1.2))
     ]
     change = [
         bench_record.parse_run(canned_run(s, v, m, 1.0, failed=s == 5))
@@ -128,5 +129,21 @@ def test_bench_record_aggregates_canned_runs():
     # seed 2 is the parent's, and the tied p50 of seed 2 counts for neither side
     assert bench_record.pair_wins(a, b, "ops_per_s") == (4, 5)
     assert bench_record.pair_wins(a, b, "op_p50_ms") == (4, 4)
+    # the change's ops_per_s and op_p50_ms medians lie outside the parent's
+    # quartiles (11-13 and 80-80); the constant metrics tie inside them
+    lines = bench_record.summary(
+        {"workloads": {"exact": a}}, {"workloads": {"exact": b}}
+    )
+    assert lines == [
+        "exact slowdown: parent 1.1-1.9, change 1-1",
+        "exact ops_per_s: parent 12 (quartiles 11-13) change 16 outside them,"
+        " change won 4/5 pairs",
+        "exact op_p50_ms: parent 80 (quartiles 80-80) change 62 outside them,"
+        " change won 4/4 pairs",
+        "exact peak_rss_mb: parent 100 (quartiles 100-100) change 100 inside them,"
+        " change won 0/0 pairs",
+        "exact setup_s: parent 0.5 (quartiles 0.5-0.5) change 0.5 inside them,"
+        " change won 0/0 pairs",
+    ]
     one = bench_record.spread([3.0])
     assert one == {"median": 3.0, "q1": 3.0, "q3": 3.0, "values": [3.0]}
