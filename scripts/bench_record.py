@@ -148,6 +148,9 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.parent / "heapbench" / "run.py").is_file():
         parser.error(f"--parent {args.parent}: not a heapbench checkout")
     sides = [("parent", args.parent.resolve()), ("change", ROOT)]
+    # taken before the runs: the BENCH files written below would mark this
+    # checkout dirty
+    states = {side: git_state(checkout) for side, checkout in sides}
 
     runs: dict[str, dict[str, list[dict]]] = {side: {} for side, _ in sides}
     for workload in WORKLOADS:
@@ -160,11 +163,11 @@ def main(argv: list[str] | None = None) -> int:
                       flush=True)
 
     records = {}
-    for side, checkout in sides:
+    for side, _ in sides:
         first = runs[side][WORKLOADS[0]][0]
         records[side] = {
             "label": f"{args.label}_{side}",
-            "checkout": git_state(checkout),
+            "checkout": states[side],
             "command": "python3 heapbench/run.py --trace 0",
             "seconds": BENCHMARK["run_seconds"],
             "machine": first["context"]["machine"],
