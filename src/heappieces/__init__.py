@@ -41,6 +41,7 @@ from .heaps import (
     Heap,
     HeapError,
     colored_layers,
+    count_pyramids,
     dual,
     empty_heap,
     enumerate_heaps,
@@ -82,6 +83,7 @@ from .series import (
     heaps_series,
     invert,
     project,
+    projected_series,
     pyramids_series,
     series_mul,
     strict_heaps_series,

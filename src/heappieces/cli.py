@@ -29,7 +29,7 @@ from .series import (
     configurations_series,
     dump_trace_series,
     heaps_series,
-    project,
+    projected_series,
     pyramids_series,
     strict_heaps_series,
 )
@@ -127,11 +127,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
         raise ValueError(f"--base applies to pi and pi-bar, not {args.kind!r}")
     g = _read_graph(args.graph)
     base = g.index(args.base) if args.base is not None else None
-    series = _SERIES_BUILDERS[args.kind](g, args.degree, base)
-    if args.project:
-        print(project(series))
+    if args.project:  # from stable sets, not from the heaps
+        print(projected_series(g, args.kind, args.degree, base))
     else:
-        print(dump_trace_series(series))
+        print(dump_trace_series(_SERIES_BUILDERS[args.kind](g, args.degree, base)))
     return 0
 
 

@@ -5,7 +5,11 @@ stable sets by size, Z(t) = sum alpha_n t^n, with the activity t standing
 in for chemical potential and temperature (t = exp(mu/kT); neither mu, k
 nor T appears anywhere else).  The mean particle count t Z'/Z also equals
 the alternating pyramid series sum (-1)^{n-1} p_n t^n, which is the
-identity checked here by computing both sides independently.
+identity checked here by computing both sides independently: Z from the
+stable sets (`projected_series(g, "gamma", ...)`), and p_n by the
+Cartier-Foata layer transfer `heaps.count_pyramids`, which counts
+pyramids by (size, top layer) without building a heap.  Both are
+polynomial in the degree.
 
 On the infinite chain the per-site density has the closed form
 d(t) = (1 - (1+4t)^{-1/2}) / 2, whose Taylor coefficients are the
@@ -19,8 +23,8 @@ import math
 from fractions import Fraction
 
 from .graphs import CommutationGraph
-from .heaps import enumerate_heaps
-from .series import UnivariateSeries, configurations_series, project
+from .heaps import count_pyramids
+from .series import UnivariateSeries, projected_series
 
 
 class GasError(ValueError):
@@ -29,7 +33,7 @@ class GasError(ValueError):
 
 def partition_function(g: CommutationGraph, degree: int) -> UnivariateSeries:
     """Z(t): coefficient n = number of stable sets of size n."""
-    return project(configurations_series(g, degree, signed=False))
+    return projected_series(g, "gamma", degree)
 
 
 def mean_particles_direct(g: CommutationGraph, degree: int) -> UnivariateSeries:
@@ -40,11 +44,8 @@ def mean_particles_direct(g: CommutationGraph, degree: int) -> UnivariateSeries:
 
 def mean_particles_pyramids(g: CommutationGraph, degree: int) -> UnivariateSeries:
     """sum (-1)^{n-1} p_n t^n over pyramid counts p_n (all bases)."""
-    counts = [0] * (degree + 1)
-    for h in enumerate_heaps(g, degree, pyramids_only=True):
-        counts[h.size] += 1
-    coeffs = [0] + [(-1) ** (n - 1) * counts[n] for n in range(1, degree + 1)]
-    return UnivariateSeries(degree, tuple(coeffs))
+    signed = (c if n % 2 else -c for n, c in enumerate(count_pyramids(g, degree)))
+    return UnivariateSeries(degree, tuple(signed))
 
 
 def linear_density(degree: int) -> UnivariateSeries:

@@ -280,6 +280,71 @@ def enumerate_heaps(
     return out
 
 
+def count_pyramids(g: CommutationGraph, n: int, base: int | None = None) -> list[int]:
+    """Number of pyramids of each size 0..n (base vertex pinned if given).
+
+    A Cartier-Foata layer transfer that builds no heap: a pyramid is a
+    singleton base layer followed by non-empty stable layers, each inside
+    the closed neighbourhood of the layer below.  The state is (size, top
+    layer) -> count, started from the singletons, or from {base} alone;
+    top layer C at size s moves to every stable D inside N[C] with
+    s + |D| <= n.  Sizes are swept upwards, so C is first met at its
+    smallest size, and its moves are listed then, once, each extending a
+    pyramid of that size.  Layers are vertex bitmasks.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if base is not None:
+        g.check_vertex(base)
+    masks = [sum(1 << u for u in nb) for nb in g._neighborhoods]
+    roots = range(g.vertex_count) if base is None else (base,)
+    levels: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    if n:
+        levels[1] = {1 << v: 1 for v in roots}
+    moves: dict[int, list[tuple[int, int]]] = {}  # top layer -> (|D|, D) by size
+    counts = []
+    for s, level in enumerate(levels):
+        for top, c in level.items():
+            if top not in moves:
+                moves[top] = _stable_subsets(masks, _closed_reach(masks, top), n - s)
+            for size, layer in moves[top]:
+                if s + size > n:
+                    break
+                nxt = levels[s + size]
+                nxt[layer] = nxt.get(layer, 0) + c
+        counts.append(sum(level.values()))
+    return counts
+
+
+def _closed_reach(masks: list[int], layer: int) -> int:
+    """Bitmask of N[layer]: the union of the closed neighbourhoods of its bits."""
+    out = 0
+    while layer:
+        low = layer & -layer
+        out |= masks[low.bit_length() - 1]
+        layer ^= low
+    return out
+
+
+def _stable_subsets(masks: list[int], within: int, most: int) -> list[tuple[int, int]]:
+    """(size, bitmask) of each non-empty stable set of at most `most` vertices
+    inside `within`, sorted; each set is grown once, its members ascending."""
+    out = []
+    stack = [(within, 0, 0)]  # (vertices still addable, chosen set, its size)
+    while stack:
+        free, chosen, size = stack.pop()
+        if size == most:
+            continue
+        while free:
+            low = free & -free
+            free ^= low
+            grown = chosen | low
+            out.append((size + 1, grown))
+            stack.append((free & ~masks[low.bit_length() - 1], grown, size + 1))
+    out.sort()
+    return out
+
+
 @dataclass(frozen=True)
 class ColoredHeap:
     """Heap variant whose layer i may only hold vertices of color i (mod r).

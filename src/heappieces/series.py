@@ -7,6 +7,16 @@ The classic identities live at this level: the alternating configuration
 series inverts the heap series, and the pyramid series is the right
 logarithmic derivative of the heap series.
 
+Projection (every letter -> t) is a monoid morphism, so the projected
+counting series need no heap: with Gamma-bar(t) = sum over stable sets C
+of (-t)^|C|, theta = 1/Gamma-bar, theta-strict = theta o t/(1+t), and
+pi = t theta'/theta = -t Gamma-bar'/Gamma-bar (with one base v,
+-Gamma-bar_v/Gamma-bar over the stable sets holding v).
+`projected_series` computes theta and theta-strict from Gamma-bar, and pi
+by the Cartier-Foata layer transfer `heaps.count_pyramids`; both are
+polynomial in the degree.  The trace series themselves stay enumerated:
+their size is the number of heaps.
+
 All arithmetic is exact, and trace and univariate series follow one
 coefficient rule: a coefficient is a plain int unless it is a true
 non-integer (from scaling by a fraction, or inverting a series whose
@@ -23,11 +33,21 @@ from itertools import accumulate
 from typing import Callable, Iterable, Mapping
 
 from .graphs import CommutationGraph
-from .heaps import Heap, Layers, drop_words, empty_heap, enumerate_heaps
+from .heaps import (
+    Heap,
+    Layers,
+    count_pyramids,
+    drop_words,
+    empty_heap,
+    enumerate_heaps,
+)
 
 Coefficient = int | Fraction
 Term = tuple[tuple[int, ...], Coefficient]  # (canonical word, coefficient)
 Sums = list[dict[Layers, Coefficient]]  # per size: product layers -> coefficient
+PROJECTED_KINDS = (
+    "gamma", "gamma-bar", "theta", "theta-bar", "theta-strict", "pi", "pi-bar"
+)
 
 
 class SeriesError(ValueError):
@@ -49,16 +69,20 @@ class TraceSeries:
     terms: Mapping[Heap, Coefficient]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "terms",
-            {h: _exact(c) for h, c in self.terms.items() if c != 0},
-        )
-        for h in self.terms:
-            if h.graph is not self.graph and h.graph != self.graph:
+        """One pass: check each term's graph and size, drop zeros, store ints."""
+        g, n = self.graph, self.degree
+        terms = dict(self.terms)  # a copy keeps each key's hash: none is rehashed
+        for h, c in self.terms.items():
+            if not c:
+                del terms[h]
+                continue
+            if h.graph is not g and h.graph != g:
                 raise SeriesError("term over a different graph")
-            if h.size > self.degree:
+            if h.size > n:
                 raise SeriesError("term beyond truncation degree")
+            if type(c) is not int:
+                terms[h] = _exact(c)
+        object.__setattr__(self, "terms", terms)
 
     def coefficient(self, h: Heap) -> Coefficient:
         return self.terms.get(h, 0)
@@ -303,6 +327,46 @@ def univariate_substitute(s: UnivariateSeries, mode: str) -> UnivariateSeries:
         out.append(sum(p * c for p, c in zip(row, tail)))
         row = [e * p + q for p, q in zip(row + [0], [0] + row)]
     return UnivariateSeries(s.degree, tuple(out))
+
+
+def projected_series(
+    g: CommutationGraph, kind: str, degree: int, base: int | None = None
+) -> UnivariateSeries:
+    """project() of a counting series (see `PROJECTED_KINDS`), built from stable sets.
+
+    No heap is enumerated: gamma counts the stable sets by size; theta =
+    1/gamma-bar (the inversion lemma); theta-strict = theta o t/(1+t) =
+    1/(gamma-bar o t/(1+t)), because theta = theta-strict o t/(1-t) (a
+    heap is a strict heap with each cell repeated into a run, see
+    `strict_skeleton`); pi counts pyramids by the layer transfer
+    `count_pyramids`, on `base` alone when given.  Each -bar kind is its
+    plain kind at -t.
+    """
+    if kind not in PROJECTED_KINDS:
+        raise SeriesError(f"unknown series kind {kind!r}")
+    if base is not None and kind not in ("pi", "pi-bar"):
+        raise SeriesError(f"base applies to pi and pi-bar, not {kind!r}")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    if kind.startswith("pi"):
+        plain = UnivariateSeries(degree, tuple(count_pyramids(g, degree, base)))
+    else:
+        gamma = [0] * (degree + 1)
+        for conf in g.configurations(degree):
+            gamma[len(conf)] += 1
+        plain = UnivariateSeries(degree, tuple(gamma))
+        if kind.startswith("theta"):
+            gamma_bar = _at_minus_t(plain)
+            if kind == "theta-strict":  # substituted before inverting: fewer big products
+                gamma_bar = univariate_substitute(gamma_bar, "t/(1+t)")
+            plain = gamma_bar.invert()
+    return _at_minus_t(plain) if kind.endswith("-bar") else plain
+
+
+def _at_minus_t(s: UnivariateSeries) -> UnivariateSeries:
+    """s(-t): odd coefficients change sign."""
+    coeffs = tuple(-c if n % 2 else c for n, c in enumerate(s.coefficients))
+    return UnivariateSeries(s.degree, coeffs)
 
 
 def dump_trace_series(s: TraceSeries) -> str:

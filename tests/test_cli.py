@@ -32,6 +32,13 @@ def path3_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def path5_file(tmp_path, path5):
+    path = tmp_path / "path5.graph"
+    path.write_text(format_graph_literal(path5))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = cli_main(list(argv))
     captured = capsys.readouterr()
@@ -205,6 +212,48 @@ class TestSeries:
         assert code == 0
         assert out.splitlines() == ["1\ta", "1\taa", "1\tab"]
 
+    # stdout of the enumerating implementation, recorded before `--project`
+    # moved to stable sets and the pyramid transfer
+    EDGE_PROJECTIONS = [
+        ("vertices:", 3, {"gamma": "1 0 0 0", "gamma-bar": "1 0 0 0",
+                          "theta": "1 0 0 0", "theta-bar": "1 0 0 0",
+                          "theta-strict": "1 0 0 0", "pi": "0 0 0 0",
+                          "pi-bar": "0 0 0 0"}),
+        ("vertices: a b c\nedge: a b\nedge: b c", 0,
+         {"gamma": "1", "gamma-bar": "1", "theta": "1", "theta-bar": "1",
+          "theta-strict": "1", "pi": "0", "pi-bar": "0"}),
+    ]
+
+    @pytest.mark.parametrize("literal, degree, outputs", EDGE_PROJECTIONS)
+    def test_edge_projections(self, capsys, tmp_path, literal, degree, outputs):
+        graph = tmp_path / "edge.graph"
+        graph.write_text(literal + "\n")
+        labels = literal.splitlines()[0].split()[1:]
+        for kind, want in outputs.items():
+            bases = [[]] + [["--base", b] for b in labels if kind.startswith("pi")]
+            for base in bases:
+                code, out, err = run(
+                    capsys, "series", "--graph", str(graph), "--kind", kind,
+                    "--degree", str(degree), "--project", *base,
+                )
+                assert (code, out, err) == (0, want + "\n", ""), (kind, base)
+
+    def test_project_unknown_base_is_usage_error(self, capsys, path3_file):
+        code, out, err = run(
+            capsys, "series", "--graph", path3_file, "--kind", "pi",
+            "--degree", "3", "--project", "--base", "z",
+        )
+        assert (code, out, err) == (2, "", "error: unknown label 'z'\n")
+
+    def test_project_at_degree_1000(self, capsys, path5_file):
+        code, out, _ = run(
+            capsys, "series", "--graph", path5_file, "--kind", "theta",
+            "--degree", "1000", "--project",
+        )
+        coefficients = out.split()
+        assert code == 0 and len(coefficients) == 1001
+        assert coefficients[:6] == ["1", "5", "19", "66", "221", "728"]
+
     def test_base_on_kind_without_base_is_usage_error(self, capsys, path3_file):
         code, out, err = run(
             capsys, "series", "--graph", path3_file, "--kind", "theta",
@@ -232,6 +281,12 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert len(lines) == 5
         assert all(l.startswith("PASS inversion:") for l in lines)
+
+    def test_gas_suite_at_degree_200(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "gas", "--degree", "200")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 5
+        assert all(line.startswith("PASS gas:") for line in lines)
 
     def test_failed_check_exits_1(self, capsys, monkeypatch):
         failing = lambda: [verify.Check("micro", "forced", False)]
@@ -264,6 +319,27 @@ class TestGas:
         assert code == 0
         assert out.startswith("Z: 1 3 1 0 0")
         assert "PASS mean-count identity" in out
+
+    def test_graph_mode_edges(self, capsys, tmp_path, path3_file):
+        """stdout of the enumerating implementation, recorded before the pyramid transfer."""
+        empty = tmp_path / "empty.graph"
+        empty.write_text("vertices:\n")
+        code, out, _ = run(capsys, "gas", "--graph", str(empty), "--degree", "3")
+        assert (code, out) == (0, (
+            "Z: 1 0 0 0\nmean_direct: 0 0 0 0\nmean_pyramids: 0 0 0 0\n"
+            "PASS mean-count identity\n"
+        ))
+        code, out, _ = run(capsys, "gas", "--graph", path3_file, "--degree", "0")
+        assert (code, out) == (0, (
+            "Z: 1\nmean_direct: 0\nmean_pyramids: 0\nPASS mean-count identity\n"
+        ))
+
+    def test_graph_mode_at_degree_200(self, capsys, path5_file):
+        code, out, _ = run(capsys, "gas", "--graph", path5_file, "--degree", "200")
+        lines = out.splitlines()
+        assert code == 0 and lines[-1] == "PASS mean-count identity"
+        assert lines[0] == "Z: 1 5 6 1" + " 0" * 197
+        assert len(lines[2].split()) == 202  # "mean_pyramids:" and 201 coefficients
 
     def test_linear_mode(self, capsys):
         code, out, _ = run(capsys, "gas", "--linear", "--degree", "4", "--at", "1")

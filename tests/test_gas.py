@@ -14,6 +14,7 @@ from heappieces.gas import (
     mean_particles_pyramids,
     partition_function,
 )
+from heappieces.heaps import enumerate_heaps
 from heappieces.series import UnivariateSeries
 from heappieces.verify import graph_suite
 
@@ -29,6 +30,16 @@ def divide_oracle(num, den, degree):
         for j in range(degree + 1 - k):
             rem[k + j] -= c * den[j]
     return UnivariateSeries(degree, tuple(out))
+
+
+def mean_particles_by_enumeration(g, degree):
+    """Declared oracle of mean_particles_pyramids: sum (-1)^{n-1} p_n t^n
+    with p_n read off the enumerated pyramids."""
+    counts = [0] * (degree + 1)
+    for h in enumerate_heaps(g, degree, pyramids_only=True):
+        counts[h.size] += 1
+    coeffs = [0] + [(-1) ** (n - 1) * counts[n] for n in range(1, degree + 1)]
+    return UnivariateSeries(degree, tuple(coeffs))
 
 
 class TestPartitionFunction:
@@ -76,6 +87,17 @@ class TestMeanParticles:
     def test_two_routes_agree_on_suite(self):
         for _, g in graph_suite():
             assert mean_particles_direct(g, 6) == mean_particles_pyramids(g, 6)
+
+    def test_pyramid_route_matches_enumeration(self):
+        for _, g in graph_suite():
+            for degree in range(8):
+                want = mean_particles_by_enumeration(g, degree)
+                assert mean_particles_pyramids(g, degree) == want
+
+    @pytest.mark.parametrize("name", ["path5", "cycle4"])
+    def test_two_routes_agree_at_degree_200(self, name):
+        g = dict(graph_suite())[name]
+        assert mean_particles_direct(g, 200) == mean_particles_pyramids(g, 200)
 
 
 class TestLinearDensity:

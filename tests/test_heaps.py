@@ -12,8 +12,10 @@ from heappieces import (
     GraphError,
     Heap,
     HeapError,
+    build_graph,
     colored_layers,
     configurations_series,
+    count_pyramids,
     dual,
     empty_heap,
     enumerate_heaps,
@@ -27,6 +29,7 @@ from heappieces import (
     project,
     push,
     pyramid_split,
+    pyramids_series,
     strict_skeleton,
 )
 from heappieces.heaps import _landings, drop_words
@@ -570,6 +573,35 @@ class TestEnumerationOracle:
                 got = enumerate_heaps(g, n, **kw)
                 assert got == filter_heaps(upto_n, **kw), (n, kw)
                 assert len(set(got)) == len(got)
+
+
+class TestCountPyramids:
+    """count_pyramids against its declared oracle: the enumerated pyramids."""
+
+    GRAPHS = [*graph_suite(),
+              ("star6", build_graph("abcdef", [("a", x) for x in "bcdef"])),
+              ("edgeless6", build_graph("abcdef", []))]
+
+    @pytest.mark.parametrize("name, g", GRAPHS, ids=[name for name, _ in GRAPHS])
+    def test_matches_enumeration(self, name, g):
+        top = 7 if name in dict(graph_suite()) else 5
+        for base in (None, *range(g.vertex_count)):
+            want = list(project(pyramids_series(g, top, base=base)).coefficients)
+            for n in range(top + 1):  # each truncation lists its own moves
+                assert count_pyramids(g, n, base) == want[: n + 1], (base, n)
+
+    def test_no_vertices(self):
+        assert count_pyramids(build_graph([], []), 3) == [0, 0, 0, 0]
+
+    def test_rejects_what_enumerate_heaps_rejects(self, path3):
+        for call in (enumerate_heaps, count_pyramids):
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                call(path3, -1)
+        for bad in (-1, 3):
+            with pytest.raises(GraphError):
+                enumerate_heaps(path3, 2, pyramid_base=bad)
+            with pytest.raises(GraphError):
+                count_pyramids(path3, 2, bad)
 
 
 class TestColoredLayers:

@@ -1,6 +1,7 @@
 """Trace series and univariate series: exact algebra and the named identities."""
 
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from heappieces import (
     heaps_series,
     invert,
     project,
+    projected_series,
     product,
     pyramids_series,
     series_mul,
@@ -24,6 +26,7 @@ from heappieces import (
 )
 from heappieces.heaps import empty_heap
 from heappieces.series import (
+    PROJECTED_KINDS,
     TraceSeries,
     UnivariateSeries,
     dump_trace_series,
@@ -363,6 +366,29 @@ class TestCoefficientTypes:
         assert all(type(c) is int for c in from_fractions.terms.values())
 
 
+class TestTraceSeriesChecks:
+    """What the one pass of TraceSeries.__post_init__ checks and normalises."""
+
+    def test_term_beyond_degree_raises(self, path3):
+        with pytest.raises(SeriesError, match="beyond truncation degree"):
+            TraceSeries(path3, 2, {heap_of_word(path3, (0, 1, 2)): 1})
+
+    def test_term_over_another_graph_raises(self, path3, k3):
+        with pytest.raises(SeriesError, match="different graph"):
+            TraceSeries(path3, 2, {heap_of_word(k3, (0,)): 1})
+
+    def test_zero_coefficients_dropped(self, path3):
+        a, b = heap_of_word(path3, (0,)), heap_of_word(path3, (1,))
+        s = TraceSeries(path3, 2, {a: 0, b: Q(0), empty_heap(path3): 1})
+        assert s.terms == {empty_heap(path3): 1}
+
+    def test_integral_fraction_stored_as_int(self, path3):
+        a, b = heap_of_word(path3, (0,)), heap_of_word(path3, (1,))
+        s = TraceSeries(path3, 2, {a: Q(4, 2), b: Q(1, 3)})
+        assert s.terms == {a: 2, b: Q(1, 3)}
+        assert type(s.terms[a]) is int and type(s.terms[b]) is Q
+
+
 class TestUnivariate:
     def test_project_examples(self, path3):
         assert project(heaps_series(path3, 3, signed=False)).coefficients == (
@@ -460,6 +486,138 @@ class TestUnivariate:
             strictp = project(strict_heaps_series(g, 6, signed=False))
             assert univariate_substitute(strictp, "t/(1-t)") == allp
             assert univariate_substitute(allp, "t/(1+t)") == strictp
+
+
+# the enumerating builders of each projected kind: the declared oracle of
+# projected_series
+BUILDERS = {
+    "gamma": lambda g, n, base: configurations_series(g, n, signed=False),
+    "gamma-bar": lambda g, n, base: configurations_series(g, n, signed=True),
+    "theta": lambda g, n, base: heaps_series(g, n, signed=False),
+    "theta-bar": lambda g, n, base: heaps_series(g, n, signed=True),
+    "theta-strict": lambda g, n, base: strict_heaps_series(g, n, signed=False),
+    "pi": lambda g, n, base: pyramids_series(g, n, signed=False, base=base),
+    "pi-bar": lambda g, n, base: pyramids_series(g, n, signed=True, base=base),
+}
+
+
+def stable_sets(g):
+    """Every stable set of g, from all vertex subsets."""
+    vertices = range(g.vertex_count)
+    return [
+        frozenset(c)
+        for k in range(g.vertex_count + 1)
+        for c in combinations(vertices, k)
+        if not any(g.are_neighbors(u, v) for u, v in combinations(c, 2))
+    ]
+
+
+def signed_stable_counts(g, degree, v=None):
+    """Gamma-bar's coefficients, or Gamma-bar_v's (the stable sets holding v)."""
+    out = [0] * (degree + 1)
+    for c in stable_sets(g):
+        if (v is None or v in c) and len(c) <= degree:
+            out[len(c)] += (-1) ** len(c)
+    return out
+
+
+def divide(num, den):
+    """num/den as int coefficient lists by long division; den[0] == 1."""
+    steps = [(j, d) for j, d in enumerate(den) if j and d]
+    out = []
+    for k, c in enumerate(num):
+        out.append(c - sum(d * out[k - j] for j, d in steps if j <= k))
+    return out
+
+
+def strict_heap_counts(g, degree):
+    """Strict heaps by size, by a layer transfer over sets: a layer D may
+    follow C when it is a non-empty stable set inside N[C] disjoint from C."""
+    layers = [c for c in stable_sets(g) if c]
+    tops = [{} for _ in range(degree + 1)]  # size -> top layer -> count
+    for c in layers:
+        if len(c) <= degree:
+            tops[len(c)][c] = 1
+    out = [1] + [0] * degree
+    for size in range(1, degree + 1):
+        for top, count in tops[size].items():
+            out[size] += count
+            reach = set().union(*(g.neighborhood(v) for v in top))
+            for d in layers:
+                if size + len(d) <= degree and d <= reach and not d & top:
+                    tops[size + len(d)][d] = tops[size + len(d)].get(d, 0) + count
+    return out
+
+
+class TestProjectedSeries:
+    @pytest.mark.parametrize(
+        "g", [g for _, g in graph_suite()], ids=[name for name, _ in graph_suite()]
+    )
+    def test_matches_enumerated_projection(self, g):
+        assert sorted(BUILDERS) == sorted(PROJECTED_KINDS)
+        for kind, build in BUILDERS.items():
+            bases = range(g.vertex_count) if kind.startswith("pi") else ()
+            for base in (None, *bases):
+                want = project(build(g, 6, base)).coefficients
+                for n in range(7):
+                    got = projected_series(g, kind, n, base)
+                    assert got == UnivariateSeries(n, want[: n + 1]), (kind, base, n)
+                    assert all(type(c) is int for c in got.coefficients)
+
+    def test_no_vertices(self):
+        g = build_graph([], [])
+        for kind in PROJECTED_KINDS:
+            want = "0 0 0 0" if kind.startswith("pi") else "1 0 0 0"
+            assert str(projected_series(g, kind, 3)) == want
+
+    def test_rejects_what_enumeration_rejects(self, path3):
+        for kind in PROJECTED_KINDS:
+            with pytest.raises(ValueError):
+                projected_series(path3, kind, -1)
+        for bad in (-1, 3):
+            for kind in ("pi", "pi-bar"):
+                with pytest.raises(GraphError):
+                    projected_series(path3, kind, 2, bad)
+
+    def test_rejects_unknown_kind_and_stray_base(self, path3):
+        with pytest.raises(SeriesError, match="unknown series kind"):
+            projected_series(path3, "delta", 2)
+        with pytest.raises(SeriesError, match="base applies to pi and pi-bar"):
+            projected_series(path3, "theta", 2, 0)
+
+
+class TestProjectedAtDegree200:
+    """Each projected kind at degree 200 against a route it shares no code with."""
+
+    DEGREE = 200
+
+    @pytest.fixture(params=["path5", "cycle4"])
+    def g(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_theta_log_derivative_is_pi(self, g):
+        theta = projected_series(g, "theta", self.DEGREE)
+        pi = projected_series(g, "pi", self.DEGREE)
+        assert theta.t_derivative() == theta * pi
+
+    def test_theta_is_one_over_gamma_bar(self, g):
+        one = [1] + [0] * self.DEGREE
+        want = divide(one, signed_stable_counts(g, self.DEGREE))
+        assert list(projected_series(g, "theta", self.DEGREE).coefficients) == want
+        bar = projected_series(g, "theta-bar", self.DEGREE).coefficients
+        assert list(bar) == [(-1) ** n * c for n, c in enumerate(want)]
+
+    def test_based_pyramids_are_minus_gamma_bar_v_over_gamma_bar(self, g):
+        gamma_bar = signed_stable_counts(g, self.DEGREE)
+        for v in range(g.vertex_count):
+            minus = [-c for c in signed_stable_counts(g, self.DEGREE, v)]
+            want = divide(minus, gamma_bar)
+            got = projected_series(g, "pi", self.DEGREE, v).coefficients
+            assert list(got) == want
+
+    def test_theta_strict_is_the_strict_layer_transfer(self, g):
+        got = projected_series(g, "theta-strict", self.DEGREE).coefficients
+        assert list(got) == strict_heap_counts(g, self.DEGREE)
 
 
 class TestDump:
