@@ -88,12 +88,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_text(value: int) -> str:
-    """Decimal text of an int of any length.
+def _text(value: object) -> str:
+    """str(value) with ints of any length: a count, or a series of ints.
 
     CPython caps int/str conversion at 4300 digits by default (3.10.7 and
-    later); the cap guards against parsing untrusted text, and a count at
-    --size 10000 already has ~4800 digits.
+    later); the cap guards against parsing untrusted text.  A count at
+    --size 10000 already has ~4800 digits, and a chain density coefficient
+    at --degree 7500 ~4500.  The cap is restored before returning.
     """
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     if get_limit is None:
@@ -107,7 +108,7 @@ def _int_text(value: int) -> str:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    print(_int_text(animal_count(args.size, args.lattice, args.source)))
+    print(_text(animal_count(args.size, args.lattice, args.source)))
     return 0
 
 
@@ -128,7 +129,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     base = g.index(args.base) if args.base is not None else None
     if args.project:  # from stable sets, not from the heaps
-        print(projected_series(g, args.kind, args.degree, base))
+        print(_text(projected_series(g, args.kind, args.degree, base)))
     else:
         print(dump_trace_series(_SERIES_BUILDERS[args.kind](g, args.degree, base)))
     return 0
@@ -160,7 +161,7 @@ def _cmd_gas(args: argparse.Namespace) -> int:
     if args.linear:
         # evaluate first so a bad --at leaves no partial output
         density = None if args.at is None else gasmod.evaluate_density(args.at)
-        print(f"density_series: {gasmod.linear_density(args.degree)}")
+        print(f"density_series: {_text(gasmod.linear_density(args.degree))}")
         if density is not None:
             print(f"density({args.at}) = {density:.15f}")
         return 0
@@ -168,9 +169,9 @@ def _cmd_gas(args: argparse.Namespace) -> int:
     z = gasmod.partition_function(g, args.degree)
     direct = gasmod.mean_particles_direct(g, args.degree)
     pyramids = gasmod.mean_particles_pyramids(g, args.degree)
-    print(f"Z: {z}")
-    print(f"mean_direct: {direct}")
-    print(f"mean_pyramids: {pyramids}")
+    print(f"Z: {_text(z)}")
+    print(f"mean_direct: {_text(direct)}")
+    print(f"mean_pyramids: {_text(pyramids)}")
     ok = direct == pyramids
     print("PASS mean-count identity" if ok else "FAIL mean-count identity")
     return 0 if ok else 1

@@ -51,11 +51,15 @@ def mean_particles_pyramids(g: CommutationGraph, degree: int) -> UnivariateSerie
 def linear_density(degree: int) -> UnivariateSeries:
     """Per-site density series of the chain: sum (-1)^{n-1} C(2n,n)/2 t^n.
 
-    C(2n, n) = 2 C(2n-1, n-1) is even for n >= 1, so every coefficient is an int.
+    C(2n, n) = 2 C(2n-1, n-1) is even for n >= 1, so every coefficient is an
+    int.  Each central binomial comes from the last by the exact ratio
+    C(2n, n) = C(2n-2, n-1) * 2(2n-1) / n, one small product per degree.
     """
-    coeffs = [0] + [
-        (-1) ** (n - 1) * math.comb(2 * n, n) // 2 for n in range(1, degree + 1)
-    ]
+    coeffs = [0]
+    central = 1  # C(2n, n)
+    for n in range(1, degree + 1):
+        central = central * 2 * (2 * n - 1) // n
+        coeffs.append(central // 2 if n % 2 else -(central // 2))
     return UnivariateSeries(degree, tuple(coeffs))
 
 

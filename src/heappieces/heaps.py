@@ -1,13 +1,15 @@
 """Heaps of pieces: the canonical layered form of traces.
 
 A heap over a commutation graph is a sequence of non-empty stable layers
-C_1..C_n where every cell of C_i (i>1) has a neighbour in C_{i-1}.  Words
-map onto heaps by dropping each letter to height
-1 + max{height of occupied neighbouring fibres}, and two words yield the
-same heap exactly when they differ by exchanges of adjacent commuting
-letters.  Heaps therefore *are* the elements of the partially commutative
-monoid, and everything downstream (series, animals, sampling) works on
-this canonical form.
+C_1..C_n with each C_i (i>1) inside the closed neighbourhood N[C_{i-1}]:
+the Cartier-Foata normal form.  Words map onto heaps by dropping each
+letter to height 1 + max{height of occupied neighbouring fibres}, and two
+words yield the same heap exactly when they differ by exchanges of
+adjacent commuting letters.  Heaps therefore *are* the elements of the
+partially commutative monoid, and everything downstream (series, animals,
+sampling) works on this canonical form.  Listing and counting heaps
+(`enumerate_heaps`, `count_pyramids`) grow the layers themselves, so
+words are dropped only to build heaps from words and products.
 
 Conventions: layers are tuples of ascending vertex indices; the canonical
 word of a heap enumerates the layers bottom-up, each in ascending index
@@ -169,7 +171,7 @@ def is_strict(h: Heap) -> bool:
 
     This is the layer form of the word criterion (consecutive occurrences
     of a letter have a true neighbour between them); `enumerate_heaps`
-    applies the same rule to each pushed piece.
+    applies the same rule to each new layer.
     """
     return all(set(a).isdisjoint(b) for a, b in zip(h.layers, h.layers[1:]))
 
@@ -236,16 +238,14 @@ def enumerate_heaps(
 ) -> list[Heap]:
     """All canonical heaps of size <= n, optionally strict and/or pyramids.
 
-    Each heap is grown from exactly one parent: itself with its
-    highest-index maximal piece removed.  So pushing v onto h is kept iff
-    h has no maximal piece u > v outside N[v]; no heap is built twice and
-    nothing is deduplicated.  The filters prune the growth itself, which
-    is sound because removing a maximal piece keeps a heap strict, and
-    keeps a pyramid of size >= 2 a pyramid on the same base: the kept
-    heaps are closed under taking the parent.  `pyramids_only` keeps
-    heaps with a singleton base (no empty pyramid, so the empty heap drops
-    out); `pyramid_base` additionally pins the base vertex.  Deterministic
-    output order: (size, canonical word).
+    The listing counterpart of `count_pyramids`, on the same layer
+    transfer.  The empty heap grows by every non-empty stable set, or by
+    the singletons with `pyramids_only`, or by {base} alone with
+    `pyramid_base`.  A heap of size s with top layer C grows by each
+    stable D inside N[C] with s + |D| <= n (and D & C == 0 if
+    `strict_only`); C's moves are listed once, at the smallest size where
+    C is met.  Each heap is reached once, by its own layers, and each size
+    is sorted by canonical word: the order is (size, canonical word).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -253,31 +253,31 @@ def enumerate_heaps(
         g.check_vertex(pyramid_base)
         pyramids_only = True
     vertices = range(g.vertex_count)
-    # bit u of outside[v] is set iff u is not in N[v]
-    outside = [~sum(1 << u for u in g.neighborhood(v)) for v in vertices]
-    roots = vertices if pyramid_base is None else (pyramid_base,)
-    # each entry: a heap and the bitmask of its maximal pieces' fibres
-    level: list[tuple[Heap, int]] = [(empty_heap(g), 0)]
-    out: list[Heap] = [] if pyramids_only else [empty_heap(g)]
-    for _ in range(n):
-        nxt = []
-        for h, maximal in level:
-            tops = h.fibre_heights()
-            for v in roots if pyramids_only and not h.layers else vertices:
-                kept = maximal & outside[v]  # stay maximal after pushing v
-                if kept >> v:
-                    continue  # a higher maximal piece: h is not the parent
-                (height,) = _landings(g, (v,), dict(tops))
-                if pyramids_only and h.layers and height == 1:
-                    continue  # joins the base layer
-                if strict_only and tops.get(v) == height - 1:
-                    continue  # v in two consecutive layers
-                child = Heap(g, _place(h.layers, (v,), [height]))
-                nxt.append((child, kept | 1 << v))
-        nxt.sort(key=lambda entry: entry[0].canonical_word())
-        out.extend(entry[0] for entry in nxt)
-        level = nxt
-    return out
+    masks = [sum(1 << u for u in nb) for nb in g._neighborhoods]
+    moves: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}  # top -> (|D|, D, row)
+    if pyramids_only:  # the empty heap, top layer 0, grows by the bases alone
+        roots = vertices if pyramid_base is None else (pyramid_base,)
+        moves[0] = [(1, 1 << v, (v,)) for v in roots]
+    # levels[s]: (layers, top layer bitmask) of each heap of size s, unsorted
+    levels: list[list[tuple[Layers, int]]] = [[((), 0)]] + [[] for _ in range(n)]
+    out: list[Heap] = []
+    for s in range(n + 1):  # the key is the canonical word
+        level, levels[s] = sorted(levels[s], key=lambda e: sum(e[0], ())), []
+        out += [Heap(g, layers) for layers, _ in level]
+        for layers, top in level:
+            if top not in moves:
+                within = _closed_reach(masks, top) if top else (1 << len(vertices)) - 1
+                if strict_only:  # no vertex in two consecutive layers
+                    within &= ~top
+                moves[top] = [
+                    (size, d, tuple(v for v in vertices if d >> v & 1))
+                    for size, d in _stable_subsets(masks, within, n - s)
+                ]
+            for size, d, row in moves[top]:
+                if s + size > n:
+                    break
+                levels[s + size].append((layers + (row,), d))
+    return out[1:] if pyramids_only else out  # the empty heap is no pyramid
 
 
 def count_pyramids(g: CommutationGraph, n: int, base: int | None = None) -> list[int]:

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -254,6 +255,27 @@ class TestSeries:
         assert code == 0 and len(coefficients) == 1001
         assert coefficients[:6] == ["1", "5", "19", "66", "221", "728"]
 
+    def test_project_prints_past_the_digit_cap(self, capsys, tmp_path):
+        """theta = 1/(1 - 10t) on K10.  The cap is lowered to its 640-digit
+        floor so that 10^700 crosses it; the CLI must print it in full and
+        leave the cap as it found it."""
+        labels = "abcdefghij"
+        edges = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
+        graph = tmp_path / "k10.graph"
+        graph.write_text(format_graph_literal(build_graph(labels, edges)))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(
+                capsys, "series", "--graph", str(graph), "--kind", "theta",
+                "--degree", "700", "--project",
+            )
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (0, "")
+        assert [int_from_text(c) for c in out.split()] == [10**n for n in range(701)]
+
     def test_base_on_kind_without_base_is_usage_error(self, capsys, path3_file):
         code, out, err = run(
             capsys, "series", "--graph", path3_file, "--kind", "theta",
@@ -346,6 +368,14 @@ class TestGas:
         assert code == 0
         assert "0 1 -3 10 -35" in out
         assert "0.2763932" in out
+
+    def test_linear_mode_past_the_digit_cap(self, capsys):
+        """The coefficient at degree 7200 has 4333 digits, over the
+        interpreter's default 4300-digit cap."""
+        code, out, err = run(capsys, "gas", "--linear", "--degree", "7200")
+        last = out.split()[-1]
+        assert (code, err) == (0, "") and len(last) == 4334  # with its sign
+        assert int_from_text(last) == -(math.comb(14400, 7200) // 2)
 
     def test_rejects_non_finite_at(self, capsys):
         for value in ("nan", "inf"):

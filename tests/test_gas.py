@@ -1,5 +1,6 @@
 """Gas observables: partition functions, mean counts two ways, chain density."""
 
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -111,6 +112,17 @@ class TestLinearDensity:
 
     def test_matches_taylor_oracle_deg12(self):
         assert linear_density(12) == density_taylor_oracle(12)
+
+    def test_matches_taylor_oracle_deg80(self):
+        assert linear_density(80) == density_taylor_oracle(80)
+
+    def test_ratio_matches_math_comb(self):
+        """The central-binomial ratio against math.comb at every n <= 300."""
+        got = linear_density(300).coefficients
+        want = [0] + [(-1) ** (n - 1) * math.comb(2 * n, n) // 2 for n in range(1, 301)]
+        assert list(got) == want
+        assert all(type(c) is int for c in got)
+        assert linear_density(0).coefficients == (0,)
 
     def test_point_values(self):
         assert evaluate_density(0) == 0.0

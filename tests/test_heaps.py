@@ -29,7 +29,6 @@ from heappieces import (
     project,
     push,
     pyramid_split,
-    pyramids_series,
     strict_skeleton,
 )
 from heappieces.heaps import _landings, drop_words
@@ -553,11 +552,20 @@ def filter_heaps(heaps, strict_only=False, pyramids_only=False, pyramid_base=Non
     ]
 
 
+def random_graph(seed):
+    """A graph on 1-7 letters, each edge present with probability 0.4."""
+    rng = random.Random(seed)
+    labels = "abcdefg"[: 1 + seed % 7]
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
+    return build_graph(labels, [pair for pair in pairs if rng.random() < 0.4])
+
+
 class TestEnumerationOracle:
-    @pytest.mark.parametrize(
-        "g", [g for _, g in graph_suite()], ids=[name for name, _ in graph_suite()]
-    )
-    def test_matches_closure_then_filter(self, g):
+    GRAPHS = [*graph_suite(), *((f"random{k}", random_graph(k)) for k in range(24))]
+
+    @pytest.mark.parametrize("name, g", GRAPHS, ids=[name for name, _ in GRAPHS])
+    def test_matches_closure_then_filter(self, name, g):
+        top = 6 if name in dict(graph_suite()) else 5 if g.vertex_count <= 5 else 4
         filters = [
             {},
             {"strict_only": True},
@@ -566,8 +574,8 @@ class TestEnumerationOracle:
         ]
         for v in range(g.vertex_count):
             filters += [{"pyramid_base": v}, {"pyramid_base": v, "strict_only": True}]
-        everything = all_heaps_by_closure(g, 6)
-        for n in range(7):
+        everything = all_heaps_by_closure(g, top)
+        for n in range(top + 1):
             upto_n = [h for h in everything if h.size <= n]
             for kw in filters:
                 got = enumerate_heaps(g, n, **kw)
@@ -576,7 +584,8 @@ class TestEnumerationOracle:
 
 
 class TestCountPyramids:
-    """count_pyramids against its declared oracle: the enumerated pyramids."""
+    """count_pyramids against its declared oracle: the pyramids of the push
+    closure, which shares no code with the layer transfer."""
 
     GRAPHS = [*graph_suite(),
               ("star6", build_graph("abcdef", [("a", x) for x in "bcdef"])),
@@ -585,8 +594,11 @@ class TestCountPyramids:
     @pytest.mark.parametrize("name, g", GRAPHS, ids=[name for name, _ in GRAPHS])
     def test_matches_enumeration(self, name, g):
         top = 7 if name in dict(graph_suite()) else 5
+        everything = all_heaps_by_closure(g, top)
         for base in (None, *range(g.vertex_count)):
-            want = list(project(pyramids_series(g, top, base=base)).coefficients)
+            want = [0] * (top + 1)
+            for h in filter_heaps(everything, pyramids_only=True, pyramid_base=base):
+                want[h.size] += 1
             for n in range(top + 1):  # each truncation lists its own moves
                 assert count_pyramids(g, n, base) == want[: n + 1], (base, n)
 
