@@ -113,9 +113,6 @@ class TestLinearDensity:
     def test_matches_taylor_oracle_deg12(self):
         assert linear_density(12) == density_taylor_oracle(12)
 
-    def test_matches_taylor_oracle_deg80(self):
-        assert linear_density(80) == density_taylor_oracle(80)
-
     def test_ratio_matches_math_comb(self):
         """The central-binomial ratio against math.comb at every n <= 300."""
         got = linear_density(300).coefficients
