@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
-from .paths import StepWord, is_motzkin_prefix, mark_celibates
+from .paths import StepWord, _marked_letters, is_motzkin_prefix
 
 LATTICES = ("square", "triangular")
 SOURCES = ("point", "compact")
@@ -167,7 +167,7 @@ def animal_of_word(w: StepWord, lattice: str, source: str) -> Animal:
     """
     compact = source == "compact"
     n_cells = len(w) + 1
-    marked = mark_celibates(w, descents=compact).letters
+    marked = _marked_letters(w, descents=compact)
     off = n_cells + 1
     max_right = 2 * n_cells if compact else n_cells
     fibre = [-1] * (n_cells + max_right + 3 + off)

@@ -6,10 +6,9 @@ in for chemical potential and temperature (t = exp(mu/kT); neither mu, k
 nor T appears anywhere else).  The mean particle count t Z'/Z also equals
 the alternating pyramid series sum (-1)^{n-1} p_n t^n, which is the
 identity checked here by computing both sides independently: Z from the
-stable sets (`projected_series(g, "gamma", ...)`), and p_n by the
-Cartier-Foata layer transfer `heaps.count_pyramids`, which counts
-pyramids by (size, top layer) without building a heap.  Both are
-polynomial in the degree.
+stable sets (`projected_series(g, "gamma", ...)`), and p_n from the
+pyramid layer transfer (`projected_series(g, "pi-bar", ...)`, which is
+sum (-1)^n p_n t^n), neither building a heap.
 
 On the infinite chain the per-site density has the closed form
 d(t) = (1 - (1+4t)^{-1/2}) / 2, whose Taylor coefficients are the
@@ -23,7 +22,6 @@ import math
 from fractions import Fraction
 
 from .graphs import CommutationGraph
-from .heaps import count_pyramids
 from .series import UnivariateSeries, projected_series
 
 
@@ -44,8 +42,7 @@ def mean_particles_direct(g: CommutationGraph, degree: int) -> UnivariateSeries:
 
 def mean_particles_pyramids(g: CommutationGraph, degree: int) -> UnivariateSeries:
     """sum (-1)^{n-1} p_n t^n over pyramid counts p_n (all bases)."""
-    signed = (c if n % 2 else -c for n, c in enumerate(count_pyramids(g, degree)))
-    return UnivariateSeries(degree, tuple(signed))
+    return projected_series(g, "pi-bar", degree).scale(-1)
 
 
 def linear_density(degree: int) -> UnivariateSeries:

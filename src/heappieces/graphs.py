@@ -8,14 +8,15 @@ sets) are the legal hard-particle placements and the one-layer heaps.
 Vertices are dense indices 0..n-1; labels live in a separate table and
 only appear at the I/O boundary.  Graphs are immutable and hashable;
 heaps compare their graph but hash by their layers alone, because the
-heaps of one series share one graph.
+heaps of one series share one graph.  A vertex set is also a bitmask
+(bit v for vertex v): the graph builds its closed-neighbourhood masks
+once, for the one stable-set lister.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -32,6 +33,8 @@ class CommutationGraph:
     _neighborhoods: tuple[frozenset[int], ...] = field(
         init=False, repr=False, compare=False
     )
+    # index -> bitmask of its closed neighbourhood; derived like the above
+    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -48,6 +51,7 @@ class CommutationGraph:
         object.__setattr__(
             self, "_neighborhoods", tuple(frozenset(s) for s in adj)
         )
+        object.__setattr__(self, "_masks", tuple(sum(1 << u for u in s) for s in adj))
 
     @property
     def vertex_count(self) -> int:
@@ -68,48 +72,64 @@ class CommutationGraph:
         self.check_vertex(v)
         return self._neighborhoods[v]
 
-    def neighborhood_of_set(self, vs: Iterable[int]) -> frozenset[int]:
-        out: set[int] = set()
-        for v in vs:
-            out |= self.neighborhood(v)
-        return frozenset(out)
-
     def are_neighbors(self, u: int, v: int) -> bool:
         return v in self._neighborhoods[u]
 
     def is_configuration(self, vs: Iterable[int]) -> bool:
         """True iff no two distinct members are adjacent (stable set)."""
-        vs = list(vs)
+        vs = set(vs)
         for v in vs:
             self.check_vertex(v)
-        return all(
-            v not in self._neighborhoods[u]
-            for u, v in combinations(sorted(set(vs)), 2)
-        )
+        chosen = sum(1 << v for v in vs)
+        return all(self._masks[v] & chosen == 1 << v for v in vs)
 
     def configurations(self, max_size: int) -> list[tuple[int, ...]]:
-        """All stable sets of size <= max_size, including the empty one.
-
-        Sorted by (size, members); grown from smaller stable sets so the
-        cost tracks the output, not 2^n.
-        """
+        """All stable sets of size <= max_size, including the empty one,
+        sorted by (size, members); the cost tracks the output, not 2^n."""
         if max_size < 0:
             raise ValueError("max_size must be >= 0")
-        out: list[tuple[int, ...]] = [()]
-        layer: list[tuple[int, ...]] = [()]
-        for _ in range(max_size):
-            nxt = []
-            for conf in layer:
-                start = conf[-1] + 1 if conf else 0
-                blocked = self.neighborhood_of_set(conf)
-                for v in range(start, self.vertex_count):
-                    if v not in blocked:
-                        nxt.append(conf + (v,))
-            if not nxt:
-                break
-            out.extend(nxt)
-            layer = nxt
+        return [_members(s) for _, s in self._stable_sets(max_size)]
+
+    def _closed_reach(self, layer: int) -> int:
+        """Bitmask of N[layer]: the union of the closed neighbourhoods of its bits."""
+        out = 0
+        for v in _members(layer):
+            out |= self._masks[v]
         return out
+
+    def _stable_sets(
+        self, most: int, within: int | None = None
+    ) -> Iterator[tuple[int, int]]:
+        """(size, bitmask) of each stable subset of `within` (default: every
+        vertex) of at most `most` members, in (size, members) order: each set
+        of size k grows one of size k - 1, in order, by a vertex above its
+        largest member that no member neighbours; two sizes are held at once."""
+        masks = self._masks
+        if within is None:
+            within = (1 << len(masks)) - 1
+        yield 0, 0
+        layer = [(0, within)]  # (set, vertices that may still join it)
+        for size in range(1, most + 1):
+            grown = []
+            for chosen, free in layer:
+                while free:
+                    low = free & -free
+                    free ^= low  # leaves the vertices above low
+                    grown.append((chosen | low, free & ~masks[low.bit_length() - 1]))
+            if not grown:
+                break
+            yield from ((size, s) for s, _ in grown)
+            layer = grown
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ words yield the same heap exactly when they differ by exchanges of
 adjacent commuting letters.  Heaps therefore *are* the elements of the
 partially commutative monoid, and everything downstream (series, animals,
 sampling) works on this canonical form.  Listing and counting heaps
-(`enumerate_heaps`, `count_pyramids`) grow the layers themselves, so
-words are dropped only to build heaps from words and products.
+(`enumerate_heaps`, `count_pyramids`) grow the layers themselves by one
+move rule (`_moves`), on the graph's vertex bitmasks and its stable-set
+lister, so words are dropped only to build heaps from words and products.
 
 Conventions: layers are tuples of ascending vertex indices; the canonical
 word of a heap enumerates the layers bottom-up, each in ascending index
@@ -24,7 +25,9 @@ from dataclasses import dataclass, field
 from itertools import chain, zip_longest
 from typing import Iterable, Iterator
 
-from .graphs import Coloring, CommutationGraph, parse_graph_literal, format_graph_literal
+from .graphs import (
+    Coloring, CommutationGraph, _members, format_graph_literal, parse_graph_literal
+)
 
 Cell = tuple[int, int]  # (vertex index, 1-based height)
 Layers = tuple[tuple[int, ...], ...]
@@ -229,6 +232,23 @@ def pyramid_split(h: Heap, c: Cell) -> tuple[Heap, Heap]:
     return heap_of_word(h.graph, rest), heap_of_word(h.graph, pyramid)
 
 
+def _moves(
+    g: CommutationGraph, top: int, most: int, roots: Iterable[int] | None, strict: bool
+) -> list[tuple[int, int]]:
+    """The layer transfer's move rule: (|D|, D) by size for each layer D of at
+    most `most` vertices that a heap with top layer `top` grows by.  The empty
+    heap (top 0) grows by every non-empty stable set, or by the singletons of
+    `roots` if given; a top C grows by each stable D inside N[C], and outside
+    C when `strict` (no vertex in two consecutive layers).
+    """
+    if not top and roots is not None:
+        return [(1, 1 << v) for v in roots]
+    within = None
+    if top:
+        within = g._closed_reach(top) & ~top if strict else g._closed_reach(top)
+    return [(size, d) for size, d in g._stable_sets(most, within) if size]
+
+
 def enumerate_heaps(
     g: CommutationGraph,
     n: int,
@@ -238,26 +258,18 @@ def enumerate_heaps(
 ) -> list[Heap]:
     """All canonical heaps of size <= n, optionally strict and/or pyramids.
 
-    The listing counterpart of `count_pyramids`, on the same layer
-    transfer.  The empty heap grows by every non-empty stable set, or by
-    the singletons with `pyramids_only`, or by {base} alone with
-    `pyramid_base`.  A heap of size s with top layer C grows by each
-    stable D inside N[C] with s + |D| <= n (and D & C == 0 if
-    `strict_only`); C's moves are listed once, at the smallest size where
-    C is met.  Each heap is reached once, by its own layers, and each size
-    is sorted by canonical word: the order is (size, canonical word).
+    The layer transfer of `count_pyramids`, listing heaps: from the empty
+    heap by the move rule `_moves`, each top layer's moves listed once, at
+    the smallest size where it is met.  Each heap is reached once, by its
+    own layers, and each size is sorted by canonical word.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    roots = range(g.vertex_count) if pyramids_only else None
     if pyramid_base is not None:
         g.check_vertex(pyramid_base)
-        pyramids_only = True
-    vertices = range(g.vertex_count)
-    masks = [sum(1 << u for u in nb) for nb in g._neighborhoods]
+        pyramids_only, roots = True, (pyramid_base,)
     moves: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}  # top -> (|D|, D, row)
-    if pyramids_only:  # the empty heap, top layer 0, grows by the bases alone
-        roots = vertices if pyramid_base is None else (pyramid_base,)
-        moves[0] = [(1, 1 << v, (v,)) for v in roots]
     # levels[s]: (layers, top layer bitmask) of each heap of size s, unsorted
     levels: list[list[tuple[Layers, int]]] = [[((), 0)]] + [[] for _ in range(n)]
     out: list[Heap] = []
@@ -266,12 +278,9 @@ def enumerate_heaps(
         out += [Heap(g, layers) for layers, _ in level]
         for layers, top in level:
             if top not in moves:
-                within = _closed_reach(masks, top) if top else (1 << len(vertices)) - 1
-                if strict_only:  # no vertex in two consecutive layers
-                    within &= ~top
                 moves[top] = [
-                    (size, d, tuple(v for v in vertices if d >> v & 1))
-                    for size, d in _stable_subsets(masks, within, n - s)
+                    (size, d, _members(d))
+                    for size, d in _moves(g, top, n - s, roots, strict_only)
                 ]
             for size, d, row in moves[top]:
                 if s + size > n:
@@ -283,66 +292,29 @@ def enumerate_heaps(
 def count_pyramids(g: CommutationGraph, n: int, base: int | None = None) -> list[int]:
     """Number of pyramids of each size 0..n (base vertex pinned if given).
 
-    A Cartier-Foata layer transfer that builds no heap: a pyramid is a
-    singleton base layer followed by non-empty stable layers, each inside
-    the closed neighbourhood of the layer below.  The state is (size, top
-    layer) -> count, started from the singletons, or from {base} alone;
-    top layer C at size s moves to every stable D inside N[C] with
-    s + |D| <= n.  Sizes are swept upwards, so C is first met at its
-    smallest size, and its moves are listed then, once, each extending a
-    pyramid of that size.  Layers are vertex bitmasks.
+    A Cartier-Foata layer transfer that builds no heap: the state is (size,
+    top layer bitmask) -> count, grown from the empty heap by the singletons,
+    or by {base} alone, the pyramid's base layer, then by the move rule
+    `_moves`.  Sizes are swept upwards, so each top's moves are listed once.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if base is not None:
         g.check_vertex(base)
-    masks = [sum(1 << u for u in nb) for nb in g._neighborhoods]
     roots = range(g.vertex_count) if base is None else (base,)
-    levels: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    if n:
-        levels[1] = {1 << v: 1 for v in roots}
+    levels: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]
     moves: dict[int, list[tuple[int, int]]] = {}  # top layer -> (|D|, D) by size
-    counts = []
     for s, level in enumerate(levels):
         for top, c in level.items():
             if top not in moves:
-                moves[top] = _stable_subsets(masks, _closed_reach(masks, top), n - s)
+                moves[top] = _moves(g, top, n - s, roots, False)
             for size, layer in moves[top]:
                 if s + size > n:
                     break
                 nxt = levels[s + size]
                 nxt[layer] = nxt.get(layer, 0) + c
-        counts.append(sum(level.values()))
-    return counts
-
-
-def _closed_reach(masks: list[int], layer: int) -> int:
-    """Bitmask of N[layer]: the union of the closed neighbourhoods of its bits."""
-    out = 0
-    while layer:
-        low = layer & -layer
-        out |= masks[low.bit_length() - 1]
-        layer ^= low
-    return out
-
-
-def _stable_subsets(masks: list[int], within: int, most: int) -> list[tuple[int, int]]:
-    """(size, bitmask) of each non-empty stable set of at most `most` vertices
-    inside `within`, sorted; each set is grown once, its members ascending."""
-    out = []
-    stack = [(within, 0, 0)]  # (vertices still addable, chosen set, its size)
-    while stack:
-        free, chosen, size = stack.pop()
-        if size == most:
-            continue
-        while free:
-            low = free & -free
-            free ^= low
-            grown = chosen | low
-            out.append((size + 1, grown))
-            stack.append((free & ~masks[low.bit_length() - 1], grown, size + 1))
-    out.sort()
-    return out
+    # the empty heap, the one state of size 0, is no pyramid
+    return [0] + [sum(level.values()) for level in levels[1:]]
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,12 @@ def mark_celibates(w: StepWord, descents: bool = True) -> StepWord:
     `descents=False` skips the descending scan, which marks nothing on a
     Motzkin prefix.
     """
+    return StepWord(w.r, _marked_letters(w, descents))
+
+
+def _marked_letters(w: StepWord, descents: bool = True) -> str:
+    """The letters of `mark_celibates(w, descents)`, with no StepWord built:
+    the scans write only letters of w, so they need no second check."""
     out = list(w.letters.lower())
     n = len(out)
     if descents:
@@ -121,7 +127,7 @@ def mark_celibates(w: StepWord, descents: bool = True) -> StepWord:
             if h < hmin:
                 hmin = h
                 out[i] = "A"
-    return StepWord(w.r, "".join(out))
+    return "".join(out)
 
 
 def catalan_factorize(
@@ -137,7 +143,7 @@ def catalan_factorize(
     word and interleaving the factors with the marked separators
     reconcatenates to the input.
     """
-    head, sep, tail = mark_celibates(w).letters.partition("A")
+    head, sep, tail = _marked_letters(w).partition("A")
     pre = tuple(StepWord(w.r, u) for u in head.split("B"))
     post = tuple(StepWord(w.r, u) for u in tail.split("A")) if sep else ()
     return pre, post
@@ -203,6 +209,6 @@ def bicolored_prefix_to_dyck_prefix(w: StepWord) -> StepWord:
     """
     if w.r != 2 or not is_motzkin_prefix(w):
         raise WordError("input must be a bicolored Motzkin prefix")
-    factors = mark_celibates(w).letters.split("A")  # a prefix has no `B`
+    factors = _marked_letters(w).split("A")  # a prefix has no `B`
     pieces = [bicolored_to_dyck(StepWord(2, u)).letters[:-1] for u in factors]
     return StepWord(0, "a".join(pieces))

@@ -12,10 +12,10 @@ counting series need no heap: with Gamma-bar(t) = sum over stable sets C
 of (-t)^|C|, theta = 1/Gamma-bar, theta-strict = theta o t/(1+t), and
 pi = t theta'/theta = -t Gamma-bar'/Gamma-bar (with one base v,
 -Gamma-bar_v/Gamma-bar over the stable sets holding v).
-`projected_series` computes theta and theta-strict from Gamma-bar, and pi
-by the Cartier-Foata layer transfer `heaps.count_pyramids`; both are
-polynomial in the degree.  The trace series themselves stay enumerated:
-their size is the number of heaps.
+`projected_series` counts stable sets by size, inverts Gamma-bar for theta
+and theta-strict, and counts pi by the layer transfer `heaps.count_pyramids`:
+no heap is built, but every stable set is visited.  The trace series
+themselves stay enumerated: their size is the number of heaps.
 
 All arithmetic is exact, and trace and univariate series follow one
 coefficient rule: a coefficient is a plain int unless it is a true
@@ -272,14 +272,18 @@ class UnivariateSeries:
         )
 
     def invert(self) -> "UnivariateSeries":
-        """out_0 = 1/c0 and out_k = -(1/c0) sum_{j >= 1} c_j out_{k-j}."""
+        """out_0 = 1/c0 and out_k = -(1/c0) sum_{j >= 1} c_j out_{k-j}, over the
+        nonzero c_j alone: a polynomial of degree a inverts in O(degree * a)."""
         c = self.coefficients
         if c[0] == 0:
             raise SeriesError("constant term zero is not invertible")
         inv0 = _exact(Fraction(1, c[0]))  # never 1 / c[0]: int / int is a float
         out: list[Coefficient] = [inv0]
+        nonzero: list[tuple[int, Coefficient]] = []  # (j, c_j != 0) for 1 <= j <= k
         for k in range(1, self.degree + 1):
-            out.append(-inv0 * sum(c[j] * out[k - j] for j in range(1, k + 1)))
+            if c[k]:
+                nonzero.append((k, c[k]))
+            out.append(-inv0 * sum(cj * out[k - j] for j, cj in nonzero))
         return UnivariateSeries(self.degree, tuple(out))
 
     def _check(self, other: "UnivariateSeries") -> None:
@@ -352,8 +356,8 @@ def projected_series(
         plain = UnivariateSeries(degree, tuple(count_pyramids(g, degree, base)))
     else:
         gamma = [0] * (degree + 1)
-        for conf in g.configurations(degree):
-            gamma[len(conf)] += 1
+        for size, _ in g._stable_sets(degree):
+            gamma[size] += 1
         plain = UnivariateSeries(degree, tuple(gamma))
         if kind.startswith("theta"):
             gamma_bar = _at_minus_t(plain)

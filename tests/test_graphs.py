@@ -117,6 +117,23 @@ class TestConfigurations:
         assert sorted(confs, key=lambda c: (len(c), c)) == confs
         assert set(confs) == set(brute)
 
+    @given(small_graphs(), st.data())
+    def test_lister_matches_subsets_of_within(self, g, data):
+        """The stable-set lister on any `within` (None: every vertex) and cap
+        is brute force over the subsets of `within`, in (size, members) order."""
+        n = g.vertex_count
+        within = data.draw(st.none() | st.integers(0, (1 << n) - 1))
+        most = data.draw(st.integers(0, n + 1))
+        inside = [v for v in range(n) if within is None or within >> v & 1]
+        brute = [
+            (k, s)
+            for k in range(min(most, len(inside)) + 1)
+            for s in combinations(inside, k)
+            if not any(g.are_neighbors(u, v) for u, v in combinations(s, 2))
+        ]
+        got = g._stable_sets(most, within)
+        assert [(k, tuple(v for v in range(n) if d >> v & 1)) for k, d in got] == brute
+
     def test_sorted_by_size_then_lex(self, path5):
         confs = path5.configurations(5)
         assert confs == sorted(confs, key=lambda c: (len(c), c))

@@ -125,7 +125,7 @@ def validate_by_checks(h):
         if not g.is_configuration(layer):
             raise HeapError(f"layer {i + 1} is not a stable set")
         if i > 0:
-            below = g.neighborhood_of_set(h.layers[i - 1])
+            below = set().union(*(g.neighborhood(u) for u in h.layers[i - 1]))
             if any(v not in below for v in layer):
                 raise HeapError(f"unsupported cell in layer {i + 1}")
     if heap_of_word(g, h.canonical_word()) != h:

@@ -471,6 +471,8 @@ class TestUnivariate:
         den = from_counts(4, (1, 3, 1))
         quot = num * den.invert()
         assert quot * den == num
+        for s in (from_counts(300, (1, -100)), from_counts(300, (2, 0, 0, -3, 0, 0, 0, 1))):
+            assert s.invert() * s == from_counts(300, (1,))
 
     def test_mixed_degree_raises(self):
         with pytest.raises(SeriesError):
