@@ -17,9 +17,16 @@ within the batch, which is worth running again), and per metric both
 medians, the parent's quartiles, whether the change's median falls inside
 them, and how many pairs the change won.
 
+`--traced K` also runs K traced runs (`--trace 1`) per side and workload, on
+the first K seeds, alternating as above.  Each record then holds, next to a
+workload's end-to-end record, every per-layer metric's min, median and max
+over those runs, and the printout gives both sides' spreads and whether they
+overlap: traced per-layer numbers move by about a third between runs of
+the same code, so a per-layer change inside the spread shows nothing.
+
 Usage:
     python scripts/bench_record.py --label pr12 --parent ../parent \\
-        --seeds 301 302 303
+        --seeds 301 302 303 [--traced 3]
 """
 
 from __future__ import annotations
@@ -59,14 +66,21 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def aggregate(runs: list[dict]) -> dict:
-    """Summary of one side's runs of one workload, in seed order."""
-    metrics = runs[0]["result"]["metrics"]
+def run_counts(runs: list[dict]) -> dict:
+    """Seeds, correct runs, and failed and attempted ops of some runs."""
     return {
         "seeds": [run["context"]["seed"] for run in runs],
         "correct_runs": sum(run["result"]["correct"] for run in runs),
         "failed_ops": sum(run["result"]["failed"] for run in runs),
         "attempted_ops": sum(run["result"]["attempted"] for run in runs),
+    }
+
+
+def aggregate(runs: list[dict]) -> dict:
+    """Summary of one side's runs of one workload, in seed order."""
+    metrics = runs[0]["result"]["metrics"]
+    return {
+        **run_counts(runs),
         "slowdown": spread([run["slowdown"] for run in runs]),
         "metrics": {
             name: {
@@ -76,6 +90,22 @@ def aggregate(runs: list[dict]) -> dict:
             for name, metric in metrics.items()
         },
     }
+
+
+def aggregate_traced(runs: list[dict]) -> dict:
+    """Spread of each per-layer metric over one side's traced runs of one
+    workload, in seed order."""
+    out = {**run_counts(runs), "metrics": {}}
+    for name, metric in runs[0]["result"]["metrics"].items():
+        values = [run["result"]["metrics"][name]["value"] for run in runs]
+        out["metrics"][name] = {
+            "unit": metric["unit"],
+            "min": min(values),
+            "median": statistics.median(values),
+            "max": max(values),
+            "values": values,
+        }
+    return out
 
 
 def pair_wins(base: dict, other: dict, metric: str) -> tuple[int, int]:
@@ -109,6 +139,23 @@ def summary(parent: dict, change: dict) -> list[str]:
                 f" {'inside' if inside else 'outside'} them,"
                 f" change won {won}/{decided} pairs"
             )
+        if "traced" not in a:
+            continue
+        correct = [
+            f"{side} {t['correct_runs']}/{len(t['seeds'])}"
+            for side, t in (("parent", a["traced"]), ("change", b["traced"]))
+        ]
+        lines.append(f"{workload} traced runs correct: {', '.join(correct)}")
+        for metric, base in a["traced"]["metrics"].items():
+            other = b["traced"]["metrics"][metric]
+            apart = base["max"] < other["min"] or other["max"] < base["min"]
+            lines.append(
+                f"{workload} {metric} traced: parent {base['median']:.4g}"
+                f" ({base['min']:.4g}-{base['max']:.4g})"
+                f" change {other['median']:.4g}"
+                f" ({other['min']:.4g}-{other['max']:.4g})"
+                f" {'apart' if apart else 'overlapping'}"
+            )
     return lines
 
 
@@ -125,10 +172,18 @@ def git_state(checkout: Path) -> dict:
     return {"commit": git("rev-parse", "HEAD"), "dirty": dirty}
 
 
-def run_one(checkout: Path, workload: str, seed: int) -> dict:
+def alternating(sides: list[tuple[str, Path]], seeds: list[int]):
+    """(seed, side, checkout) in run order; the side that runs first
+    alternates from seed to seed, so the runs of a seed form a pair."""
+    for i, seed in enumerate(seeds):
+        for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+            yield seed, side, checkout
+
+
+def run_one(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
     done = subprocess.run(
         [sys.executable, "heapbench/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
+         str(seed), "--seconds", str(BENCHMARK["run_seconds"]), "--trace", str(trace)],
         cwd=checkout,
         capture_output=True,
         text=True,
@@ -144,23 +199,30 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True, help="BENCH file prefix, e.g. pr12")
     parser.add_argument("--parent", type=Path, required=True, metavar="DIR")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--traced", type=int, default=0, metavar="K",
+                        help="also K traced runs per side and workload")
     args = parser.parse_args(argv)
     if not (args.parent / "heapbench" / "run.py").is_file():
         parser.error(f"--parent {args.parent}: not a heapbench checkout")
+    if not 0 <= args.traced <= len(args.seeds):
+        parser.error(f"--traced must lie in 0..{len(args.seeds)}, the number of seeds")
     sides = [("parent", args.parent.resolve()), ("change", ROOT)]
     # taken before the runs: the BENCH files written below would mark this
     # checkout dirty
     states = {side: git_state(checkout) for side, checkout in sides}
 
     runs: dict[str, dict[str, list[dict]]] = {side: {} for side, _ in sides}
+    traced: dict[str, dict[str, list[dict]]] = {side: {} for side, _ in sides}
     for workload in WORKLOADS:
-        for i, seed in enumerate(args.seeds):
-            for side, checkout in sides if i % 2 == 0 else sides[::-1]:
-                run = run_one(checkout, workload, seed)
-                runs[side].setdefault(workload, []).append(run)
-                value = run["result"]["metrics"]["ops_per_s"]["value"]
-                print(f"{workload} seed {seed} {side}: ops_per_s {value:.4g}",
-                      flush=True)
+        for seed, side, checkout in alternating(sides, args.seeds):
+            run = run_one(checkout, workload, seed)
+            runs[side].setdefault(workload, []).append(run)
+            value = run["result"]["metrics"]["ops_per_s"]["value"]
+            print(f"{workload} seed {seed} {side}: ops_per_s {value:.4g}", flush=True)
+        for seed, side, checkout in alternating(sides, args.seeds[: args.traced]):
+            run = run_one(checkout, workload, seed, trace=1)
+            traced[side].setdefault(workload, []).append(run)
+            print(f"{workload} seed {seed} {side}: traced", flush=True)
 
     records = {}
     for side, _ in sides:
@@ -173,6 +235,10 @@ def main(argv: list[str] | None = None) -> int:
             "machine": first["context"]["machine"],
             "workloads": {w: aggregate(r) for w, r in runs[side].items()},
         }
+        if args.traced:
+            records[side]["traced_command"] = "python3 heapbench/run.py --trace 1"
+            for w, r in traced[side].items():
+                records[side]["workloads"][w]["traced"] = aggregate_traced(r)
         path = ROOT / f"BENCH_{args.label}_{side}.json"
         path.write_text(json.dumps(records[side], indent=1) + "\n")
         print(f"wrote {path}")

@@ -295,7 +295,11 @@ def count_pyramids(g: CommutationGraph, n: int, base: int | None = None) -> list
     A Cartier-Foata layer transfer that builds no heap: the state is (size,
     top layer bitmask) -> count, grown from the empty heap by the singletons,
     or by {base} alone, the pyramid's base layer, then by the move rule
-    `_moves`.  Sizes are swept upwards, so each top's moves are listed once.
+    `_moves`.  A top's moves depend only on its closed reach N[top], so at
+    each size the counts of tops sharing a reach are summed and each sum is
+    moved once; the moves of a reach are listed by `_moves` on the first
+    top met with it.  Sizes are swept upwards, so that first top is met at
+    the smallest size, where the most moves fit.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -303,12 +307,19 @@ def count_pyramids(g: CommutationGraph, n: int, base: int | None = None) -> list
         g.check_vertex(base)
     roots = range(g.vertex_count) if base is None else (base,)
     levels: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]
-    moves: dict[int, list[tuple[int, int]]] = {}  # top layer -> (|D|, D) by size
+    reach: dict[int, int] = {}  # top layer -> N[top], 0 for the empty heap alone
+    moves: dict[int, list[tuple[int, int]]] = {}  # N[top] -> (|D|, D) by size
     for s, level in enumerate(levels):
+        sums: dict[int, int] = {}  # N[top] -> summed count of its tops
         for top, c in level.items():
-            if top not in moves:
-                moves[top] = _moves(g, top, n - s, roots, False)
-            for size, layer in moves[top]:
+            if top not in reach:
+                reach[top] = g._closed_reach(top)
+            key = reach[top]
+            if key not in moves:
+                moves[key] = _moves(g, top, n - s, roots, False)
+            sums[key] = sums.get(key, 0) + c
+        for key, c in sums.items():
+            for size, layer in moves[key]:
                 if s + size > n:
                     break
                 nxt = levels[s + size]

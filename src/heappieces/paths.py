@@ -17,12 +17,24 @@ never close an ascent.
 A step word is its letters everywhere: the samplers' int step codes
 exist only inside `randgen`'s numpy draw, which turns them into a
 StepWord once.
+
+`count_paths` counts words and prefixes by a dynamic program over
+(position, height) that keeps only the live band of heights: a word's
+heights from which the steps still to go can reach 0, a prefix's heights
+from which they can still go negative.  A prefix that climbs out of the
+band is settled (every continuation stays non-negative) and joins one
+accumulator that gains a factor r + 2 per later step.  The band is about
+half of each full row, so the program does about n^2/4 big-int additions
+where the full rows did n^2/2; it uses no closed form, so it stays an
+independent count against `animals.animal_count`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from operator import add
 
 
 class WordError(ValueError):
@@ -153,8 +165,12 @@ def count_paths(n: int, r: int, kind: str) -> int:
     """Number of r-colored Motzkin words or prefixes of length n.
 
     Dynamic program over (position, height); `kind` is "word" or "prefix".
-    Each row lists the heights 0..i reachable after i steps, so it grows by
-    one slot per step.
+    A row holds the live heights after i steps, with n - i steps to go:
+    for a word the heights <= n - i (from higher ones no path gets back to
+    0), for a prefix the heights < n - i (from n - i or higher no path can
+    go negative).  Prefixes leaving the band are settled: their count moves
+    into `settled`, which each later step multiplies by r + 2, the number
+    of letters: every continuation of a settled prefix is a prefix.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -162,14 +178,23 @@ def count_paths(n: int, r: int, kind: str) -> int:
         raise WordError(f"r must be 0, 1 or 2, got {r}")
     if kind not in ("word", "prefix"):
         raise ValueError(f"kind must be 'word' or 'prefix', got {kind!r}")
-    ways = [1]  # ways[h] = paths of current length ending at h
-    for _ in range(n):
+    word = kind == "word"
+    row = [1]  # row[h] = paths of the current length ending at live height h
+    settled = 0
+    for i in range(n):
+        left = n - i - 1  # steps to go after this one
         # new height h comes from h-1 (ascend), h (r flat colors) and h+1 (descend)
-        ways = [
-            up + r * flat + down
-            for up, flat, down in zip([0, *ways], [*ways, 0], [*ways[1:], 0, 0])
-        ]
-    return ways[0] if kind == "word" else sum(ways)
+        new = map(add, chain((0,), row), chain(row[1:], (0, 0)))
+        if r:
+            flat = row if r == 1 else map(add, row, row)
+            new = map(add, new, chain(flat, (0,)))
+        new = list(new)
+        if word:
+            row = new[: left + 1]
+        else:
+            settled = settled * (r + 2) + sum(new[left:])
+            row = new[:left]
+    return row[0] if word else settled + sum(row)
 
 
 def bicolored_to_dyck(w: StepWord) -> StepWord:

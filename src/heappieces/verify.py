@@ -21,8 +21,10 @@ from .animals import (
     animal_to_json,
     beta,
     beta_inverse,
+    catalan_number,
     enumerate_animals,
     lattice_colors,
+    motzkin_number,
 )
 from .graphs import CommutationGraph, build_graph, linear_window
 from .heaps import colored_layers, equivalent
@@ -124,10 +126,12 @@ SQUARE_POINT = (1, 2, 5, 13, 35, 96, 267, 750)
 TRIANGULAR_POINT = (1, 3, 10, 35, 126, 462)
 MOTZKIN = (1, 1, 2, 4, 9, 21, 51, 127, 323)
 CATALAN = (1, 2, 5, 14, 42, 132, 429, 1430)
+LARGE_COUNT = 1000
 
 
 def suite_counting() -> list[Check]:
-    """Triple agreement: growth oracle, closed forms, path DP."""
+    """Triple agreement: growth oracle, closed forms, path DP; then the path
+    DP against the closed forms at n = LARGE_COUNT, past any oracle."""
     checks = []
     for lattice, coeffs in (("square", SQUARE_POINT), ("triangular", TRIANGULAR_POINT)):
         r = lattice_colors(lattice)
@@ -169,6 +173,17 @@ def suite_counting() -> list[Check]:
                     f"{got} vs {want}",
                 )
             )
+    # the path DP against the closed forms at a size the counts are claimed for
+    n = LARGE_COUNT
+    for label, got, want in (
+        (f"square/point n={n}", count_paths(n - 1, 1, "prefix"),
+         animal_count(n, "square", "point")),
+        (f"triangular/point n={n}", count_paths(n - 1, 2, "prefix"),
+         animal_count(n, "triangular", "point")),
+        (f"motzkin words n={n}", count_paths(n, 1, "word"), motzkin_number(n)),
+        (f"catalan words n={n}", count_paths(n, 2, "word"), catalan_number(n + 1)),
+    ):
+        checks.append(Check("counting", label, got == want, f"{len(str(want))} digits"))
     return checks
 
 

@@ -2,7 +2,7 @@
 
 import random
 from collections import deque
-from itertools import chain, product as product_of
+from itertools import chain, combinations, product as product_of
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -583,9 +583,41 @@ class TestEnumerationOracle:
                 assert len(set(got)) == len(got)
 
 
+def complete_graph(m):
+    return build_graph([f"v{i}" for i in range(m)], list(combinations(
+        [f"v{i}" for i in range(m)], 2)))
+
+
+def count_pyramids_per_top(g, n, base=None):
+    """Declared oracle of the reach-grouped `count_pyramids`: the same layer
+    transfer with each top layer moving on its own, its moves listed by brute
+    force over the subsets of the top's closed neighbourhood."""
+
+    def stable(d):
+        return all(not g.are_neighbors(u, v) for u, v in combinations(d, 2))
+
+    roots = range(g.vertex_count) if base is None else (base,)
+    levels = [{(): 1}] + [{} for _ in range(n)]
+    for s, level in enumerate(levels):
+        for top, c in level.items():
+            if top:
+                reach = sorted(set().union(*(g.neighborhood(u) for u in top)))
+                moves = [
+                    d for k in range(1, n - s + 1)
+                    for d in combinations(reach, k) if stable(d)
+                ]
+            else:
+                moves = [(v,) for v in roots if s < n]
+            for d in moves:
+                nxt = levels[s + len(d)]
+                nxt[d] = nxt.get(d, 0) + c
+    return [0] + [sum(level.values()) for level in levels[1:]]
+
+
 class TestCountPyramids:
-    """count_pyramids against its declared oracle: the pyramids of the push
-    closure, which shares no code with the layer transfer."""
+    """count_pyramids against its declared oracles: the pyramids of the push
+    closure, which shares no code with the layer transfer, and the transfer
+    moving each top layer on its own."""
 
     GRAPHS = [*graph_suite(),
               ("star6", build_graph("abcdef", [("a", x) for x in "bcdef"])),
@@ -601,6 +633,24 @@ class TestCountPyramids:
                 want[h.size] += 1
             for n in range(top + 1):  # each truncation lists its own moves
                 assert count_pyramids(g, n, base) == want[: n + 1], (base, n)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_complete_graph_matches_per_top(self, m):
+        g = complete_graph(m)
+        for base in (None, *range(m)):
+            assert count_pyramids(g, 9, base) == count_pyramids_per_top(g, 9, base)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_graph_matches_per_top(self, seed):
+        g = random_graph(seed)
+        for base in (None, *range(g.vertex_count)):
+            assert count_pyramids(g, 7, base) == count_pyramids_per_top(g, 7, base)
+
+    def test_complete_graph_counts_chains(self):
+        # on K_m every heap is a chain of its letters, hence a pyramid
+        g = complete_graph(100)
+        assert count_pyramids(g, 400) == [0] + [100**k for k in range(1, 401)]
+        assert count_pyramids(g, 400, 0) == [0] + [100 ** (k - 1) for k in range(1, 401)]
 
     def test_no_vertices(self):
         assert count_pyramids(build_graph([], []), 3) == [0, 0, 0, 0]

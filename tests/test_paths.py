@@ -16,7 +16,13 @@ from heappieces import (
     count_paths,
     mark_celibates,
 )
-from heappieces.animals import all_prefixes, all_words
+from heappieces.animals import (
+    all_prefixes,
+    all_words,
+    animal_count,
+    catalan_number,
+    motzkin_number,
+)
 from heappieces.paths import is_motzkin_word
 
 
@@ -252,7 +258,34 @@ class TestFactorizationOracles:
                 assert bicolored_prefix_to_dyck_prefix(w).letters == dyck_prefix_by_buckets(w)
 
 
+def count_paths_full_rows(n, r, kind):
+    """Declared oracle of `count_paths`: the same DP keeping every reachable
+    height, so row i lists heights 0..i."""
+    ways = [1]  # ways[h] = paths of current length ending at h
+    for _ in range(n):
+        # new height h comes from h-1 (ascend), h (r flat colors) and h+1 (descend)
+        ways = [
+            up + r * flat + down
+            for up, flat, down in zip([0, *ways], [*ways, 0], [*ways[1:], 0, 0])
+        ]
+    return ways[0] if kind == "word" else sum(ways)
+
+
 class TestCounts:
+    @pytest.mark.parametrize("r", (0, 1, 2))
+    @pytest.mark.parametrize("kind", ("word", "prefix"))
+    def test_matches_full_rows(self, r, kind):
+        for n in range(151):
+            assert count_paths(n, r, kind) == count_paths_full_rows(n, r, kind), n
+
+    def test_closed_forms_at_1000(self):
+        assert count_paths(999, 1, "prefix") == animal_count(1000, "square", "point")
+        assert count_paths(999, 2, "prefix") == animal_count(1000, "triangular", "point")
+        assert count_paths(1000, 1, "word") == motzkin_number(1000)
+        assert count_paths(1000, 2, "word") == catalan_number(1001)
+        assert count_paths(1000, 0, "word") == catalan_number(500)
+        assert count_paths(1001, 0, "word") == 0
+
     def test_motzkin_words(self):
         assert [count_paths(n, 1, "word") for n in range(9)] == [
             1, 1, 2, 4, 9, 21, 51, 127, 323,

@@ -2,7 +2,7 @@
 
 Also checks, without running it, that the benchmark in heapbench/ still
 finds every name it imports from the library, and checks the bench
-recorder's aggregation on canned run output.
+recorder's aggregation and its run order on canned run output.
 """
 
 import ast
@@ -13,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -101,12 +103,35 @@ def canned_run(seed, ops_per_s, p50_ms, slowdown, failed=0):
     )
 
 
-def test_bench_record_aggregates_canned_runs():
+def canned_traced_run(seed, layers, failed=0):
+    """stdout of one `heapbench/run.py --trace 1` run, trimmed to what it
+    prints: per-layer metrics, all in ms here, and no end-to-end ones."""
+    context = {"workload": "exact", "seed": seed, "machine": {"nproc": 2}}
+    result = {
+        "correct": failed == 0,
+        "attempted": 96,
+        "failed": failed,
+        "metrics": {k: {"value": v, "unit": "ms"} for k, v in layers.items()},
+    }
+    return "\n".join(
+        [f"context {json.dumps(context)}"]
+        + [f"{k} {v!r} ms" for k, v in layers.items()]
+        + ["slowdown 1.0 (median over cycles)"]
+        + [f"fail_ratio {failed / 96!r} ratio ({failed}/96 ops)", json.dumps(result)]
+    )
+
+
+def load_bench_record():
     spec = importlib.util.spec_from_file_location(
         "bench_record", ROOT / "scripts" / "bench_record.py"
     )
     bench_record = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_record)
+    return bench_record
+
+
+def test_bench_record_aggregates_canned_runs():
+    bench_record = load_bench_record()
 
     parent = [
         bench_record.parse_run(canned_run(s, v, 80.0, slow))
@@ -147,3 +172,92 @@ def test_bench_record_aggregates_canned_runs():
     ]
     one = bench_record.spread([3.0])
     assert one == {"median": 3.0, "q1": 3.0, "q3": 3.0, "values": [3.0]}
+
+
+def test_bench_record_spreads_canned_traced_runs():
+    bench_record = load_bench_record()
+    parent = [
+        bench_record.parse_run(canned_traced_run(
+            s, {"paths.count_paths.ms": v, "series.invert.ms": w}))
+        for s, v, w in ((1, 110.0, 38.0), (2, 95.0, 30.0), (3, 120.0, 45.0))
+    ]
+    change = [
+        bench_record.parse_run(canned_traced_run(
+            s, {"paths.count_paths.ms": v, "series.invert.ms": w}, failed=s == 3))
+        for s, v, w in ((1, 40.0, 36.0), (2, 44.0, 29.0), (3, 38.0, 50.0))
+    ]
+    a = bench_record.aggregate_traced(parent)
+    b = bench_record.aggregate_traced(change)
+    assert a["seeds"] == [1, 2, 3]
+    assert a["metrics"]["paths.count_paths.ms"] == {
+        "unit": "ms", "min": 95.0, "median": 110.0, "max": 120.0,
+        "values": [110.0, 95.0, 120.0],
+    }
+    assert (b["correct_runs"], b["failed_ops"], b["attempted_ops"]) == (2, 1, 288)
+    end_to_end = bench_record.aggregate(
+        [bench_record.parse_run(canned_run(s, 10.0, 80.0, 1.0)) for s in (1, 2, 3)]
+    )
+    lines = bench_record.summary(
+        {"workloads": {"exact": {**end_to_end, "traced": a}}},
+        {"workloads": {"exact": {**end_to_end, "traced": b}}},
+    )
+    assert lines[5:] == [
+        "exact traced runs correct: parent 3/3, change 2/3",
+        "exact paths.count_paths.ms traced: parent 110 (95-120)"
+        " change 40 (38-44) apart",
+        "exact series.invert.ms traced: parent 38 (30-45)"
+        " change 36 (29-50) overlapping",
+    ]
+    # without traced runs the summary stops at the end-to-end lines
+    plain = bench_record.summary(
+        {"workloads": {"exact": end_to_end}}, {"workloads": {"exact": end_to_end}}
+    )
+    assert plain == lines[:5]
+
+
+def test_bench_record_runs_traced_runs_only_when_asked(tmp_path, monkeypatch):
+    bench_record = load_bench_record()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (parent / "heapbench").mkdir(parents=True)
+    (parent / "heapbench" / "run.py").write_text("")
+    change.mkdir()
+    monkeypatch.setattr(bench_record, "ROOT", change)
+    calls = []
+
+    def run_one(checkout, workload, seed, trace=0):
+        side = "parent" if checkout == parent.resolve() else "change"
+        calls.append((workload, seed, side, trace))
+        if trace:
+            ms = 100.0 if side == "parent" else 40.0
+            return bench_record.parse_run(
+                canned_traced_run(seed, {"paths.count_paths.ms": ms + seed}))
+        return bench_record.parse_run(canned_run(seed, 10.0, 80.0, 1.0))
+
+    monkeypatch.setattr(bench_record, "run_one", run_one)
+    argv = ["--label", "t", "--parent", str(parent), "--seeds", "1", "2", "3"]
+    assert bench_record.main(argv + ["--traced", "2"]) == 0
+    # the first K seeds, sides alternating from seed to seed
+    assert [c for c in calls if c[3]] == [
+        (w, s, side, 1)
+        for w in bench_record.WORKLOADS
+        for s, sides in ((1, ("parent", "change")), (2, ("change", "parent")))
+        for side in sides
+    ]
+    record = json.loads((change / "BENCH_t_change.json").read_text())
+    assert record["traced_command"] == "python3 heapbench/run.py --trace 1"
+    for workload in bench_record.WORKLOADS:
+        entry = record["workloads"][workload]
+        assert entry["seeds"] == [1, 2, 3] and entry["traced"]["seeds"] == [1, 2]
+        layer = entry["traced"]["metrics"]["paths.count_paths.ms"]
+        assert (layer["min"], layer["median"], layer["max"]) == (41.0, 41.5, 42.0)
+
+    calls.clear()
+    assert bench_record.main(argv) == 0
+    assert len(calls) == 2 * 3 * len(bench_record.WORKLOADS)
+    assert not any(c[3] for c in calls)
+    record = json.loads((change / "BENCH_t_parent.json").read_text())
+    assert "traced_command" not in record
+    assert all("traced" not in entry for entry in record["workloads"].values())
+
+    with pytest.raises(SystemExit):
+        bench_record.main(argv + ["--traced", "4"])
