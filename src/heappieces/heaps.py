@@ -7,10 +7,12 @@ letter to height 1 + max{height of occupied neighbouring fibres}, and two
 words yield the same heap exactly when they differ by exchanges of
 adjacent commuting letters.  Heaps therefore *are* the elements of the
 partially commutative monoid, and everything downstream (series, animals,
-sampling) works on this canonical form.  Listing and counting heaps
-(`enumerate_heaps`, `count_pyramids`) grow the layers themselves by one
-move rule (`_moves`), on the graph's vertex bitmasks and its stable-set
-lister, so words are dropped only to build heaps from words and products.
+sampling) works on this canonical form.  One kernel, `_drop`, lands every
+letter: it reads per-fibre tops and ORs the letter into its layer's
+bitmask, so no layer is sorted.  Products run on these bitmask keys
+(`heap_key`, `drop_words`, `heap_of_key`), vertex tuples built once at the
+boundary; listing and counting heaps (`enumerate_heaps`, `count_pyramids`)
+grow the layers themselves by one move rule (`_moves`) instead.
 
 Conventions: layers are tuples of ascending vertex indices; the canonical
 word of a heap enumerates the layers bottom-up, each in ascending index
@@ -31,6 +33,7 @@ from .graphs import (
 
 Cell = tuple[int, int]  # (vertex index, 1-based height)
 Layers = tuple[tuple[int, ...], ...]
+Key = tuple[int, ...]  # a heap's layers as vertex bitmasks, bottom-up
 
 
 class HeapError(ValueError):
@@ -50,10 +53,6 @@ class Heap:
 
     def cells(self) -> list[Cell]:
         return [(v, i + 1) for i, layer in enumerate(self.layers) for v in layer]
-
-    def fibre_heights(self) -> dict[int, int]:
-        """Topmost occupied height per fibre (vertices absent if empty)."""
-        return {v: i for i, layer in enumerate(self.layers, 1) for v in layer}
 
     def canonical_word(self) -> tuple[int, ...]:
         return tuple(chain.from_iterable(self.layers))
@@ -75,18 +74,17 @@ def empty_heap(g: CommutationGraph) -> Heap:
     return Heap(g, ())
 
 
-def _landings(
-    g: CommutationGraph,
-    word: Iterable[int],
-    tops: dict[int, int],
+def _drop(
+    g: CommutationGraph, masks: list[int], tops: list[int], word: Iterable[int],
     coloring: Coloring | None = None,
 ) -> list[int]:
-    """The drop rule: landing height of each letter of `word`, in order.
+    """The drop rule: lands the letters of `word` in order, updating `masks`
+    (layer bitmasks, bottom-up) and `tops` (fibre -> top height) in place.
 
-    A letter on fibre v lands one above the highest occupied cell of its
-    closed neighbourhood, read from `tops` (fibre -> top height, updated in
-    place).  With a coloring it rises further to the next layer of its own
-    color, layer i carrying color ((i-1) mod r) + 1.  Out-of-range letters,
+    A letter on fibre v lands one above the highest top in N[v]; with a
+    coloring it rises further to the next layer of its own color, layer i
+    carrying color ((i-1) mod r) + 1, so layers may stay empty.  Its bit is
+    OR-ed into its layer and its height returned.  Out-of-range letters,
     negative ones included, raise GraphError (checked inline: hot loop).
     """
     neighborhoods = g._neighborhoods
@@ -97,7 +95,7 @@ def _landings(
             g.check_vertex(v)
         floor = 0
         for u in neighborhoods[v]:
-            top = tops.get(u, 0)
+            top = tops[u]
             if top > floor:
                 floor = top
         if coloring is None:
@@ -105,58 +103,61 @@ def _landings(
         else:
             height = floor + 1 + (coloring.colors[v] - 1 - floor) % coloring.r
         tops[v] = height
+        if height > len(masks):
+            masks += [0] * (height - len(masks))
+        masks[height - 1] |= 1 << v
         heights.append(height)
     return heights
 
 
-def _place(layers: Layers, word: Iterable[int], heights: list[int]) -> Layers:
-    """`layers` with each letter added at its height; re-sorts only touched layers."""
-    out = list(layers)
-    grown: dict[int, list[int]] = {}
-    for v, height in zip(word, heights):
-        if height in grown:
-            grown[height].append(v)
-        else:
-            out += [()] * (height - len(out))
-            grown[height] = [*out[height - 1], v]
-    for height, layer in grown.items():
-        layer.sort()
-        out[height - 1] = tuple(layer)
-    return tuple(out)
+def heap_key(h: Heap) -> Key:
+    """A valid heap's layers as bitmasks, bottom-up: the key `drop_words` takes."""
+    return tuple([sum(map((1).__lshift__, layer)) for layer in h.layers])
+
+
+def heap_of_key(g: CommutationGraph, key: Iterable[int]) -> Heap:
+    """The heap over g whose layer bitmasks are `key`."""
+    return Heap(g, tuple(map(_members, key)))
 
 
 def push(h: Heap, v: int) -> Heap:
-    """Drop one cell on fibre v onto h (see `_landings` for the rule)."""
-    (layers,) = drop_words(h, ((v,),))
-    return Heap(h.graph, layers)
+    """Drop one cell on fibre v onto h (see `_drop` for the rule)."""
+    return product(h, Heap(h.graph, ((v,),)))
 
 
 def heap_of_word(g: CommutationGraph, word: Iterable[int]) -> Heap:
     """Fold of push; the canonical heap of the trace of `word`.
 
-    The word is dropped onto the empty heap by the shared kernel, which
-    tracks only fibre tops, so n cells cost O(n * maxdeg) plus one sort
-    per layer.
+    The word drops onto the empty heap through the one kernel `_drop`,
+    which reads fibre tops and ORs each letter into its layer's bitmask:
+    n cells cost O(n * maxdeg), and no layer is sorted.
     """
-    (layers,) = drop_words(empty_heap(g), (word,))
-    return Heap(g, layers)
+    return heap_of_key(g, next(drop_words(g, (), (word,))))
 
 
 def product(h1: Heap, h2: Heap) -> Heap:
-    """Monoid product: drop h2's canonical word on h1's fibre tops."""
+    """Monoid product: the heap of h1's canonical word followed by h2's."""
     if h2.graph is not h1.graph and h2.graph != h1.graph:
         raise HeapError("product of heaps over different graphs")
-    (layers,) = drop_words(h1, (h2.canonical_word(),))
-    return Heap(h1.graph, layers)
+    return heap_of_word(h1.graph, h1.canonical_word() + h2.canonical_word())
 
 
-def drop_words(h: Heap, words: Iterable[Iterable[int]]) -> Iterator[Layers]:
-    """Layers of h times each word, read off a copy of h's tops: the one drop entry."""
-    g, layers = h.graph, h.layers
-    tops = h.fibre_heights()
+def drop_words(
+    g: CommutationGraph, key: Key, words: Iterable[Iterable[int]]
+) -> Iterator[Key]:
+    """Key of the heap `key` times each word: the one entry for products.
+
+    The fibre tops are read off the layer bitmasks once; each word of n
+    letters drops on copies of them and the masks in O(n * maxdeg).
+    """
+    tops = [0] * g.vertex_count
+    for height, mask in enumerate(key, 1):
+        for v in _members(mask):
+            tops[v] = height
     for word in words:
-        word = tuple(word)
-        yield _place(layers, word, _landings(g, word, dict(tops)))
+        masks = list(key)
+        _drop(g, masks, tops.copy(), word)
+        yield tuple(masks)
 
 
 def equivalent(g: CommutationGraph, u: Iterable[int], v: Iterable[int]) -> bool:
@@ -195,17 +196,15 @@ def strict_skeleton(h: Heap) -> tuple[Heap, dict[Cell, int]]:
     for layer in h.layers:
         here = {}
         for v in layer:
-            run = below.get(v)
-            if run is None:
-                run = [v, 0]
+            run = here[v] = below.get(v) or [v, 0]
+            if not run[1]:
                 runs.append(run)
             run[1] += 1
-            here[v] = run
         below = here
-    support = tuple(v for v, _ in runs)
-    heights = _landings(g, support, {})
+    masks: list[int] = []
+    heights = _drop(g, masks, [0] * g.vertex_count, (v for v, _ in runs))
     mult = {(v, height): m for (v, m), height in zip(runs, heights)}
-    return Heap(g, _place((), support, heights)), mult
+    return heap_of_key(g, masks), mult
 
 
 def pyramid_split(h: Heap, c: Cell) -> tuple[Heap, Heap]:
@@ -354,9 +353,9 @@ def colored_layers(
     Layer i (1-based) carries color ((i-1) mod r) + 1.
     """
     coloring.validate(g)
-    word = tuple(word)
-    heights = _landings(g, word, {}, coloring)
-    return ColoredHeap(g, coloring, _place((), word, heights))
+    masks: list[int] = []
+    _drop(g, masks, [0] * g.vertex_count, word, coloring)
+    return ColoredHeap(g, coloring, tuple(map(_members, masks)))
 
 
 def heap_to_json(h: Heap) -> str:

@@ -34,17 +34,13 @@ from typing import Callable, Iterable, Mapping
 
 from .graphs import CommutationGraph
 from .heaps import (
-    Heap,
-    Layers,
-    count_pyramids,
-    drop_words,
-    empty_heap,
-    enumerate_heaps,
+    Heap, Key, count_pyramids, drop_words, empty_heap, enumerate_heaps, heap_key,
+    heap_of_key,
 )
 
 Coefficient = int | Fraction
 Term = tuple[tuple[int, ...], Coefficient]  # (canonical word, coefficient)
-Sums = list[dict[Layers, Coefficient]]  # per size: product layers -> coefficient
+Sums = list[dict[Key, Coefficient]]  # per size: product's heap key -> coefficient
 PROJECTED_KINDS = (
     "gamma", "gamma-bar", "theta", "theta-bar", "theta-strict", "pi", "pi-bar"
 )
@@ -128,23 +124,27 @@ def _words_up_to(s: TraceSeries) -> list[list[Term]]:
     return list(accumulate(parts))
 
 
-def _add_products(accs: Sums, h1: Heap, c1: Coefficient, items: list[Term]) -> None:
-    """accs[size][layers of h1 * h2] += c1 * c2 for each (word of h2, c2) in `items`."""
-    m = h1.size
-    for key, (word, c2) in zip(drop_words(h1, (w for w, _ in items)), items):
+def _add_products(
+    accs: Sums, g: CommutationGraph, key1: Key, m: int, c1: Coefficient,
+    items: list[Term],
+) -> None:
+    """accs[size][key of h1 * h2] += c1 * c2 for each (word of h2, c2) in `items`,
+    h1 of size m and key `key1`: h2's word drops on h1's layer bitmasks."""
+    for (word, c2), key in zip(items, drop_words(g, key1, (w for w, _ in items))):
         acc = accs[m + len(word)]
         acc[key] = acc.get(key, 0) + c1 * c2
 
 
 def series_mul(s1: TraceSeries, s2: TraceSeries) -> TraceSeries:
-    """Truncated product over key pairs, summed by layer tuple; one Heap per result."""
+    """Truncated product over key pairs, summed by layer key; one Heap per result."""
     _check_compat(s1, s2)
     g, n = s1.graph, s1.degree
     upto = _words_up_to(s2)
     accs: Sums = [{} for _ in range(n + 1)]
     for h1, c1 in s1.terms.items():
-        _add_products(accs, h1, c1, upto[n - h1.size])
-    return TraceSeries(g, n, {Heap(g, k): c for a in accs for k, c in a.items() if c})
+        _add_products(accs, g, heap_key(h1), h1.size, c1, upto[n - h1.size])
+    terms = {heap_of_key(g, k): c for a in accs for k, c in a.items() if c}
+    return TraceSeries(g, n, terms)
 
 
 def _counting_series(
@@ -198,24 +198,24 @@ def invert(s: TraceSeries) -> TraceSeries:
 
     One pass by size from T s = 1: T_0 = c0 and, for k >= 1,
     T_k = -c0 * sum_{j >= 1} T_{k-j} s_j, with s_j, T_j the size-j parts
-    (c0 is its own inverse).  Each heap of a complete T_m is dropped on
-    once, its products with s_1..s_{n-m} summed by layer tuple into
-    T_{m+1}..T_n.  In the graded cancellative heap monoid the left
-    inverse so built is also the right inverse.
+    (c0 is its own inverse).  Each key of a complete T_m is dropped on
+    once, its products with s_1..s_{n-m} summed by key into T_{m+1}..T_n.
+    In the graded cancellative heap monoid the left inverse so built is
+    also the right inverse.
     """
     g, n = s.graph, s.degree
     c0 = s.coefficient(empty_heap(g))
     if c0 not in (1, -1):
         raise SeriesError(f"constant term {c0} is not invertible")
     upto = [items[1:] for items in _words_up_to(s)]  # all but the constant term
-    accs: Sums = [{(): c0}] + [{} for _ in range(n)]
+    accs: Sums = [{heap_key(empty_heap(g)): c0}] + [{} for _ in range(n)]
     terms: dict[Heap, Coefficient] = {}
     for m, acc in enumerate(accs):  # T_m: complete once every T_k, k < m, is dropped
         for key, c1 in acc.items():
             if c1:
-                h1 = Heap(g, key)
-                terms[h1] = c1
-                _add_products(accs, h1, -c0 * c1, upto[n - m])
+                terms[heap_of_key(g, key)] = c1
+                if m < n:  # T_n has no product within the degree
+                    _add_products(accs, g, key, m, -c0 * c1, upto[n - m])
     return TraceSeries(g, n, terms)
 
 

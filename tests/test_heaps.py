@@ -1,6 +1,7 @@
 """Heap monoid: canonical form, product, duality, strictness, pyramids."""
 
 import random
+import time
 from collections import deque
 from itertools import chain, combinations, product as product_of
 
@@ -31,10 +32,68 @@ from heappieces import (
     pyramid_split,
     strict_skeleton,
 )
-from heappieces.heaps import _landings, drop_words
+from heappieces.heaps import _drop, drop_words, heap_key, heap_of_key
 from heappieces.verify import graph_suite
 
 from conftest import to_word
+
+
+def _landings(g, word, tops, coloring=None):
+    """The drop rule: landing height of each letter of `word`, in order.
+
+    A letter on fibre v lands one above the highest occupied cell of its
+    closed neighbourhood, read from `tops` (fibre -> top height, updated in
+    place).  With a coloring it rises further to the next layer of its own
+    color, layer i carrying color ((i-1) mod r) + 1.  Out-of-range letters,
+    negative ones included, raise GraphError (checked inline: hot loop).
+    """
+    neighborhoods = g._neighborhoods
+    count = len(neighborhoods)
+    heights = []
+    for v in word:
+        if not 0 <= v < count:
+            g.check_vertex(v)
+        floor = 0
+        for u in neighborhoods[v]:
+            top = tops.get(u, 0)
+            if top > floor:
+                floor = top
+        if coloring is None:
+            height = floor + 1
+        else:
+            height = floor + 1 + (coloring.colors[v] - 1 - floor) % coloring.r
+        tops[v] = height
+        heights.append(height)
+    return heights
+
+
+def _place(layers, word, heights):
+    """`layers` with each letter added at its height; re-sorts only touched layers."""
+    out = list(layers)
+    grown = {}
+    for v, height in zip(word, heights):
+        if height in grown:
+            grown[height].append(v)
+        else:
+            out += [()] * (height - len(out))
+            grown[height] = [*out[height - 1], v]
+    for height, layer in grown.items():
+        layer.sort()
+        out[height - 1] = tuple(layer)
+    return tuple(out)
+
+
+def drop_by_sorted_layers(g, layers, word, coloring=None):
+    """Declared oracle for the drop kernel `_drop`: the same rule on vertex tuples.
+
+    The landings read a dict of fibre tops taken from `layers` (`_landings`),
+    and each touched layer is rebuilt and sorted (`_place`).  Returns the new
+    layers and the landing heights.
+    """
+    word = tuple(word)
+    tops = {v: i for i, layer in enumerate(layers, 1) for v in layer}
+    heights = _landings(g, word, tops, coloring)
+    return _place(layers, word, heights), heights
 
 
 def is_strict_by_word(h):
@@ -77,9 +136,9 @@ def strict_skeleton_by_merging(h):
         if not merged:
             runs.append([v, 1])
     support = tuple(v for v, _ in runs)
-    heights = _landings(g, support, {})
+    layers, heights = drop_by_sorted_layers(g, (), support)
     mult = {(v, height): m for (v, m), height in zip(runs, heights)}
-    return heap_of_word(g, support), mult
+    return Heap(g, layers), mult
 
 
 def pyramid_split_by_closure(h, c):
@@ -301,7 +360,8 @@ class TestDropKernel:
         h = heap_of_word(path5, data.draw(word_strategy(path5, 8)))
         words = data.draw(st.lists(word_strategy(path5, 6), max_size=4))
         want = [heap_of_word(path5, h.canonical_word() + w).layers for w in words]
-        assert list(drop_words(h, words)) == want
+        keys = drop_words(path5, heap_key(h), words)
+        assert [heap_of_key(path5, key).layers for key in keys] == want
 
     def test_push_is_appended_letter(self, path5):
         for h in enumerate_heaps(path5, 5):
@@ -318,7 +378,8 @@ class TestDropKernel:
     def test_one_color_kernel_is_plain_rule(self, cube, data):
         one = Coloring((1,) * cube.vertex_count, 1)
         w = data.draw(word_strategy(cube, 10))
-        assert _landings(cube, w, {}, one) == _landings(cube, w, {})
+        n = cube.vertex_count
+        assert _drop(cube, [], [0] * n, w, one) == _drop(cube, [], [0] * n, w)
 
     def test_size_counts_match_inversion(self, path5):
         counts = [0] * 9
@@ -326,6 +387,17 @@ class TestDropKernel:
             counts[h.size] += 1
         theta = project(configurations_series(path5, 8, signed=True)).invert()
         assert counts == list(theta.coefficients)
+
+    def test_linear_cost_on_ragged_words(self, path5):
+        # the kernel reads per-fibre tops, so a letter costs O(deg) however
+        # many layers lie between it and the top; scanning the layer masks
+        # down from the top would be quadratic on this word
+        k = 20_000
+        start = time.perf_counter()
+        h = heap_of_word(path5, (0,) * k + (4,) * k)
+        elapsed = time.perf_counter() - start
+        assert h.layers == ((0, 4),) * k
+        assert elapsed < 2.0
 
     def test_out_of_range_vertex(self, path3):
         h = heap_of_word(path3, (0, 1))
@@ -558,6 +630,103 @@ def random_graph(seed):
     labels = "abcdefg"[: 1 + seed % 7]
     pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
     return build_graph(labels, [pair for pair in pairs if rng.random() < 0.4])
+
+
+DROP_GRAPHS = [
+    *graph_suite(),
+    ("cube", None),  # the `cube` fixture
+    *((f"random{k}", random_graph(k)) for k in range(24)),
+]
+
+
+@pytest.fixture(
+    scope="module", params=DROP_GRAPHS, ids=[name for name, _ in DROP_GRAPHS]
+)
+def drop_graph(request, cube):
+    return request.param[1] or cube
+
+
+def greedy_coloring(g, r, data):
+    """A proper coloring with colors 1..r drawn vertex by vertex among the
+    colors no earlier neighbour holds, or None when some vertex has none."""
+    colors = [0] * g.vertex_count
+    for v in range(g.vertex_count):
+        taken = {colors[u] for u in g.neighborhood(v)}
+        free = [c for c in range(1, r + 1) if c not in taken]
+        if not free:
+            return None
+        colors[v] = data.draw(st.sampled_from(free))
+    return Coloring(tuple(colors), r)
+
+
+class TestDropOracle:
+    """The bitmask drop kernel against `drop_by_sorted_layers`, through every
+    entry that drops letters, on the standing graphs, the cube and seeded
+    random graphs."""
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_words_push_product(self, drop_graph, data):
+        g = drop_graph
+        w1, w2 = data.draw(word_strategy(g, 10)), data.draw(word_strategy(g, 10))
+        h1, h2 = heap_of_word(g, w1), heap_of_word(g, w2)
+        assert h1.layers == drop_by_sorted_layers(g, (), w1)[0]
+        v = data.draw(st.integers(0, g.vertex_count - 1))
+        assert push(h1, v).layers == drop_by_sorted_layers(g, h1.layers, (v,))[0]
+        want = drop_by_sorted_layers(g, h1.layers, h2.canonical_word())[0]
+        assert product(h1, h2).layers == want
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_drop_words_per_word(self, drop_graph, data):
+        g = drop_graph
+        h = heap_of_word(g, data.draw(word_strategy(g, 10)))
+        words = data.draw(st.lists(word_strategy(g, 6), max_size=5))
+        got = [heap_of_key(g, key).layers for key in drop_words(g, heap_key(h), words)]
+        assert got == [drop_by_sorted_layers(g, h.layers, w)[0] for w in words]
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_colored_layers(self, drop_graph, data):
+        g = drop_graph
+        w = data.draw(word_strategy(g, 10))
+        for r in (1, 2, 3):
+            coloring = greedy_coloring(g, r, data)
+            if coloring is not None:  # r = 1 colors the edgeless graphs alone
+                want = drop_by_sorted_layers(g, (), w, coloring)[0]
+                assert colored_layers(g, coloring, w).layers == want
+
+    def test_colored_layers_leave_empty_layers(self, window4):
+        g, coloring = window4
+        w = to_word(g, "1313")  # color 2 only, so every odd layer stays empty
+        got = colored_layers(g, coloring, w).layers
+        assert got == drop_by_sorted_layers(g, (), w, coloring)[0]
+        assert got[0] == got[2] == () and got[1] and got[3]
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_strict_skeleton_multiplicities(self, drop_graph, data):
+        h = heap_of_word(drop_graph, data.draw(word_strategy(drop_graph, 10)))
+        assert strict_skeleton(h) == strict_skeleton_by_merging(h)
+
+    def test_out_of_range_letters(self, drop_graph):
+        g = drop_graph
+        n = g.vertex_count
+        h = heap_of_word(g, range(n))
+        distinct = Coloring(tuple(range(1, n + 1)), n)
+        for bad in (-1, n, n + 3):
+            for call in (
+                lambda: drop_by_sorted_layers(g, h.layers, (0, bad)),
+                lambda: heap_of_word(g, (0, bad)),
+                lambda: push(h, bad),
+                lambda: product(h, Heap(g, ((bad,),))),
+                lambda: product(Heap(g, ((bad,),)), h),
+                lambda: list(drop_words(g, heap_key(h), [(0,), (0, bad)])),
+                lambda: colored_layers(g, distinct, (0, bad)),
+                lambda: strict_skeleton(Heap(g, ((bad,),))),
+            ):
+                with pytest.raises(GraphError):
+                    call()
 
 
 class TestEnumerationOracle:
