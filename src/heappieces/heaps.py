@@ -148,7 +148,8 @@ def drop_words(
     """Key of the heap `key` times each word: the one entry for products.
 
     The fibre tops are read off the layer bitmasks once; each word of n
-    letters drops on copies of them and the masks in O(n * maxdeg).
+    letters drops on copies of the tops and masks, one OR per letter and
+    no layer sorted: O(n * maxdeg) plus the copies.
     """
     tops = [0] * g.vertex_count
     for height, mask in enumerate(key, 1):
