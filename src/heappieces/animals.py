@@ -8,6 +8,12 @@ lattice picture is a rotation of this one (East/North steps on the square
 lattice, East/North/North-East on the triangular) and is applied only
 when rendering.
 
+An `Animal` keeps its cells as two columns in cell order, fibres and
+heights: the stacker and the JSON reader fill them and build no per-cell
+tuple, the JSON writer formats them with one `%`, and `validate` checks
+them in one int64 pass (sorted keys and `searchsorted` lookups of the
+supports).  The tuple view `cells` is built only when something asks.
+
 Words map to animals by stacking equerres: reading the celibate-marked
 word left to right, `a` opens a sub-equerre one fiber left and queues a
 sibling on the current fiber, `c` moves one fiber left, `d` stays (same
@@ -31,9 +37,12 @@ from __future__ import annotations
 import gc
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from itertools import chain
+from typing import Sequence
+
+import numpy as np
 
 from .paths import StepWord, _marked_letters, is_motzkin_prefix
 
@@ -48,6 +57,12 @@ class AnimalError(ValueError):
     """Malformed animal or incompatible word/lattice combination."""
 
 
+def _check_kind(lattice: str, source: str) -> None:
+    lattice_colors(lattice)  # rejects an unknown lattice
+    if source not in SOURCES:
+        raise AnimalError(f"unknown source {source!r}")
+
+
 def lattice_colors(lattice: str) -> int:
     """Horizontal colors of the word alphabet: 1 on square, 2 on triangular."""
     if lattice not in LATTICES:
@@ -55,33 +70,86 @@ def lattice_colors(lattice: str) -> int:
     return 1 if lattice == "square" else 2
 
 
-@dataclass(frozen=True, eq=False)
 class Animal:
-    """Directed animal; `cells` kept in construction order, equality by set."""
+    """Directed animal: its cells as two columns, fibre and height, in cell order.
+
+    `fibres[i]` and `heights[i]` are the coordinates of the i-th cell.  The
+    builders in this module (`animal_of_word`, `animal_from_json`) fill the
+    columns and build no per-cell tuple; `cells`, the tuple of (fibre,
+    height) pairs in the same order, is built on first use.  An animal
+    made from `cells` takes its columns from them on first use.  Animals
+    are immutable; equality and hash follow the lattice, the source and
+    the cell set, so cell order does not matter.
+    """
 
     lattice: str
     source: str
-    cells: tuple[tuple[int, int], ...]
-    # cell set built lazily: constructing a million-cell animal should not
-    # pay for hashing it
-    _cell_set: frozenset[tuple[int, int]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # set by the first validate() that passes: the cells never change
-    _valid: bool = field(default=False, init=False, repr=False, compare=False)
+    # lazy state, read from the class until set: the cells, or the columns,
+    # are built on first use; so is the cell set, as constructing a
+    # million-cell animal should not pay for hashing it; _valid is set by
+    # the first validate() that passes, as the cells never change
+    _cells: Sequence[tuple[int, int]] | None = None
+    _fibres: tuple[int, ...] | None = None
+    _heights: tuple[int, ...] | None = None
+    _cell_set: frozenset[tuple[int, int]] | None = None
+    _valid = False
 
-    def __post_init__(self) -> None:
-        lattice_colors(self.lattice)  # rejects an unknown lattice
-        if self.source not in SOURCES:
-            raise AnimalError(f"unknown source {self.source!r}")
+    def __init__(
+        self, lattice: str, source: str, cells: Sequence[tuple[int, int]]
+    ) -> None:
+        _check_kind(lattice, source)
+        self.__dict__.update(lattice=lattice, source=source, _cells=cells)
+
+    @classmethod
+    def _of_columns(
+        cls, lattice: str, source: str, fibres: tuple[int, ...], heights: tuple[int, ...]
+    ) -> Animal:
+        _check_kind(lattice, source)
+        an = cls.__new__(cls)
+        an.__dict__.update(lattice=lattice, source=source, _fibres=fibres, _heights=heights)
+        return an
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"Animal(lattice={self.lattice!r}, source={self.source!r}, "
+            f"cells={self.cells!r})"
+        )
+
+    @property
+    def cells(self) -> Sequence[tuple[int, int]]:
+        if self._cells is None:
+            self.__dict__["_cells"] = tuple(zip(self._fibres, self._heights))
+        return self._cells  # type: ignore[return-value]
+
+    def _columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if self._fibres is None:
+            cells = self._cells
+            # strict: a cell that is not a pair raises ValueError
+            fibres, heights = zip(*cells, strict=True) if cells else ((), ())
+            self.__dict__.update(_fibres=fibres, _heights=heights)
+        return self._fibres, self._heights  # type: ignore[return-value]
+
+    @property
+    def fibres(self) -> tuple[int, ...]:
+        return self._columns()[0]
+
+    @property
+    def heights(self) -> tuple[int, ...]:
+        return self._columns()[1]
 
     @property
     def size(self) -> int:
-        return len(self.cells)
+        return len(self._fibres if self._cells is None else self._cells)
 
     def cell_set(self) -> frozenset[tuple[int, int]]:
         if self._cell_set is None:
-            object.__setattr__(self, "_cell_set", frozenset(self.cells))
+            self.__dict__["_cell_set"] = frozenset(self.cells)
         return self._cell_set  # type: ignore[return-value]
 
     def __eq__(self, other: object) -> bool:
@@ -98,63 +166,94 @@ class Animal:
 
     def lattice_cells(self) -> list[tuple[int, int]]:
         """Rotated view: ((x+y)/2, (y-x)/2); directed steps become E/N(/NE)."""
-        return [((x + y) // 2, (y - x) // 2) for x, y in self.cells]
+        return [((x + y) // 2, (y - x) // 2) for x, y in zip(*self._columns())]
 
     def validate(self) -> None:
         """Raise AnimalError unless this is a directed animal of its source kind.
 
-        Each cell is keyed as the int x*m + y, m = 2n + 1, and one pass
-        checks every cell against the key set.  A valid n-cell animal has
-        0 <= y <= 2(n-1), so in that range keys are distinct exactly when
-        cells are, and each support is one key lookup.  A cell out of the
-        range is itself unsupported, so a key it aliases never makes an
-        invalid animal pass.  Faults are reported in the order duplicate,
-        empty, ground, then the first bad cell.  A pass is recorded, so
-        the checks run once per animal.
+        One int64 pass over the columns.  Each cell is keyed as x*m + y,
+        m = 2n + 1; the keys are sorted once, and each support offset is
+        looked up by `searchsorted` of the shifted sorted keys.  A valid
+        n-cell animal has 0 <= y <= 2(n-1), so in that range keys are
+        distinct exactly when cells are, and each support is one key
+        lookup.  A cell out of the range is itself unsupported, so a key
+        it aliases never makes an invalid animal pass.  Coordinates beyond
+        +-lim, lim = 2^62 // (m + 2), are clamped to +-lim or +-(lim + 1),
+        keeping their parity, so that no key overflows; no valid animal
+        reaches them.  Faults are reported in the order duplicate, empty,
+        ground, then the first bad cell in cell order.  A pass is
+        recorded, so the checks run once per animal.
         """
         if self._valid:
             return
-        cells = self.cells
-        n = len(cells)
+        fibres, heights = self._columns()
+        n = len(fibres)
         m = 2 * n + 1
-        keys = {x * m + y for x, y in cells}
-        # fewer keys than cells: a duplicate, or an out-of-range cell's alias
-        if len(keys) != n and len(self.cell_set()) != n:
+        lim = (1 << 62) // (m + 2)
+        x, y = _int64_column(fibres, lim), _int64_column(heights, lim)
+        keys = x * m + y
+        order = keys.argsort()
+        keys = keys[order]
+        # equal neighbours: a duplicate, or an out-of-range cell's alias
+        if (keys[1:] == keys[:-1]).any() and len(self.cell_set()) != n:
             raise AnimalError("duplicate cell")
         if not n:
             raise AnimalError("empty animal")
-        triangular = self.lattice == "triangular"
-        # keys of the supports (x-1, y-1) and (x+1, y-1) are k - left and k + right
-        left, right = m + 1, m - 1
-        ground: list[int] = []
-        fault = None
-        for x, y in cells:
-            if not y:
-                ground.append(x)  # an odd ground fiber fails the ground rule
-            elif (x + y) & 1:
-                fault = fault or f"cell ({x},{y}) off the even sublattice"
-            elif 0 < y < m and (
-                (k := x * m + y) - left in keys
-                or k + right in keys
-                # y = 1 would alias k - 2 to the cell (x-1, m-1)
-                or (triangular and y > 1 and k - 2 in keys)
-            ):
-                continue
-            else:
-                fault = fault or f"unsupported cell ({x},{y})"
+        ground = x[y == 0]  # in cell order; an odd ground fiber fails the ground rule
         if self.source == "point":
-            if ground != [0]:
+            if ground.size != 1 or ground[0]:
                 raise AnimalError("point source requires exactly cell (0,0) on the ground")
         elif (
-            not ground
-            or min(ground) < 0
-            or max(ground) != 2 * (len(ground) - 1)
-            or any(x & 1 for x in ground)
+            not ground.size
+            or ground.min() < 0
+            or ground.max() != 2 * (ground.size - 1)
+            or (ground & 1).any()
         ):
             raise AnimalError("compact source requires ground cells at fibers 0,2,...")
-        if fault:
-            raise AnimalError(fault)
-        object.__setattr__(self, "_valid", True)
+        x, y = x[order], y[order]
+        table = np.append(keys, _ABOVE_KEYS)  # every lookup lands inside
+
+        def present(probe: np.ndarray) -> np.ndarray:
+            return table[table.searchsorted(probe)] == probe
+
+        # keys of the supports (x-1, y-1) and (x+1, y-1) are k - (m+1) and k + (m-1)
+        supported = present(keys - (m + 1)) | present(keys + (m - 1))
+        if self.lattice == "triangular":
+            # y = 1 would alias k - 2 to the cell (x-1, m-1)
+            supported |= (y > 1) & present(keys - 2)
+        bad = (y != 0) & ((((x + y) & 1) == 1) | (y < 0) | (y >= m) | ~supported)
+        if bad.any():
+            i = int(order[bad].min())
+            cx, cy = fibres[i], heights[i]
+            if (cx + cy) & 1:
+                raise AnimalError(f"cell ({cx},{cy}) off the even sublattice")
+            raise AnimalError(f"unsupported cell ({cx},{cy})")
+        self.__dict__["_valid"] = True
+
+
+# above every key validate() builds, so a lookup past the last key misses
+_ABOVE_KEYS = np.iinfo(np.int64).max
+
+
+def _int64_column(column: Sequence[int], lim: int) -> np.ndarray:
+    """The column as int64, each value beyond +-lim clamped with its parity.
+
+    The fast path is one conversion; a column with a value outside int64,
+    or beyond +-lim, is clamped value by value.  A value that is not an
+    integer raises TypeError.
+    """
+    a = np.array(column)
+    if a.dtype == np.int64 and a.ndim == 1 and a.min() >= -lim and a.max() <= lim:
+        return a  # an empty column converts to float64 and takes the loop
+    out = []
+    for v in column:
+        v = operator.index(v)
+        if v > lim:
+            v = lim + (v - lim) % 2
+        elif v < -lim:
+            v = -lim - (-lim - v) % 2
+        out.append(v)
+    return np.array(out, dtype=np.int64)
 
 
 def animal_of_word(w: StepWord, lattice: str, source: str) -> Animal:
@@ -163,30 +262,32 @@ def animal_of_word(w: StepWord, lattice: str, source: str) -> Animal:
     Point sources mark celibate ascents only (the word is a Motzkin
     prefix); compact sources mark celibate descents too, and their bases
     may reach fiber 2n, which bounds the flat height table.  One cell is
-    dropped per letter, plus the final one.
+    dropped per letter, plus the final one, into the animal's two columns.
     """
     compact = source == "compact"
     n_cells = len(w) + 1
     marked = _marked_letters(w, descents=compact)
     off = n_cells + 1
     max_right = 2 * n_cells if compact else n_cells
-    fibre = [-1] * (n_cells + max_right + 3 + off)
-    cells: list[tuple[int, int]] = []
-    append = cells.append
+    top = [-1] * (n_cells + max_right + 3 + off)  # fiber + off -> top height
+    fibres: list[int] = []
+    heights: list[int] = []
+    add_fibre, add_height = fibres.append, heights.append
     pending: list[int] = []
     f = 0
     base = 0
     for ch in marked + ".":  # "." = end-of-word terminator
         j = f + off
-        left = fibre[j - 1]
-        mid = fibre[j]
-        right = fibre[j + 1]
+        left = top[j - 1]
+        mid = top[j]
+        right = top[j + 1]
         m = left if left >= mid else mid
         if right > m:
             m = right
         h = m + 2 if (mid == m and left < mid) else m + 1
-        fibre[j] = h
-        append((f, h))
+        top[j] = h
+        add_fibre(f)
+        add_height(h)
         if ch == "a":
             pending.append(f)
             f -= 1
@@ -201,7 +302,7 @@ def animal_of_word(w: StepWord, lattice: str, source: str) -> Animal:
             base += 2
             f = base
         # "d" and the terminator leave f unchanged
-    return Animal(lattice, source, tuple(cells))
+    return Animal._of_columns(lattice, source, tuple(fibres), tuple(heights))
 
 
 def _check_word_lattice(w: StepWord, lattice: str) -> None:
@@ -230,13 +331,12 @@ def half_width(an: Animal) -> int:
     """Largest occupied fiber index of a point-source animal."""
     if an.source != "point":
         raise AnimalError("half-width is defined for point sources only")
-    return max(x for x, _ in an.cells)
+    return max(an.fibres)
 
 
 def empirical_width(an: Animal) -> int:
     """max fiber - min fiber; equals twice the half-width only on average."""
-    xs = [x for x, _ in an.cells]
-    return max(xs) - min(xs)
+    return max(an.fibres) - min(an.fibres)
 
 
 def beta_inverse(an: Animal) -> StepWord:
@@ -269,23 +369,23 @@ def _decode(an: Animal) -> str:
     """
     an.validate()
     r = lattice_colors(an.lattice)
-    lo = min(x for x, _ in an.cells)
-    hi = max(x for x, _ in an.cells)
+    fibres, heights = an.fibres, an.heights
+    lo, hi = min(fibres), max(fibres)
     # column k holds fiber k + lo - 2, heights descending so pop() is the
     # lowest; two empty columns on each side keep every lookup in range
     off = 2 - lo
     cols: list[list[int]] = [[] for _ in range(hi - lo + 5)]
-    for x, y in an.cells:
+    for x, y in zip(fibres, heights):
         cols[x + off].append(y)
     for col in cols:
         col.sort(reverse=True)
-    inf = 2 * len(an.cells) + 2  # above every height
+    inf = 2 * an.size + 2  # above every height
     low = [col[-1] if col else inf for col in cols]
 
     letters: list[str] = []
     pending: list[tuple[int, int]] = []  # (fiber column, letter index)
     x = base = off
-    remaining = len(an.cells)
+    remaining = an.size
     while True:
         col = cols[x]
         col.pop()
@@ -451,15 +551,24 @@ def average_width(n: int, lattice: str) -> Fraction:
 def animal_to_json(an: Animal) -> str:
     """Compact JSON, byte-identical to json.dumps(..., separators=(",", ":")).
 
+    Every cell is formatted by one `%` over the interleaved columns.
     Lattice and source are names from LATTICES and SOURCES, which need no
     escaping.
     """
-    cells = ",".join(["[%d,%d]" % c for c in an.cells])
+    n = an.size
+    flat: list[int] = [0] * (2 * n)
+    flat[::2] = an.fibres
+    flat[1::2] = an.heights
+    cells = ("[%d,%d]," * n)[:-1] % tuple(flat)
     return f'{{"lattice":"{an.lattice}","source":"{an.source}","cells":[{cells}]}}'
 
 
 def animal_from_json(text: str) -> Animal:
-    """Parse and validate one animal; every coordinate must be a JSON integer."""
+    """Parse and validate one animal; every coordinate must be a JSON integer.
+
+    The columns come straight from the parsed lists, `zip(*cells)`; no cell
+    tuple is built.
+    """
     # collections here find no garbage: the parse keeps all it builds
     enabled = gc.isenabled()
     gc.disable()
@@ -470,17 +579,21 @@ def animal_from_json(text: str) -> Animal:
         raw = payload["cells"]
         if type(raw) is not list:
             raise TypeError("cells must be a list")
-        if raw and (set(map(type, raw)) != {list} or set(map(len, raw)) != {2}):
+        if raw and set(map(type, raw)) != {list}:
             raise TypeError("every cell must be a list of two coordinates")
-        if raw and set(map(type, chain.from_iterable(raw))) != {int}:
+        try:  # the strict zip fails on unequal lengths, the unpacking on others than 2
+            fibres, heights = zip(*raw, strict=True) if raw else ((), ())
+        except ValueError:
+            raise TypeError("every cell must be a list of two coordinates") from None
+        if raw and set(map(type, fibres)) | set(map(type, heights)) != {int}:
             raise TypeError("every coordinate must be an integer")
-        an = Animal(payload["lattice"], payload["source"], tuple(map(tuple, raw)))
+        an = Animal._of_columns(payload["lattice"], payload["source"], fibres, heights)
     except (KeyError, TypeError, ValueError) as exc:
         raise AnimalError(f"bad animal JSON: {exc}") from exc
     finally:
         if enabled:
             gc.enable()
-    del payload, raw  # free the parsed lists before validate builds its key set
+    del payload, raw  # free the parsed lists before validate builds its arrays
     an.validate()
     return an
 

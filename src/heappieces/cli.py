@@ -1,14 +1,16 @@
 """Command-line surface: generate, enumerate, count, series, verify, gas, render.
 
 Every subcommand is a thin adapter over the library with byte-stable
-output.  Exit codes: 0 success, 1 verification failure, 2 usage error.
-Results go to stdout, diagnostics to stderr.
+output.  Exit codes: 0 success, 1 verification failure or a reader that
+closed stdout early (reported by no message), 2 usage error.  Results go
+to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -274,7 +276,16 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: stop quietly, and point stdout at the null
+        # device so that the interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError) as exc:  # every library error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -111,7 +111,16 @@ def _drop(
 
 
 def heap_key(h: Heap) -> Key:
-    """A valid heap's layers as bitmasks, bottom-up: the key `drop_words` takes."""
+    """A heap's layers as bitmasks, bottom-up: the key `drop_words` takes.
+
+    Every vertex is checked against h's graph, so an out-of-range one,
+    negative ones included, raises GraphError; the layers are trusted to
+    be canonical otherwise.
+    """
+    check = h.graph.check_vertex
+    for layer in h.layers:
+        for v in layer:
+            check(v)
     return tuple([sum(map((1).__lshift__, layer)) for layer in h.layers])
 
 

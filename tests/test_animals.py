@@ -2,11 +2,15 @@
 
 import json
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import heappieces.animals as animals_module
 from heappieces import (
     Animal,
     AnimalError,
@@ -346,12 +350,71 @@ def validate_by_cell_set(an):
             raise AnimalError(f"unsupported cell ({x},{y})")
 
 
-def accepts(validator, an):
+def validate_by_keys(an):
+    """Test oracle: the int-key set validator, one Python loop over the cells.
+
+    Each cell is keyed as the int x*m + y, m = 2n + 1, and one pass checks
+    every cell against the key set; faults in the order duplicate, empty,
+    ground, then the first bad cell.  `Animal.validate` must raise the same
+    message on every input whose coordinates it does not clamp.
+    """
+    cells = an.cells
+    n = len(cells)
+    m = 2 * n + 1
+    keys = {x * m + y for x, y in cells}
+    # fewer keys than cells: a duplicate, or an out-of-range cell's alias
+    if len(keys) != n and len(an.cell_set()) != n:
+        raise AnimalError("duplicate cell")
+    if not n:
+        raise AnimalError("empty animal")
+    triangular = an.lattice == "triangular"
+    # keys of the supports (x-1, y-1) and (x+1, y-1) are k - left and k + right
+    left, right = m + 1, m - 1
+    ground: list[int] = []
+    fault = None
+    for x, y in cells:
+        if not y:
+            ground.append(x)  # an odd ground fiber fails the ground rule
+        elif (x + y) & 1:
+            fault = fault or f"cell ({x},{y}) off the even sublattice"
+        elif 0 < y < m and (
+            (k := x * m + y) - left in keys
+            or k + right in keys
+            # y = 1 would alias k - 2 to the cell (x-1, m-1)
+            or (triangular and y > 1 and k - 2 in keys)
+        ):
+            continue
+        else:
+            fault = fault or f"unsupported cell ({x},{y})"
+    if an.source == "point":
+        if ground != [0]:
+            raise AnimalError("point source requires exactly cell (0,0) on the ground")
+    elif (
+        not ground
+        or min(ground) < 0
+        or max(ground) != 2 * (len(ground) - 1)
+        or any(x & 1 for x in ground)
+    ):
+        raise AnimalError("compact source requires ground cells at fibers 0,2,...")
+    if fault:
+        raise AnimalError(fault)
+
+
+def fault(validator, an):
+    """The message `validator` raises on `an`, or None if it accepts it."""
     try:
         validator(an)
-    except AnimalError:
-        return False
-    return True
+    except AnimalError as exc:
+        return str(exc)
+    return None
+
+
+def accepts(validator, an):
+    return fault(validator, an) is None
+
+
+# past int64 on either side, at its edges, and past the clamp of a small animal
+FAR_COORDINATES = [2**63, -(2**63), 2**63 - 1, -(2**63) - 1, 2**70, -(2**70), 2**61 + 1]
 
 
 def mutations(an, indices):
@@ -371,16 +434,20 @@ def mutations(an, indices):
 
 
 class TestValidateAgainstCellSetOracle:
-    """The one-pass int-key validator accepts exactly what the oracle accepts."""
+    """The array validator accepts exactly what the cell-set oracle accepts,
+    and raises the message of the key-loop oracle."""
 
     PAIRS = [(lat, src) for lat in ("square", "triangular") for src in ("point", "compact")]
 
     def _agree(self, lattice, source, cells):
-        fast = Animal(lattice, source, tuple(cells))
-        slow = Animal(lattice, source, tuple(cells))
-        assert accepts(Animal.validate, fast) == accepts(validate_by_cell_set, slow), (
+        def fresh():  # a new Animal per validator: no cached set or pass
+            return Animal(lattice, source, tuple(cells))
+
+        got = fault(Animal.validate, fresh())
+        assert (got is None) == accepts(validate_by_cell_set, fresh()), (
             lattice, source, cells,
         )
+        assert got == fault(validate_by_keys, fresh()), (lattice, source, cells)
 
     @pytest.mark.parametrize("lattice,source", PAIRS)
     def test_enumerated_animals_and_their_mutations(self, lattice, source):
@@ -405,6 +472,76 @@ class TestValidateAgainstCellSetOracle:
                    [0, 4], [0, 2, 4], [0, 2, 2]):
             self._agree(lattice, source, [(x, 0) for x in xs])
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_small_coordinates(self, data):
+        # every coordinate in -3..2n+3: ground rows, aliases of the top rows
+        # (y >= m = 2n + 1), duplicates and the empty animal all occur
+        lattice, source = data.draw(st.sampled_from(self.PAIRS))
+        n = data.draw(st.integers(0, 7))
+        coord = st.integers(-3, 2 * n + 3)
+        cells = data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+        self._agree(lattice, source, cells)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_edited_animals(self, data):
+        # valid animals with up to three cells replaced, added or repeated
+        lattice, source = data.draw(st.sampled_from(self.PAIRS))
+        n = data.draw(st.integers(1, 7))
+        an = data.draw(st.sampled_from(enumerate_animals(n, lattice, source)))
+        cells = list(an.cells)
+        coord = st.integers(-3, 2 * n + 5)
+        for _ in range(data.draw(st.integers(0, 3))):
+            i = data.draw(st.integers(0, len(cells) - 1))
+            edit = data.draw(st.sampled_from(("replace", "add", "repeat")))
+            new = data.draw(st.tuples(coord, coord))
+            if edit == "replace":
+                cells[i] = new
+            elif edit == "add":
+                cells.insert(i, new)
+            else:
+                cells.insert(i, cells[i])
+        self._agree(lattice, source, cells)
+
+    @pytest.mark.parametrize("far", FAR_COORDINATES)
+    @pytest.mark.parametrize("lattice,source", PAIRS)
+    def test_far_coordinates(self, lattice, source, far):
+        # coordinates past int64, or past the validator's clamp, in either
+        # column and on every row kind: an AnimalError, the oracle's message
+        for cells in (
+            [(0, 0), (far, 2)], [(0, 0), (far, 3)], [(0, 0), (0, far)],
+            [(0, 0), (far, 0)], [(far, far)], [(0, 0), (far, 2), (far, 2)],
+            [(0, 0), (2, 0), (far, 1), (far + 2, 1)],
+            # a far cell resting on another: the clamp keeps them adjacent
+            [(0, 0), (far, 2), (far + 1, 1)],
+            [(0, 0), (far - 1, 3), (far, 2), (far + 1, 1)],
+        ):
+            self._agree(lattice, source, cells)
+            text = json.dumps({"lattice": lattice, "source": source, "cells": cells})
+            with pytest.raises(AnimalError):
+                animal_from_json(text)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_far_coordinates_never_overflow(self, data):
+        # a far cell anywhere among small and far ones: the clamp keeps the
+        # verdict, reject, and only the named cell may move
+        lattice, source = data.draw(st.sampled_from(self.PAIRS))
+        far = st.one_of(
+            st.sampled_from(FAR_COORDINATES),
+            st.integers(2**61, 2**80),
+            st.integers(-(2**80), -(2**61)),
+        )
+        value = st.one_of(st.integers(-3, 9), far)
+        cells = data.draw(st.lists(st.tuples(value, value), max_size=5))
+        cell = data.draw(st.tuples(far, value) | st.tuples(value, far))
+        cells.insert(data.draw(st.integers(0, len(cells))), cell)
+        an = Animal(lattice, source, tuple(cells))
+        with pytest.raises(AnimalError):
+            an.validate()
+        assert not accepts(validate_by_keys, Animal(lattice, source, tuple(cells)))
+
     def test_y1_probe_does_not_alias_the_top_row(self):
         # n = 3, m = 7: key(3, 1) - 2 == key(2, 6), and 6 == 2n; (3, 1) is
         # named first only if the probe (3, -1) is not read as (2, 6)
@@ -412,16 +549,6 @@ class TestValidateAgainstCellSetOracle:
         self._agree("triangular", "point", cells)
         with pytest.raises(AnimalError, match=r"unsupported cell \(3,1\)"):
             Animal("triangular", "point", tuple(cells)).validate()
-
-
-class CountingCells(tuple):
-    """Cell tuple that counts full iterations over it."""
-
-    iterations = 0
-
-    def __iter__(self):
-        type(self).iterations += 1
-        return super().__iter__()
 
 
 class TestJsonAndValidation:
@@ -494,10 +621,17 @@ class TestJsonAndValidation:
             animal_from_json('{"lattice":"square","source":"point","cells":%s}' % cells)
 
     @pytest.mark.parametrize(
-        "cells", ["[[0,0],[1]]", "[[0,0],[1,1,0]]", '[[0,0],"11"]', '[[0,0],{"1":1}]']
+        "cells",
+        [
+            "[[0,0],[1]]", "[[0,0],[1,1,0]]", '[[0,0],"11"]', '[[0,0],{"1":1}]',
+            "[[0,0,0],[1,1,0]]", "[[],[]]", "[[0]]",
+        ],
     )
     def test_rejects_cell_that_is_not_a_pair(self, cells):
-        with pytest.raises(AnimalError, match="bad animal JSON"):
+        with pytest.raises(
+            AnimalError,
+            match="bad animal JSON: every cell must be a list of two coordinates",
+        ):
             animal_from_json('{"lattice":"square","source":"point","cells":%s}' % cells)
 
     @pytest.mark.parametrize("cells", ['{"0":0}', '"00"', "null", "7"])
@@ -522,21 +656,51 @@ class TestJsonAndValidation:
             assert back.cells == an.cells
             assert animal_from_json(json.dumps(payload, indent=1)).cells == back.cells
 
-    def test_validate_runs_once(self):
+    def test_validate_runs_once(self, monkeypatch):
+        # validate reads the columns, not the cells: count column conversions
+        convert = animals_module._int64_column
+        calls = []
+
+        def counting(column, lim):
+            calls.append(column)
+            return convert(column, lim)
+
+        monkeypatch.setattr(animals_module, "_int64_column", counting)
         an, _ = random_animal(50, "triangular", "point", RandomSource(3))
-        good = Animal("triangular", "point", CountingCells(an.cells))
-        start = CountingCells.iterations
+        good = Animal("triangular", "point", an.cells)
+        start = len(calls)
         good.validate()
-        passes = CountingCells.iterations - start
+        passes = len(calls) - start
         assert passes > 0
-        good.validate()  # recorded: reads no cell
-        assert CountingCells.iterations - start == passes
-        bad = Animal("triangular", "point", CountingCells(((0, 0), (4, 4))))
+        good.validate()  # recorded: converts no column
+        assert len(calls) - start == passes
+        bad = Animal("triangular", "point", ((0, 0), (4, 4)))
         for _ in range(3):
-            start = CountingCells.iterations
+            start = len(calls)
             with pytest.raises(AnimalError, match="unsupported cell"):
                 bad.validate()
-            assert CountingCells.iterations > start
+            assert len(calls) > start
+
+    @pytest.mark.parametrize("lattice,source", TestValidateAgainstCellSetOracle.PAIRS)
+    def test_columns_are_the_cells(self, lattice, source):
+        an, _ = random_animal(300, lattice, source, RandomSource(5))
+        assert an.cells == tuple(zip(an.fibres, an.heights)) and an.size == 300
+        same = Animal(lattice, source, an.cells)
+        assert (same.fibres, same.heights) == (an.fibres, an.heights)
+        assert same == an and hash(same) == hash(an)
+        assert repr(an) == (
+            f"Animal(lattice={lattice!r}, source={source!r}, cells={an.cells!r})"
+        )
+        assert pickle.loads(pickle.dumps(an)) == an
+        with pytest.raises(FrozenInstanceError):
+            an.lattice = "square"
+        with pytest.raises(FrozenInstanceError):
+            del an.source
+
+    @pytest.mark.parametrize("cells", [((0, 0, 0),), ((0, 0), (1, 1, 0)), ((0,), (1,))])
+    def test_cells_that_are_not_pairs(self, cells):
+        with pytest.raises(ValueError):
+            Animal("square", "point", cells).validate()
 
     def test_lattice_cells_rotation(self):
         an = beta(StepWord(1, "a"), "square")  # cells (0,0), (1,1)

@@ -431,6 +431,38 @@ class TestErrors:
         )
         assert code == 2 and "error" in err
 
+    def test_missing_input_file(self, capsys):
+        code, out, err = run(capsys, "render", "--input", "/does/not/exist")
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # each output is larger than a pipe's buffer plus one line
+            ["series", "--graph", "{path5}", "--kind", "theta", "--degree", "7"],
+            ["generate", "--size", "20000", "--samples", "20"],
+        ],
+    )
+    def test_reader_closing_the_pipe_is_quiet(self, path5_file, argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = [arg.format(path5=path5_file) for arg in argv]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "heappieces", *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()  # as `| head -1` does
+        try:
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert (code, err) == (1, b"")
+
     def test_render_reads_stdin(self, capsys, monkeypatch, tmp_path):
         code, animals, _ = run(capsys, "generate", "--size", "30", "--samples", "2")
         stream = tmp_path / "animals.jsonl"

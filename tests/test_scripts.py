@@ -58,6 +58,27 @@ def test_gallery(tmp_path):
     assert all(p.read_text().startswith("<?xml") for p in tmp_path.glob("*.svg"))
 
 
+def test_pipeline_times():
+    proc = run_script("pipeline_times.py", "--size", "50", "--seed", "3", "--runs", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == [
+        "seed 3, square/point, size 50, min of 1",
+        "| step | time |",
+        "|---|---|",
+    ]
+    steps = [line.split(" | ")[0] for line in lines[3:]]
+    assert steps == [
+        "| `generate --size 50 --seed 3`",
+        "| `render --decomposition`",
+        "| `render`",
+        "| `animal_from_json` (in process)",
+        "| `render_decomposition` (in process)",
+        "| `render_svg` (in process)",
+    ]
+    assert all(line.endswith((" s wall |", " s |")) for line in lines[3:])
+
+
 def test_heapbench_imports_resolve():
     missing = []
     for path in sorted((ROOT / "heapbench").glob("*.py")):

@@ -24,7 +24,7 @@ from heappieces import (
     strict_heaps_series,
     univariate_substitute,
 )
-from heappieces.heaps import empty_heap
+from heappieces.heaps import empty_heap, heap_key
 from heappieces.series import (
     PROJECTED_KINDS,
     TraceSeries,
@@ -147,6 +147,17 @@ class TestPairwiseOracle:
             series_mul(unit_series(path3, 3), s)
         with pytest.raises(GraphError):
             invert(s)
+
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_bad_vertex_in_left_factor_raises(self, path5, bad):
+        s = TraceSeries(path5, 3, {Heap(path5, ((bad,),)): 1})
+        one = unit_series(path5, 3)
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            heap_key(Heap(path5, ((0, 2), (bad,))))
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            series_mul(s, one)
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            s * one
 
     def test_equal_graphs_built_twice(self, path3):
         twin = build_graph("abc", [("a", "b"), ("b", "c")])
