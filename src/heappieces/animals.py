@@ -172,88 +172,102 @@ class Animal:
         """Raise AnimalError unless this is a directed animal of its source kind.
 
         One int64 pass over the columns.  Each cell is keyed as x*m + y,
-        m = 2n + 1; the keys are sorted once, and each support offset is
-        looked up by `searchsorted` of the shifted sorted keys.  A valid
-        n-cell animal has 0 <= y <= 2(n-1), so in that range keys are
-        distinct exactly when cells are, and each support is one key
-        lookup.  A cell out of the range is itself unsupported, so a key
-        it aliases never makes an invalid animal pass.  Coordinates beyond
-        +-lim, lim = 2^62 // (m + 2), are clamped to +-lim or +-(lim + 1),
-        keeping their parity, so that no key overflows; no valid animal
-        reaches them.  Faults are reported in the order duplicate, empty,
-        ground, then the first bad cell in cell order.  A pass is
-        recorded, so the checks run once per animal.
+        m = 2n + 1; the keys are sorted once, and the supports of every
+        cell are looked up together by `searchsorted` of the sorted keys
+        shifted by each support offset.  A valid n-cell animal has
+        0 <= y <= 2(n-1), so in that range keys are distinct exactly when
+        cells are, and each support is one key lookup.  A cell out of the
+        range is itself unsupported, so a key it aliases never makes an
+        invalid animal pass.  Coordinates beyond +-lim, lim = 2^62 //
+        (m + 2), are clamped to +-lim or +-(lim + 1), keeping their parity,
+        so that no key overflows; no valid animal reaches them.  Faults are
+        reported in the order duplicate, empty, ground, then the first bad
+        cell in cell order.  A pass is recorded, so the checks run once
+        per animal.
         """
         if self._valid:
             return
         fibres, heights = self._columns()
         n = len(fibres)
         m = 2 * n + 1
-        lim = (1 << 62) // (m + 2)
-        x, y = _int64_column(fibres, lim), _int64_column(heights, lim)
-        keys = x * m + y
+        x, y = _int64_columns(fibres, heights, (1 << 62) // (m + 2))
+        keys = x * m
+        keys += y
         order = keys.argsort()
         keys = keys[order]
         # equal neighbours: a duplicate, or an out-of-range cell's alias
-        if (keys[1:] == keys[:-1]).any() and len(self.cell_set()) != n:
+        if np.count_nonzero(keys[1:] == keys[:-1]) and len(self.cell_set()) != n:
             raise AnimalError("duplicate cell")
         if not n:
             raise AnimalError("empty animal")
-        ground = x[y == 0]  # in cell order; an odd ground fiber fails the ground rule
+        ground = x[y == 0].tolist()  # in cell order; an odd fiber fails the rule
         if self.source == "point":
-            if ground.size != 1 or ground[0]:
+            if ground != [0]:
                 raise AnimalError("point source requires exactly cell (0,0) on the ground")
         elif (
-            not ground.size
-            or ground.min() < 0
-            or ground.max() != 2 * (ground.size - 1)
-            or (ground & 1).any()
+            not ground
+            or min(ground) < 0
+            or max(ground) != 2 * (len(ground) - 1)
+            or any(v & 1 for v in ground)
         ):
             raise AnimalError("compact source requires ground cells at fibers 0,2,...")
-        x, y = x[order], y[order]
-        table = np.append(keys, _ABOVE_KEYS)  # every lookup lands inside
+        triangular = self.lattice == "triangular"
+        # supports (x-1, y-1), (x+1, y-1) and, triangular only, (x, y-2)
+        offsets = (-(m + 1), m - 1, -2) if triangular else (-(m + 1), m - 1)
+        probes = keys + np.array(offsets)[:, None]  # one sorted row per offset
+        hits = keys.take(keys.searchsorted(probes), mode="clip") == probes
+        # with every y in 0..m-3, as in a valid animal, no probe aliases:
+        # the ground cells hit nothing, and the animal is valid when every
+        # other cell hits a support, which also makes it even, like the
+        # ground cells it rests on
+        supported = hits[0] | hits[1]
+        if triangular:
+            supported |= hits[2]
+        if (
+            not np.count_nonzero(y.view(np.uint64) > m - 3)
+            and np.count_nonzero(supported) == n - len(ground)
+        ):
+            self.__dict__["_valid"] = True
+            return
+        # the first bad cell in cell order; m is odd, so a key's parity is
+        # its cell's
+        y = y[order]
+        if triangular:
+            hits[2] &= y > 1  # y = 1 would alias k - 2 to the cell (x-1, m-1)
+        bad = (y != 0) & (((keys & 1) == 1) | (y < 0) | (y >= m) | ~hits.any(0))
+        i = int(order[bad].min())
+        cx, cy = fibres[i], heights[i]
+        if (cx + cy) & 1:
+            raise AnimalError(f"cell ({cx},{cy}) off the even sublattice")
+        raise AnimalError(f"unsupported cell ({cx},{cy})")
 
-        def present(probe: np.ndarray) -> np.ndarray:
-            return table[table.searchsorted(probe)] == probe
 
-        # keys of the supports (x-1, y-1) and (x+1, y-1) are k - (m+1) and k + (m-1)
-        supported = present(keys - (m + 1)) | present(keys + (m - 1))
-        if self.lattice == "triangular":
-            # y = 1 would alias k - 2 to the cell (x-1, m-1)
-            supported |= (y > 1) & present(keys - 2)
-        bad = (y != 0) & ((((x + y) & 1) == 1) | (y < 0) | (y >= m) | ~supported)
-        if bad.any():
-            i = int(order[bad].min())
-            cx, cy = fibres[i], heights[i]
-            if (cx + cy) & 1:
-                raise AnimalError(f"cell ({cx},{cy}) off the even sublattice")
-            raise AnimalError(f"unsupported cell ({cx},{cy})")
-        self.__dict__["_valid"] = True
+def _int64_columns(
+    fibres: Sequence[int], heights: Sequence[int], lim: int
+) -> np.ndarray:
+    """Both columns as the rows of one int64 array, values beyond +-lim
+    clamped to +-lim or +-(lim + 1) with their parity.
 
-
-# above every key validate() builds, so a lookup past the last key misses
-_ABOVE_KEYS = np.iinfo(np.int64).max
-
-
-def _int64_column(column: Sequence[int], lim: int) -> np.ndarray:
-    """The column as int64, each value beyond +-lim clamped with its parity.
-
-    The fast path is one conversion; a column with a value outside int64,
-    or beyond +-lim, is clamped value by value.  A value that is not an
+    The fast path is one conversion; columns with a value outside int64,
+    or beyond +-lim, are clamped value by value.  A value that is not an
     integer raises TypeError.
     """
-    a = np.array(column)
-    if a.dtype == np.int64 and a.ndim == 1 and a.min() >= -lim and a.max() <= lim:
-        return a  # an empty column converts to float64 and takes the loop
-    out = []
-    for v in column:
-        v = operator.index(v)
-        if v > lim:
-            v = lim + (v - lim) % 2
-        elif v < -lim:
-            v = -lim - (-lim - v) % 2
-        out.append(v)
-    return np.array(out, dtype=np.int64)
+    xy = np.array((fibres, heights))
+    # abs(-2^63) wraps to -2^63, which reads as 2^63 unsigned
+    if xy.dtype == np.int64 and not np.count_nonzero(np.abs(xy).view(np.uint64) > lim):
+        return xy  # empty columns convert to float64 and take the loop
+    rows = []
+    for column in (fibres, heights):
+        row = []
+        for v in column:
+            v = operator.index(v)
+            if v > lim:
+                v = lim + (v - lim) % 2
+            elif v < -lim:
+                v = -lim - (-lim - v) % 2
+            row.append(v)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(2, -1)
 
 
 def animal_of_word(w: StepWord, lattice: str, source: str) -> Animal:

@@ -522,6 +522,16 @@ class TestValidateAgainstCellSetOracle:
             with pytest.raises(AnimalError):
                 animal_from_json(text)
 
+    @pytest.mark.parametrize("lattice,source", PAIRS)
+    def test_wrapped_key_is_no_support(self, lattice, source):
+        # n = 2, m = 5: the key of (x, 2) less m + 1 wraps to the key of
+        # (0, 0) modulo 2^64 when 5x = 4; that x fits in int64
+        x = (4 * pow(5, -1, 2**64)) % 2**64
+        x -= 2**64 if x >= 2**63 else 0
+        assert (x * 5 + 2 - 6) % 2**64 == 0
+        self._agree(lattice, source, [(0, 0), (x, 2)])
+        assert not accepts(Animal.validate, Animal(lattice, source, ((0, 0), (x, 2))))
+
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_far_coordinates_never_overflow(self, data):
@@ -658,14 +668,14 @@ class TestJsonAndValidation:
 
     def test_validate_runs_once(self, monkeypatch):
         # validate reads the columns, not the cells: count column conversions
-        convert = animals_module._int64_column
+        convert = animals_module._int64_columns
         calls = []
 
-        def counting(column, lim):
-            calls.append(column)
-            return convert(column, lim)
+        def counting(fibres, heights, lim):
+            calls.append(fibres)
+            return convert(fibres, heights, lim)
 
-        monkeypatch.setattr(animals_module, "_int64_column", counting)
+        monkeypatch.setattr(animals_module, "_int64_columns", counting)
         an, _ = random_animal(50, "triangular", "point", RandomSource(3))
         good = Animal("triangular", "point", an.cells)
         start = len(calls)
