@@ -90,7 +90,8 @@ def main(argv: list[str] | None = None) -> int:
             seconds = wall_s(cli + gen.split(), env, args.runs, out)
         rows.append((f"`{gen}`", seconds, "s wall"))
         for render in ("render --decomposition", "render"):
-            seconds = wall_s(cli + render.split() + ["--input", str(path)], env, args.runs)
+            argv_render = cli + render.split() + ["--input", str(path)]
+            seconds = wall_s(argv_render, env, args.runs)
             rows.append((f"`{render}`", seconds, "s wall"))
         proc = subprocess.run(
             [sys.executable, "-c", IN_PROCESS, str(path), str(args.runs)],

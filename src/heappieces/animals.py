@@ -102,11 +102,17 @@ class Animal:
 
     @classmethod
     def _of_columns(
-        cls, lattice: str, source: str, fibres: tuple[int, ...], heights: tuple[int, ...]
+        cls,
+        lattice: str,
+        source: str,
+        fibres: tuple[int, ...],
+        heights: tuple[int, ...],
     ) -> Animal:
         _check_kind(lattice, source)
         an = cls.__new__(cls)
-        an.__dict__.update(lattice=lattice, source=source, _fibres=fibres, _heights=heights)
+        an.__dict__.update(
+            lattice=lattice, source=source, _fibres=fibres, _heights=heights
+        )
         return an
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -180,10 +186,12 @@ class Animal:
         range is itself unsupported, so a key it aliases never makes an
         invalid animal pass.  Coordinates beyond +-lim, lim = 2^62 //
         (m + 2), are clamped to +-lim or +-(lim + 1), keeping their parity,
-        so that no key overflows; no valid animal reaches them.  Faults are
-        reported in the order duplicate, empty, ground, then the first bad
-        cell in cell order.  A pass is recorded, so the checks run once
-        per animal.
+        so that no key overflows; no valid animal reaches them.  An animal
+        passes when every y lies in 0..m-3 and every non-ground cell hits
+        a support; only one that fails is searched for its first bad cell.
+        Faults are reported in the order duplicate, empty, ground, then
+        the first bad cell in cell order.  A pass is recorded, so the
+        checks run once per animal.
         """
         if self._valid:
             return
