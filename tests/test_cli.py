@@ -575,6 +575,13 @@ CLI_DIGESTS = [
     ),
     ("generate --samples 200 --size 7", "2a413b6f6248483e"),
     ("series --graph {path5} --kind theta --degree 5", "68594ee2ab2aa075"),
+    ("series --graph {path5} --kind theta-bar --degree 5", "997e5e9ba49a0d03"),
+    ("series --graph {path5} --kind theta-strict --degree 5", "a742d5a20e78c620"),
+    ("series --graph {path5} --kind gamma --degree 5", "d805dc708e8e0235"),
+    ("series --graph {path5} --kind gamma-bar --degree 5", "5282cd8df5e7ee09"),
+    ("series --graph {path5} --kind pi --degree 5", "b4db1b6cc054d7bd"),
+    ("series --graph {path5} --kind pi-bar --degree 5", "8724385db15b3b2a"),
+    ("series --graph {path5} --kind pi --base c --degree 5", "1c8549a09b3b8b24"),
     (
         "series --graph {path5} --kind pi-bar --base c --degree 5 --project",
         "259c251ed7d7bb50",

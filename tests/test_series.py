@@ -13,6 +13,7 @@ from heappieces import (
     build_graph,
     configurations_series,
     derive,
+    enumerate_heaps,
     heap_of_word,
     heaps_series,
     invert,
@@ -222,6 +223,33 @@ class TestNamedSeries:
         # edgeless graph: project(GammaBar) = (1-t)^3
         gbar = project(configurations_series(edgeless3, 5, signed=True))
         assert gbar.coefficients == (Q(1), Q(-3), Q(3), Q(-1), Q(0), Q(0))
+
+
+class TestListingIsTheSeries:
+    """`enumerate_heaps` and the heap series builders read one layer transfer:
+    the heaps listed are the terms of the matching series, in the listing's
+    order (by size, then canonical word)."""
+
+    @pytest.mark.parametrize(
+        "g", [g for _, g in graph_suite()], ids=[name for name, _ in graph_suite()]
+    )
+    @pytest.mark.parametrize("degree", range(7))
+    def test_heaps_are_the_sorted_terms(self, g, degree):
+        def listed(s):
+            return sorted(s.terms, key=lambda h: (h.size, h.canonical_word()))
+
+        for signed in (False, True):
+            assert enumerate_heaps(g, degree) == listed(heaps_series(g, degree, signed))
+            assert enumerate_heaps(g, degree, strict_only=True) == listed(
+                strict_heaps_series(g, degree, signed)
+            )
+            assert enumerate_heaps(g, degree, pyramids_only=True) == listed(
+                pyramids_series(g, degree, signed)
+            )
+            for v in range(g.vertex_count):
+                assert enumerate_heaps(g, degree, pyramid_base=v) == listed(
+                    pyramids_series(g, degree, signed, base=v)
+                )
 
 
 class TestDerive:
