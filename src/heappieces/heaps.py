@@ -10,9 +10,11 @@ partially commutative monoid, and everything downstream (series, animals,
 sampling) works on this canonical form.  One kernel, `_drop`, lands every
 letter: it reads per-fibre tops and ORs the letter into its layer's
 bitmask, so no layer is sorted.  Products run on these bitmask keys
-(`heap_key`, `drop_words`, `heap_of_key`), vertex tuples built once at the
-boundary; listing and counting heaps (`enumerate_heaps`, `count_pyramids`)
-grow the layers themselves by one move rule (`_moves`) instead.
+(`drop_words`); `heap_key` and `heap_of_key` convert between keys and
+heaps at the boundary only.  Listing and counting heaps grow the layers
+themselves by one move rule (`_moves`) instead: one layer transfer
+(`_layer_transfer`) lists heaps as vertex tuples for `enumerate_heaps` or
+as keys for the series builders, and `count_pyramids` counts them.
 
 Conventions: layers are tuples of ascending vertex indices; the canonical
 word of a heap enumerates the layers bottom-up, each in ascending index
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain, zip_longest
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .graphs import (
     Coloring, CommutationGraph, _members, format_graph_literal, parse_graph_literal
@@ -34,6 +36,7 @@ from .graphs import (
 Cell = tuple[int, int]  # (vertex index, 1-based height)
 Layers = tuple[tuple[int, ...], ...]
 Key = tuple[int, ...]  # a heap's layers as vertex bitmasks, bottom-up
+Layer = int | tuple[int, ...]  # one layer of a key, or of a Heap's layers
 
 
 class HeapError(ValueError):
@@ -258,6 +261,55 @@ def _moves(
     return [(size, d) for size, d in g._stable_sets(most, within) if size]
 
 
+def _layer_transfer(
+    g: CommutationGraph,
+    n: int,
+    item: Callable[[int], Layer],
+    strict_only: bool = False,
+    pyramids_only: bool = False,
+    pyramid_base: int | None = None,
+    order: Callable[[tuple[tuple[Layer, ...], int]], object] | None = None,
+) -> Iterator[list[tuple[tuple[Layer, ...], int]]]:
+    """The heaps of each size 0..n: the one layer transfer that lists heaps,
+    as `Heap` layers or as keys.
+
+    It yields, size by size, (layers, top layer bitmask) of each heap.  From
+    the empty heap, each heap grows by the moves `_moves` lists for its top
+    (pyramids first by a singleton, or by the base alone); a top's moves
+    are listed once, at the smallest size where it is met, each with the
+    item it appends: `item(D)` for the layer bitmask D, that is D itself
+    for a key (`int`) or its vertices for a `Heap` (`_members`).  Each heap
+    is reached once, by its own layers.  Given `order`, each size is sorted
+    by it before it grows: the next size then comes out in long sorted runs.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    roots = range(g.vertex_count) if pyramids_only else None
+    if pyramid_base is not None:
+        g.check_vertex(pyramid_base)
+        roots = (pyramid_base,)
+    moves: dict[int, list[tuple[int, int, Layer]]] = {}  # top -> (|D|, D, item)
+    levels: list[list[tuple[tuple[Layer, ...], int]]] = [[((), 0)]]
+    levels += [[] for _ in range(n)]
+    for s in range(n + 1):
+        level, levels[s] = levels[s], []  # complete: moves only grow heaps
+        if order is not None:
+            level.sort(key=order)
+        for layers, top in level:
+            if top not in moves:
+                moves[top] = [
+                    (size, d, item(d))
+                    for size, d in _moves(g, top, n - s, roots, strict_only)
+                ]
+            for size, d, x in moves[top]:
+                if s + size > n:
+                    break
+                levels[s + size].append((layers + (x,), d))
+        if s == 0 and roots is not None:
+            level = []  # the empty heap is no pyramid
+        yield level
+
+
 def enumerate_heaps(
     g: CommutationGraph,
     n: int,
@@ -267,35 +319,14 @@ def enumerate_heaps(
 ) -> list[Heap]:
     """All canonical heaps of size <= n, optionally strict and/or pyramids.
 
-    The layer transfer of `count_pyramids`, listing heaps: from the empty
-    heap by the move rule `_moves`, each top layer's moves listed once, at
-    the smallest size where it is met.  Each heap is reached once, by its
-    own layers, and each size is sorted by canonical word.
+    The layer transfer `_layer_transfer`, appending vertex tuples, each size
+    sorted by canonical word.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    roots = range(g.vertex_count) if pyramids_only else None
-    if pyramid_base is not None:
-        g.check_vertex(pyramid_base)
-        pyramids_only, roots = True, (pyramid_base,)
-    moves: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}  # top -> (|D|, D, row)
-    # levels[s]: (layers, top layer bitmask) of each heap of size s, unsorted
-    levels: list[list[tuple[Layers, int]]] = [[((), 0)]] + [[] for _ in range(n)]
-    out: list[Heap] = []
-    for s in range(n + 1):  # the key is the canonical word
-        level, levels[s] = sorted(levels[s], key=lambda e: sum(e[0], ())), []
-        out += [Heap(g, layers) for layers, _ in level]
-        for layers, top in level:
-            if top not in moves:
-                moves[top] = [
-                    (size, d, _members(d))
-                    for size, d in _moves(g, top, n - s, roots, strict_only)
-                ]
-            for size, d, row in moves[top]:
-                if s + size > n:
-                    break
-                levels[s + size].append((layers + (row,), d))
-    return out[1:] if pyramids_only else out  # the empty heap is no pyramid
+    levels = _layer_transfer(
+        g, n, _members, strict_only, pyramids_only, pyramid_base,
+        order=lambda e: sum(e[0], ()),  # the canonical word
+    )
+    return [Heap(g, layers) for level in levels for layers, _ in level]
 
 
 def count_pyramids(g: CommutationGraph, n: int, base: int | None = None) -> list[int]:

@@ -1,11 +1,18 @@
 """Degree-truncated formal series over the trace monoid, exact coefficients.
 
-A TraceSeries maps canonical heaps of size <= N to coefficients; the
-product is the truncated convolution over monoid factorizations, realized
-here by multiplying key pairs (sizes adding to <= N) in the heap monoid.
-The classic identities live at this level: the alternating configuration
-series inverts the heap series, and the pyramid series is the right
-logarithmic derivative of the heap series.
+A TraceSeries maps canonical heaps of size <= N to coefficients.  It keeps
+its terms as heap keys (the layer bitmasks of `heaps.heap_key`), one
+key -> coefficient dict per size; `terms`, the Heap -> coefficient view,
+is built on first read and kept.  A series made from Heaps checks each
+term once, there; the builders here hand in keys from the layer transfer
+(`heaps_series`, `pyramids_series`, ...) or from the products, and the
+algebra, the projection and the dump read the keys and sizes directly.
+The product is the truncated convolution over monoid factorizations: each
+right factor's canonical word drops on each left key (`heaps.drop_words`),
+sizes adding to <= N, and the products are summed by key.  The classic
+identities live at this level: the alternating configuration series
+inverts the heap series, and the pyramid series is the right logarithmic
+derivative of the heap series.
 
 Projection (every letter -> t) is a monoid morphism, so the projected
 counting series need no heap: with Gamma-bar(t) = sum over stable sets C
@@ -15,7 +22,7 @@ pi = t theta'/theta = -t Gamma-bar'/Gamma-bar (with one base v,
 `projected_series` counts stable sets by size, inverts Gamma-bar for theta
 and theta-strict, and counts pi by the layer transfer `heaps.count_pyramids`:
 no heap is built, but every stable set is visited.  The trace series
-themselves stay enumerated: their size is the number of heaps.
+themselves stay listed: their size is the number of heaps.
 
 All arithmetic is exact, and trace and univariate series follow one
 coefficient rule: a coefficient is a plain int unless it is a true
@@ -27,20 +34,21 @@ graphs raises instead of silently re-truncating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import chain
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from .graphs import CommutationGraph
+from .graphs import CommutationGraph, _members
 from .heaps import (
-    Heap, Key, count_pyramids, drop_words, empty_heap, enumerate_heaps, heap_key,
-    heap_of_key,
+    Heap, HeapError, Key, _layer_transfer, count_pyramids, drop_words, empty_heap,
+    heap_key, heap_of_key,
 )
 
 Coefficient = int | Fraction
-Term = tuple[tuple[int, ...], Coefficient]  # (canonical word, coefficient)
-Sums = list[dict[Key, Coefficient]]  # per size: product's heap key -> coefficient
+Bucket = dict[Key, Coefficient]  # one size's terms: heap key -> coefficient
+Word = tuple[int, ...]  # a canonical word: its layers' vertices bottom-up
 PROJECTED_KINDS = (
     "gamma", "gamma-bar", "theta", "theta-bar", "theta-strict", "pi", "pi-bar"
 )
@@ -58,48 +66,113 @@ def _exact(c: Coefficient) -> Coefficient:
     return q.numerator if q.denominator == 1 else q
 
 
-@dataclass(frozen=True)
+def _normalized(sizes: Iterable[Bucket]) -> list[Bucket]:
+    """Each size's terms without the zero ones, coefficients as `_exact`."""
+    return [
+        {k: c if type(c) is int else _exact(c) for k, c in bucket.items() if c}
+        for bucket in sizes
+    ]
+
+
 class TraceSeries:
+    """Truncated trace series: its terms as heap keys, one bucket per size.
+
+    `TraceSeries(g, degree, {heap: coefficient})` checks each term once:
+    its graph, its size against the degree, its vertices (an out-of-range
+    one raises GraphError) and its layers, which must be the canonical
+    form of its word (else HeapError); it drops zero terms and stores
+    integral coefficients as ints.  The builders of this module hand in
+    trusted keys by size instead (`_of_keys`).  `terms`, the Heap ->
+    coefficient view, is built on first read and kept; the algebra, the
+    projection and the dump read the keys.  Series are immutable.
+    """
+
     graph: CommutationGraph
     degree: int
-    terms: Mapping[Heap, Coefficient]
+    _sizes: list[Bucket]  # entry s: the terms of size s
+    _terms: Mapping[Heap, Coefficient] | None = None  # lazy: built on first use
 
-    def __post_init__(self) -> None:
-        """One pass: check each term's graph and size, drop zeros, store ints."""
-        g, n = self.graph, self.degree
-        terms = dict(self.terms)  # a copy keeps each key's hash: none is rehashed
-        for h, c in self.terms.items():
+    def __init__(
+        self, graph: CommutationGraph, degree: int, terms: Mapping[Heap, Coefficient]
+    ) -> None:
+        sizes: list[Bucket] = [{} for _ in range(degree + 1)]
+        for h, c in terms.items():
             if not c:
-                del terms[h]
                 continue
-            if h.graph is not g and h.graph != g:
+            if h.graph is not graph and h.graph != graph:
                 raise SeriesError("term over a different graph")
-            if h.size > n:
+            size = h.size
+            if size > degree:
                 raise SeriesError("term beyond truncation degree")
-            if type(c) is not int:
-                terms[h] = _exact(c)
-        object.__setattr__(self, "terms", terms)
+            # the key of the term's word, by the one drop rule, which checks
+            # each vertex; a canonical heap's layers are that key's
+            key = next(drop_words(graph, (), (h.canonical_word(),)))
+            if tuple(map(_members, key)) != h.layers:
+                raise HeapError(
+                    f"term {h.layers} is not the canonical form of its word"
+                )
+            sizes[size][key] = c
+        self.__dict__.update(graph=graph, degree=degree, _sizes=_normalized(sizes))
 
-    def coefficient(self, h: Heap) -> Coefficient:
-        return self.terms.get(h, 0)
+    @classmethod
+    def _of_keys(
+        cls, graph: CommutationGraph, degree: int, sizes: list[Bucket]
+    ) -> TraceSeries:
+        """From canonical keys by size, no zero and every coefficient `_exact`."""
+        s = cls.__new__(cls)
+        s.__dict__.update(graph=graph, degree=degree, _sizes=sizes)
+        return s
 
-    def __add__(self, other: "TraceSeries") -> "TraceSeries":
-        _check_compat(self, other)
-        acc = dict(self.terms)
-        for h, c in other.terms.items():
-            acc[h] = acc.get(h, 0) + c
-        return TraceSeries(self.graph, self.degree, acc)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __sub__(self, other: "TraceSeries") -> "TraceSeries":
-        return self + other.scale(-1)
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def scale(self, c: Coefficient) -> "TraceSeries":
-        c = _exact(c)
-        return TraceSeries(
-            self.graph, self.degree, {h: c * x for h, x in self.terms.items()}
+    def __repr__(self) -> str:
+        return f"TraceSeries({self.graph!r}, {self.degree!r}, {dict(self.terms)!r})"
+
+    @property
+    def terms(self) -> Mapping[Heap, Coefficient]:
+        if self._terms is None:
+            g = self.graph
+            view = {heap_of_key(g, k): c for b in self._sizes for k, c in b.items()}
+            self.__dict__["_terms"] = MappingProxyType(view)
+        return self._terms  # type: ignore[return-value]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceSeries):
+            return NotImplemented
+        return (
+            self.graph == other.graph
+            and self.degree == other.degree
+            and self._sizes == other._sizes
         )
 
-    def __mul__(self, other: "TraceSeries") -> "TraceSeries":
+    __hash__ = None  # type: ignore[assignment]
+
+    def coefficient(self, h: Heap) -> Coefficient:
+        if h.graph != self.graph or h.size > self.degree:
+            return 0
+        return self._sizes[h.size].get(heap_key(h), 0)
+
+    def __add__(self, other: TraceSeries) -> TraceSeries:
+        _check_compat(self, other)
+        sizes = [dict(b) for b in self._sizes]
+        for acc, bucket in zip(sizes, other._sizes):
+            for k, c in bucket.items():
+                acc[k] = acc.get(k, 0) + c
+        return TraceSeries._of_keys(self.graph, self.degree, _normalized(sizes))
+
+    def __sub__(self, other: TraceSeries) -> TraceSeries:
+        return self + other.scale(-1)
+
+    def scale(self, c: Coefficient) -> TraceSeries:
+        c = _exact(c)
+        sizes = [{k: c * x for k, x in b.items()} for b in self._sizes]
+        return TraceSeries._of_keys(self.graph, self.degree, _normalized(sizes))
+
+    def __mul__(self, other: TraceSeries) -> TraceSeries:
         return series_mul(self, other)
 
 
@@ -116,43 +189,77 @@ def unit_series(g: CommutationGraph, degree: int) -> TraceSeries:
     return TraceSeries(g, degree, {empty_heap(g): 1})
 
 
-def _words_up_to(s: TraceSeries) -> list[list[Term]]:
-    """Entry j: (canonical word, coefficient) of each term of s of size <= j."""
-    parts: list[list[Term]] = [[] for _ in range(s.degree + 1)]
-    for h, c in s.terms.items():
-        parts[h.size].append((h.canonical_word(), c))
-    return list(accumulate(parts))
+class _Memo(dict):
+    """fn's value at each key, computed on the key's first lookup."""
+
+    def __init__(self, fn: Callable[[int], object]) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key: int) -> object:
+        self[key] = value = self.fn(key)
+        return value
+
+
+def _words_by_size(s: TraceSeries) -> list[tuple[list[Word], list[Coefficient]]]:
+    """Entry j: the canonical words of s's terms of size j, and their coefficients."""
+    vertices = _Memo(_members).__getitem__  # each layer's vertices, listed once
+    return [
+        ([tuple(chain.from_iterable(map(vertices, k))) for k in b], list(b.values()))
+        for b in s._sizes
+    ]
 
 
 def _add_products(
-    accs: Sums, g: CommutationGraph, key1: Key, m: int, c1: Coefficient,
-    items: list[Term],
+    accs: list[Bucket], g: CommutationGraph, key1: Key, m: int, c1: Coefficient,
+    parts: list[tuple[list[Word], list[Coefficient]]], first: int,
 ) -> None:
-    """accs[size][key of h1 * h2] += c1 * c2 for each (word of h2, c2) in `items`,
-    h1 of size m and key `key1`: h2's word drops on h1's layer bitmasks."""
-    for (word, c2), key in zip(items, drop_words(g, key1, (w for w, _ in items))):
-        acc = accs[m + len(word)]
-        acc[key] = acc.get(key, 0) + c1 * c2
+    """accs[m + j][key of h1 * h2] += c1 * c2 for each word of h2 and its c2 in
+    parts[j], first <= j <= degree - m, h1 of size m and key `key1`: h2's
+    word drops on h1's layer bitmasks."""
+    for j in range(first, len(accs) - m):
+        words, coefficients = parts[j]
+        acc = accs[m + j]
+        for c2, key in zip(coefficients, drop_words(g, key1, words)):
+            acc[key] = acc.get(key, 0) + c1 * c2
 
 
 def series_mul(s1: TraceSeries, s2: TraceSeries) -> TraceSeries:
-    """Truncated product over key pairs, summed by layer key; one Heap per result."""
+    """Truncated product over key pairs, summed by layer key; no Heap is built."""
     _check_compat(s1, s2)
     g, n = s1.graph, s1.degree
-    upto = _words_up_to(s2)
-    accs: Sums = [{} for _ in range(n + 1)]
-    for h1, c1 in s1.terms.items():
-        _add_products(accs, g, heap_key(h1), h1.size, c1, upto[n - h1.size])
-    terms = {heap_of_key(g, k): c for a in accs for k, c in a.items() if c}
-    return TraceSeries(g, n, terms)
+    parts = _words_by_size(s2)
+    accs: list[Bucket] = [{} for _ in range(n + 1)]
+    for m, bucket in enumerate(s1._sizes):
+        for key1, c1 in bucket.items():
+            _add_products(accs, g, key1, m, c1, parts, 0)
+    return TraceSeries._of_keys(g, n, _normalized(accs))
 
 
 def _counting_series(
-    g: CommutationGraph, degree: int, heaps: Iterable[Heap], signed: bool
+    g: CommutationGraph, degree: int, keys: Iterable[Iterable[Key]], signed: bool
 ) -> TraceSeries:
-    """Each heap with coefficient (-1)^size when signed, else 1."""
-    return TraceSeries(
-        g, degree, {h: -1 if signed and h.size % 2 else 1 for h in heaps}
+    """Each heap, given by its key in the entry of its size, with coefficient
+    (-1)^size when signed, else 1."""
+    sizes = [
+        dict.fromkeys(level, -1 if signed and s % 2 else 1)
+        for s, level in enumerate(keys)
+    ]
+    return TraceSeries._of_keys(g, degree, sizes)
+
+
+def _transfer_series(
+    g: CommutationGraph,
+    degree: int,
+    signed: bool,
+    strict_only: bool = False,
+    pyramids_only: bool = False,
+    pyramid_base: int | None = None,
+) -> TraceSeries:
+    """The counting series of the heaps that `_layer_transfer` lists as keys."""
+    levels = _layer_transfer(g, degree, int, strict_only, pyramids_only, pyramid_base)
+    return _counting_series(
+        g, degree, ([key for key, _ in level] for level in levels), signed
     )
 
 
@@ -160,19 +267,22 @@ def configurations_series(
     g: CommutationGraph, degree: int, signed: bool
 ) -> TraceSeries:
     """Stable sets as one-layer heaps; signed gives coefficient (-1)^{|C|}."""
-    heaps = [Heap(g, (conf,) if conf else ()) for conf in g.configurations(degree)]
-    return _counting_series(g, degree, heaps, signed)
+    if degree < 0:
+        raise ValueError("max_size must be >= 0")
+    keys: list[list[Key]] = [[] for _ in range(degree + 1)]
+    for size, conf in g._stable_sets(degree):
+        keys[size].append((conf,) if conf else ())
+    return _counting_series(g, degree, keys, signed)
 
 
 def heaps_series(g: CommutationGraph, degree: int, signed: bool) -> TraceSeries:
-    return _counting_series(g, degree, enumerate_heaps(g, degree), signed)
+    return _transfer_series(g, degree, signed)
 
 
 def strict_heaps_series(
     g: CommutationGraph, degree: int, signed: bool
 ) -> TraceSeries:
-    heaps = enumerate_heaps(g, degree, strict_only=True)
-    return _counting_series(g, degree, heaps, signed)
+    return _transfer_series(g, degree, signed, strict_only=True)
 
 
 def pyramids_series(
@@ -182,15 +292,13 @@ def pyramids_series(
     base: int | None = None,
 ) -> TraceSeries:
     """Pyramid series (no constant term); `base` pins the base vertex."""
-    heaps = enumerate_heaps(g, degree, pyramids_only=True, pyramid_base=base)
-    return _counting_series(g, degree, heaps, signed)
+    return _transfer_series(g, degree, signed, pyramids_only=True, pyramid_base=base)
 
 
 def derive(s: TraceSeries) -> TraceSeries:
     """Size derivative: coefficient of each heap multiplied by its size."""
-    return TraceSeries(
-        s.graph, s.degree, {h: c * h.size for h, c in s.terms.items()}
-    )
+    sizes = [{k: c * m for k, c in b.items()} for m, b in enumerate(s._sizes)]
+    return TraceSeries._of_keys(s.graph, s.degree, _normalized(sizes))
 
 
 def invert(s: TraceSeries) -> TraceSeries:
@@ -204,19 +312,16 @@ def invert(s: TraceSeries) -> TraceSeries:
     also the right inverse.
     """
     g, n = s.graph, s.degree
-    c0 = s.coefficient(empty_heap(g))
+    c0 = s._sizes[0].get((), 0) if s._sizes else 0
     if c0 not in (1, -1):
         raise SeriesError(f"constant term {c0} is not invertible")
-    upto = [items[1:] for items in _words_up_to(s)]  # all but the constant term
-    accs: Sums = [{heap_key(empty_heap(g)): c0}] + [{} for _ in range(n)]
-    terms: dict[Heap, Coefficient] = {}
+    parts = _words_by_size(s)
+    accs: list[Bucket] = [{(): c0}] + [{} for _ in range(n)]
     for m, acc in enumerate(accs):  # T_m: complete once every T_k, k < m, is dropped
         for key, c1 in acc.items():
             if c1:
-                terms[heap_of_key(g, key)] = c1
-                if m < n:  # T_n has no product within the degree
-                    _add_products(accs, g, key, m, -c0 * c1, upto[n - m])
-    return TraceSeries(g, n, terms)
+                _add_products(accs, g, key, m, -c0 * c1, parts, 1)
+    return TraceSeries._of_keys(g, n, _normalized(accs))
 
 
 @dataclass(frozen=True)
@@ -304,10 +409,7 @@ def from_coefficient_fn(
 
 def project(s: TraceSeries) -> UnivariateSeries:
     """Replace every letter by t: coefficient of t^n sums size-n terms."""
-    out = [0] * (s.degree + 1)
-    for h, c in s.terms.items():
-        out[h.size] += c
-    return UnivariateSeries(s.degree, tuple(out))
+    return UnivariateSeries(s.degree, tuple(sum(b.values()) for b in s._sizes))
 
 
 def univariate_substitute(s: UnivariateSeries, mode: str) -> UnivariateSeries:
@@ -379,10 +481,12 @@ def dump_trace_series(s: TraceSeries) -> str:
     Single-character labels concatenate; longer labels are space-separated
     so words stay unambiguous.
     """
-    sep = "" if all(len(lab) == 1 for lab in s.graph.labels) else " "
+    labels = s.graph.labels
+    sep = "" if all(len(lab) == 1 for lab in labels) else " "
+    # a key has no empty layer, so its word joins its layers' spelled words
+    spelled = _Memo(lambda mask: sep.join([labels[v] for v in _members(mask)]))
     rows = []
-    for h, c in s.terms.items():
-        word = sep.join(s.graph.labels[v] for v in h.canonical_word())
-        rows.append((h.size, word, c))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return "\n".join(f"{c}\t{word if word else '1'}" for _, word, c in rows)
+    for bucket in s._sizes:
+        words = [(sep.join(map(spelled.__getitem__, k)), c) for k, c in bucket.items()]
+        rows += sorted(words, key=lambda r: r[0])
+    return "\n".join(f"{c}\t{word if word else '1'}" for word, c in rows)

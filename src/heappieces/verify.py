@@ -9,6 +9,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -282,14 +283,57 @@ COST_N, COST_RUNS, COST_SEED = 200, 10_000, 7
 SCALE_SIZE, SCALE_SEED = 1_000_000, 42
 
 
+def chi_square_tail(x: float, k: int) -> float:
+    """P(X >= x) for X chi-square with k >= 1 degrees of freedom, k an int.
+
+    With h = x/2, the closed forms: for even k, e^-h sum_{i<k/2} h^i/i!; for
+    odd k, erfc(sqrt h) + 2 e^-h sqrt(h/pi) sum_{i=1}^{(k-1)/2}
+    h^(i-1)/((3/2)(5/2)...(i-1/2)).  Each term follows from the one before
+    by one product, starting from e^-h, which underflows past h = 745
+    (x = 1490): beyond that the tail reads 0 for even k and erfc(sqrt h) for
+    odd k.
+    """
+    if k < 1:
+        raise ValueError(f"degrees of freedom must be >= 1, got {k}")
+    if x <= 0:
+        return 1.0
+    h = x / 2
+    if k % 2 == 0:
+        term = total = math.exp(-h)
+        for i in range(1, k // 2):
+            term *= h / i
+            total += term
+        return total
+    term = 2 * math.exp(-h) * math.sqrt(h / math.pi)
+    total = math.erfc(math.sqrt(h))
+    for i in range(1, (k + 1) // 2):
+        total += term
+        term *= h / (i + 0.5)
+    return total
+
+
+def chi_square_critical(k: int, significance: float = 0.01) -> float:
+    """The x with `chi_square_tail(x, k)` = significance, by bisection: the
+    tail falls as x grows, and the bracket halves until it cannot."""
+    if not 0 < significance < 1:
+        raise ValueError(f"significance must lie in (0, 1), got {significance}")
+    lo, hi = 0.0, float(k)
+    while chi_square_tail(hi, k) > significance:
+        lo, hi = hi, 2 * hi
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return hi
+        if chi_square_tail(mid, k) > significance:
+            lo = mid
+        else:
+            hi = mid
+
+
 def chi_square_uniformity(
     lattice: str, source_kind: str, n: int, classes: int
 ) -> tuple[float, float]:
     """(statistic, critical value at significance 0.01) for animal sampling."""
-    # imported here: scipy costs about a second of start-up that no other
-    # CLI command needs
-    from scipy.stats import chi2
-
     expected_animals = enumerate_animals(n, lattice, source_kind)
     if len(expected_animals) != classes:
         raise AssertionError(
@@ -302,7 +346,7 @@ def chi_square_uniformity(
         counts[an.cell_set()] += 1
     expected = SAMPLING_SAMPLES / classes
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
-    critical = float(chi2.ppf(0.99, classes - 1))
+    critical = chi_square_critical(classes - 1)
     return stat, critical
 
 

@@ -90,8 +90,7 @@ def test_python_dash_m(module):
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy serves only verify's chi-square check; every other command
-    # must not pay its import
+    # scipy is a test dependency only: no command may pay its import
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(

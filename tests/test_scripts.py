@@ -79,6 +79,50 @@ def test_pipeline_times():
     assert all(line.endswith((" s wall |", " s |")) for line in lines[3:])
 
 
+def test_algebra_times():
+    proc = run_script("algebra_times.py", "--tiny", "--runs", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == ["path5, min of 1, tiny sizes", "| call | time |", "|---|---|"]
+    calls = [line.split(" | ")[0] for line in lines[3:]]
+    assert calls == [
+        "| `heaps.enumerate_heaps`",
+        "| `series.heaps_series`",
+        "| `series.series_mul`",
+        "| `series.invert`",
+        "| `gas.mean_particles_direct`",
+        "| `gas.mean_particles_pyramids`",
+        "| `series.pyramids_series`",
+        "| `animals.animal_count`",
+        "| `animals.average_width`",
+        "| `paths.count_paths`",
+        "| sum of the above",
+        "| `series --kind theta --degree 4`",
+    ]
+    assert all(line.endswith(" ms |") for line in lines[3:-1])
+    assert lines[-1].endswith(" s wall |")
+
+
+def test_algebra_times_uses_the_exact_workload_sizes():
+    # the script may not import heapbench, so it repeats the sizes it times
+    spec = importlib.util.spec_from_file_location(
+        "algebra_times", ROOT / "scripts" / "algebra_times.py"
+    )
+    algebra_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(algebra_times)
+    tree = ast.parse((ROOT / "heapbench" / "workloads.py").read_text())
+    exact = next(
+        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Exact"
+    )
+    sizes = next(
+        n.value for n in ast.walk(exact)
+        if isinstance(n, ast.Assign) and ast.unparse(n.targets) == "d"
+    )
+    assert algebra_times.SIZES == {
+        True: ast.literal_eval(sizes.body), False: ast.literal_eval(sizes.orelse)
+    }
+
+
 def test_heapbench_imports_resolve():
     missing = []
     for path in sorted((ROOT / "heapbench").glob("*.py")):

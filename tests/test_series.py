@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from heappieces import (
     GraphError,
     Heap,
+    HeapError,
     SeriesError,
     build_graph,
     configurations_series,
@@ -143,22 +144,21 @@ class TestPairwiseOracle:
 
     @pytest.mark.parametrize("bad", [7, -1])
     def test_bad_vertex_raises(self, path3, bad):
-        s = TraceSeries(path3, 3, {empty_heap(path3): 1, Heap(path3, ((bad,),)): 1})
-        with pytest.raises(GraphError):
-            series_mul(unit_series(path3, 3), s)
-        with pytest.raises(GraphError):
-            invert(s)
+        terms = {empty_heap(path3): 1, Heap(path3, ((bad,),)): 1}
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            series_mul(unit_series(path3, 3), TraceSeries(path3, 3, terms))
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            invert(TraceSeries(path3, 3, terms))
 
     @pytest.mark.parametrize("bad", [7, -1])
     def test_bad_vertex_in_left_factor_raises(self, path5, bad):
-        s = TraceSeries(path5, 3, {Heap(path5, ((bad,),)): 1})
         one = unit_series(path5, 3)
         with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
             heap_key(Heap(path5, ((0, 2), (bad,))))
         with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
-            series_mul(s, one)
+            series_mul(TraceSeries(path5, 3, {Heap(path5, ((bad,),)): 1}), one)
         with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
-            s * one
+            TraceSeries(path5, 3, {Heap(path5, ((0, 2), (bad,))): 1}) * one
 
     def test_equal_graphs_built_twice(self, path3):
         twin = build_graph("abc", [("a", "b"), ("b", "c")])
@@ -426,6 +426,84 @@ class TestTraceSeriesChecks:
         s = TraceSeries(path3, 2, {a: Q(4, 2), b: Q(1, 3)})
         assert s.terms == {a: 2, b: Q(1, 3)}
         assert type(s.terms[a]) is int and type(s.terms[b]) is Q
+
+
+class TestBadVertexTerms:
+    """A term with an out-of-range vertex raises GraphError where it enters
+    a series, so no dump, sum, product or projection ever reads it."""
+
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_every_route_raises(self, path5, bad):
+        terms = {Heap(path5, ((bad,),)): 1}
+        one = unit_series(path5, 3)
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            dump_trace_series(TraceSeries(path5, 3, terms))
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            one + TraceSeries(path5, 3, terms)
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            series_mul(one, TraceSeries(path5, 3, terms))
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            project(TraceSeries(path5, 3, {empty_heap(path5): 1, **terms}))
+
+    def test_zero_term_is_dropped_unchecked(self, path5):
+        s = TraceSeries(path5, 3, {Heap(path5, ((-1,),)): 0, empty_heap(path5): 1})
+        assert s == unit_series(path5, 3)
+
+
+class TestKeyedTerms:
+    """Terms live as keys by size; `terms` is a Heap view built once."""
+
+    def test_terms_view_is_built_once_and_read_only(self, path5):
+        s = heaps_series(path5, 4, signed=True)
+        assert s.terms is s.terms
+        with pytest.raises(TypeError):
+            s.terms[empty_heap(path5)] = 2
+        assert dict(s.terms) == {
+            h: (-1) ** h.size for h in enumerate_heaps(path5, 4)
+        }
+
+    def test_series_is_immutable(self, path3):
+        s = unit_series(path3, 2)
+        with pytest.raises(AttributeError):
+            s.degree = 3
+        with pytest.raises(AttributeError):
+            del s.graph
+
+    def test_algebra_builds_no_view(self, path5):
+        gamma_bar = configurations_series(path5, 5, signed=True)
+        theta = heaps_series(path5, 5, signed=False)
+        made = [
+            invert(gamma_bar),
+            series_mul(gamma_bar, theta),
+            theta + gamma_bar,
+            theta.scale(Q(1, 2)),
+            derive(theta),
+            pyramids_series(path5, 5, base=2),
+            strict_heaps_series(path5, 5, signed=True),
+        ]
+        assert made[0] == theta and made[1] == unit_series(path5, 5)
+        project(made[2])
+        dump_trace_series(made[3])
+        one = empty_heap(path5)
+        assert [s.coefficient(one) for s in made[2:4]] == [2, Q(1, 2)]
+        assert all(s._terms is None for s in (gamma_bar, theta, *made))
+
+    @pytest.mark.parametrize(
+        "layers",
+        [((0, 0),), ((2, 0),), ((0,), (2,)), ((0, 1),), ((), (0,)), ((0,), ())],
+    )
+    def test_term_that_is_not_canonical_raises(self, path3, layers):
+        # a repeated or unsorted vertex, a layer off its support, an unstable
+        # layer, an empty layer: none is the canonical form of its word
+        with pytest.raises(HeapError, match="not the canonical form"):
+            TraceSeries(path3, 3, {Heap(path3, layers): 1})
+
+    def test_coefficient(self, path3, k3):
+        s = heaps_series(path3, 2, signed=True)
+        assert s.coefficient(heap_of_word(path3, (0, 2))) == 1
+        assert s.coefficient(heap_of_word(path3, (1,))) == -1
+        assert s.coefficient(heap_of_word(path3, (0, 1, 2))) == 0  # beyond the degree
+        assert s.coefficient(heap_of_word(k3, (0,))) == 0  # another graph
 
 
 class TestUnivariate:
