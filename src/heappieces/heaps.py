@@ -116,15 +116,16 @@ def _drop(
 def heap_key(h: Heap) -> Key:
     """A heap's layers as bitmasks, bottom-up: the key `drop_words` takes.
 
-    Every vertex is checked against h's graph, so an out-of-range one,
-    negative ones included, raises GraphError; the layers are trusted to
-    be canonical otherwise.
+    The key is that of h's canonical word, landed by the one drop rule,
+    which checks every vertex against h's graph: an out-of-range one,
+    negative ones included, raises GraphError.  Layers that are not the
+    canonical form of that word (a repeated, unsorted or unsupported
+    vertex, an unstable or empty layer) raise HeapError.
     """
-    check = h.graph.check_vertex
-    for layer in h.layers:
-        for v in layer:
-            check(v)
-    return tuple([sum(map((1).__lshift__, layer)) for layer in h.layers])
+    key = next(drop_words(h.graph, (), (h.canonical_word(),)))
+    if tuple(map(_members, key)) != h.layers:
+        raise HeapError(f"heap {h.layers} is not the canonical form of its word")
+    return key
 
 
 def heap_of_key(g: CommutationGraph, key: Iterable[int]) -> Heap:

@@ -1,7 +1,7 @@
 """Degree-truncated formal series over the trace monoid, exact coefficients.
 
 A TraceSeries maps canonical heaps of size <= N to coefficients.  It keeps
-its terms as heap keys (the layer bitmasks of `heaps.heap_key`), one
+its terms as heap keys (a heap's layer bitmasks, `heaps.heap_key`), one
 key -> coefficient dict per size; `terms`, the Heap -> coefficient view,
 is built on first read and kept.  A series made from Heaps checks each
 term once, there; the builders here hand in keys from the layer transfer
@@ -42,8 +42,7 @@ from typing import Callable, Iterable, Mapping
 
 from .graphs import CommutationGraph, _members
 from .heaps import (
-    Heap, HeapError, Key, _layer_transfer, count_pyramids, drop_words, empty_heap,
-    heap_key, heap_of_key,
+    Heap, Key, _layer_transfer, count_pyramids, drop_words, empty_heap, heap_key,
 )
 
 Coefficient = int | Fraction
@@ -104,14 +103,7 @@ class TraceSeries:
             size = h.size
             if size > degree:
                 raise SeriesError("term beyond truncation degree")
-            # the key of the term's word, by the one drop rule, which checks
-            # each vertex; a canonical heap's layers are that key's
-            key = next(drop_words(graph, (), (h.canonical_word(),)))
-            if tuple(map(_members, key)) != h.layers:
-                raise HeapError(
-                    f"term {h.layers} is not the canonical form of its word"
-                )
-            sizes[size][key] = c
+            sizes[size][heap_key(h)] = c
         self.__dict__.update(graph=graph, degree=degree, _sizes=_normalized(sizes))
 
     @classmethod
@@ -135,8 +127,11 @@ class TraceSeries:
     @property
     def terms(self) -> Mapping[Heap, Coefficient]:
         if self._terms is None:
-            g = self.graph
-            view = {heap_of_key(g, k): c for b in self._sizes for k, c in b.items()}
+            g, vertices = self.graph, _Memo(_members).__getitem__  # layers shared
+            view = {
+                Heap(g, tuple(map(vertices, k))): c
+                for b in self._sizes for k, c in b.items()
+            }
             self.__dict__["_terms"] = MappingProxyType(view)
         return self._terms  # type: ignore[return-value]
 

@@ -497,6 +497,10 @@ class TestKeyedTerms:
         # layer, an empty layer: none is the canonical form of its word
         with pytest.raises(HeapError, match="not the canonical form"):
             TraceSeries(path3, 3, {Heap(path3, layers): 1})
+        with pytest.raises(HeapError, match="not the canonical form"):
+            unit_series(path3, 3).coefficient(Heap(path3, layers))
+        with pytest.raises(HeapError, match="not the canonical form"):
+            heap_key(Heap(path3, layers))
 
     def test_coefficient(self, path3, k3):
         s = heaps_series(path3, 2, signed=True)
