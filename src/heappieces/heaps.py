@@ -65,12 +65,9 @@ class Heap:
         return bool(self.layers) and len(self.layers[0]) == 1
 
     def validate(self) -> None:
-        """Raise HeapError unless dropping the canonical word rebuilds the layers."""
-        # the drop builds only non-empty, ascending, stable, supported layers
-        canonical = heap_of_word(self.graph, self.canonical_word()).layers
-        for i, (got, want) in enumerate(zip_longest(self.layers, canonical), 1):
-            if got != want:
-                raise HeapError(f"layer {i} is not the canonical form of its word")
+        """Raise HeapError unless dropping the canonical word rebuilds the layers
+        (see `heap_key`)."""
+        heap_key(self)
 
 
 def empty_heap(g: CommutationGraph) -> Heap:
@@ -120,11 +117,14 @@ def heap_key(h: Heap) -> Key:
     which checks every vertex against h's graph: an out-of-range one,
     negative ones included, raises GraphError.  Layers that are not the
     canonical form of that word (a repeated, unsorted or unsupported
-    vertex, an unstable or empty layer) raise HeapError.
+    vertex, an unstable or empty layer) raise HeapError naming the first
+    layer that differs: the drop builds only non-empty, ascending, stable,
+    supported layers.
     """
     key = next(drop_words(h.graph, (), (h.canonical_word(),)))
-    if tuple(map(_members, key)) != h.layers:
-        raise HeapError(f"heap {h.layers} is not the canonical form of its word")
+    for i, (got, want) in enumerate(zip_longest(h.layers, map(_members, key)), 1):
+        if got != want:
+            raise HeapError(f"layer {i} is not the canonical form of its word")
     return key
 
 

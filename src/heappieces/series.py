@@ -2,11 +2,13 @@
 
 A TraceSeries maps canonical heaps of size <= N to coefficients.  It keeps
 its terms as heap keys (a heap's layer bitmasks, `heaps.heap_key`), one
-key -> coefficient dict per size; `terms`, the Heap -> coefficient view,
-is built on first read and kept.  A series made from Heaps checks each
-term once, there; the builders here hand in keys from the layer transfer
-(`heaps_series`, `pyramids_series`, ...) or from the products, and the
-algebra, the projection and the dump read the keys and sizes directly.
+key -> coefficient dict per size up to the largest size it holds, so a
+series of stable sets costs its terms and not its degree; `terms`, the
+Heap -> coefficient view, is built on first read and kept.  A series made
+from Heaps checks each term once, there; the builders here hand in keys
+from the layer transfer (`heaps_series`, `pyramids_series`, ...) or from
+the products, and the algebra, the projection and the dump read the keys
+and sizes directly.
 The product is the truncated convolution over monoid factorizations: each
 right factor's canonical word drops on each left key (`heaps.drop_words`),
 sizes adding to <= N, and the products are summed by key.  The classic
@@ -34,8 +36,9 @@ graphs raises instead of silently re-truncating.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -73,6 +76,7 @@ def _normalized(sizes: Iterable[Bucket]) -> list[Bucket]:
     ]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class TraceSeries:
     """Truncated trace series: its terms as heap keys, one bucket per size.
 
@@ -82,19 +86,20 @@ class TraceSeries:
     form of its word (else HeapError); it drops zero terms and stores
     integral coefficients as ints.  The builders of this module hand in
     trusted keys by size instead (`_of_keys`).  `terms`, the Heap ->
-    coefficient view, is built on first read and kept; the algebra, the
-    projection and the dump read the keys.  Series are immutable.
+    coefficient view, is built on first read and kept (and left out of a
+    pickle); the algebra, the projection and the dump read the keys.
+    Series are immutable.
     """
 
     graph: CommutationGraph
     degree: int
-    _sizes: list[Bucket]  # entry s: the terms of size s
-    _terms: Mapping[Heap, Coefficient] | None = None  # lazy: built on first use
+    # entry s: the terms of size s, up to the largest size held: no empty last entry
+    _sizes: list[Bucket]
 
     def __init__(
         self, graph: CommutationGraph, degree: int, terms: Mapping[Heap, Coefficient]
     ) -> None:
-        sizes: list[Bucket] = [{} for _ in range(degree + 1)]
+        by_size: dict[int, Bucket] = {}
         for h, c in terms.items():
             if not c:
                 continue
@@ -103,57 +108,48 @@ class TraceSeries:
             size = h.size
             if size > degree:
                 raise SeriesError("term beyond truncation degree")
-            sizes[size][heap_key(h)] = c
+            by_size.setdefault(size, {})[heap_key(h)] = c
+        sizes = [by_size.get(m, {}) for m in range(max(by_size, default=-1) + 1)]
         self.__dict__.update(graph=graph, degree=degree, _sizes=_normalized(sizes))
 
     @classmethod
     def _of_keys(
         cls, graph: CommutationGraph, degree: int, sizes: list[Bucket]
     ) -> TraceSeries:
-        """From canonical keys by size, no zero and every coefficient `_exact`."""
+        """From canonical keys by size, no zero and every coefficient `_exact`;
+        the empty last sizes are dropped."""
+        while sizes and not sizes[-1]:
+            sizes.pop()
         s = cls.__new__(cls)
         s.__dict__.update(graph=graph, degree=degree, _sizes=sizes)
         return s
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __repr__(self) -> str:
         return f"TraceSeries({self.graph!r}, {self.degree!r}, {dict(self.terms)!r})"
 
-    @property
+    def __getstate__(self) -> dict[str, object]:
+        """The fields alone: an unpickled series builds its view again."""
+        return {k: v for k, v in self.__dict__.items() if k != "terms"}
+
+    @cached_property
     def terms(self) -> Mapping[Heap, Coefficient]:
-        if self._terms is None:
-            g, vertices = self.graph, _Memo(_members).__getitem__  # layers shared
-            view = {
-                Heap(g, tuple(map(vertices, k))): c
-                for b in self._sizes for k, c in b.items()
-            }
-            self.__dict__["_terms"] = MappingProxyType(view)
-        return self._terms  # type: ignore[return-value]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TraceSeries):
-            return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.degree == other.degree
-            and self._sizes == other._sizes
-        )
-
-    __hash__ = None  # type: ignore[assignment]
+        g, vertices = self.graph, cache(_members)  # each layer's tuple shared
+        return MappingProxyType({
+            Heap(g, tuple(map(vertices, k))): c
+            for b in self._sizes for k, c in b.items()
+        })
 
     def coefficient(self, h: Heap) -> Coefficient:
-        if h.graph != self.graph or h.size > self.degree:
+        size = h.size
+        if h.graph != self.graph or size > self.degree:
             return 0
-        return self._sizes[h.size].get(heap_key(h), 0)
+        key = heap_key(h)  # checked even where no term of its size is held
+        return self._sizes[size].get(key, 0) if size < len(self._sizes) else 0
 
     def __add__(self, other: TraceSeries) -> TraceSeries:
         _check_compat(self, other)
         sizes = [dict(b) for b in self._sizes]
+        sizes += ({} for _ in range(len(other._sizes) - len(sizes)))
         for acc, bucket in zip(sizes, other._sizes):
             for k, c in bucket.items():
                 acc[k] = acc.get(k, 0) + c
@@ -184,21 +180,9 @@ def unit_series(g: CommutationGraph, degree: int) -> TraceSeries:
     return TraceSeries(g, degree, {empty_heap(g): 1})
 
 
-class _Memo(dict):
-    """fn's value at each key, computed on the key's first lookup."""
-
-    def __init__(self, fn: Callable[[int], object]) -> None:
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key: int) -> object:
-        self[key] = value = self.fn(key)
-        return value
-
-
 def _words_by_size(s: TraceSeries) -> list[tuple[list[Word], list[Coefficient]]]:
     """Entry j: the canonical words of s's terms of size j, and their coefficients."""
-    vertices = _Memo(_members).__getitem__  # each layer's vertices, listed once
+    vertices = cache(_members)  # each layer's vertices, listed once
     return [
         ([tuple(chain.from_iterable(map(vertices, k))) for k in b], list(b.values()))
         for b in s._sizes
@@ -211,8 +195,9 @@ def _add_products(
 ) -> None:
     """accs[m + j][key of h1 * h2] += c1 * c2 for each word of h2 and its c2 in
     parts[j], first <= j <= degree - m, h1 of size m and key `key1`: h2's
-    word drops on h1's layer bitmasks."""
-    for j in range(first, len(accs) - m):
+    word drops on h1's layer bitmasks.  Sizes past the ends of accs or
+    parts hold no term."""
+    for j in range(first, min(len(accs) - m, len(parts))):
         words, coefficients = parts[j]
         acc = accs[m + j]
         for c2, key in zip(coefficients, drop_words(g, key1, words)):
@@ -224,7 +209,8 @@ def series_mul(s1: TraceSeries, s2: TraceSeries) -> TraceSeries:
     _check_compat(s1, s2)
     g, n = s1.graph, s1.degree
     parts = _words_by_size(s2)
-    accs: list[Bucket] = [{} for _ in range(n + 1)]
+    top = min(n, len(s1._sizes) + len(parts) - 2)  # the largest size of a product
+    accs: list[Bucket] = [{} for _ in range(top + 1)]
     for m, bucket in enumerate(s1._sizes):
         for key1, c1 in bucket.items():
             _add_products(accs, g, key1, m, c1, parts, 0)
@@ -264,8 +250,10 @@ def configurations_series(
     """Stable sets as one-layer heaps; signed gives coefficient (-1)^{|C|}."""
     if degree < 0:
         raise ValueError("max_size must be >= 0")
-    keys: list[list[Key]] = [[] for _ in range(degree + 1)]
-    for size, conf in g._stable_sets(degree):
+    keys: list[list[Key]] = []
+    for size, conf in g._stable_sets(degree):  # in size order, no size skipped
+        if size == len(keys):
+            keys.append([])
         keys[size].append((conf,) if conf else ())
     return _counting_series(g, degree, keys, signed)
 
@@ -311,7 +299,8 @@ def invert(s: TraceSeries) -> TraceSeries:
     if c0 not in (1, -1):
         raise SeriesError(f"constant term {c0} is not invertible")
     parts = _words_by_size(s)
-    accs: list[Bucket] = [{(): c0}] + [{} for _ in range(n)]
+    top = n if len(parts) > 1 else 0  # the inverse of a constant is a constant
+    accs: list[Bucket] = [{(): c0}] + [{} for _ in range(top)]
     for m, acc in enumerate(accs):  # T_m: complete once every T_k, k < m, is dropped
         for key, c1 in acc.items():
             if c1:
@@ -404,7 +393,9 @@ def from_coefficient_fn(
 
 def project(s: TraceSeries) -> UnivariateSeries:
     """Replace every letter by t: coefficient of t^n sums size-n terms."""
-    return UnivariateSeries(s.degree, tuple(sum(b.values()) for b in s._sizes))
+    coefficients = [sum(b.values()) for b in s._sizes]
+    coefficients += [0] * (s.degree + 1 - len(coefficients))
+    return UnivariateSeries(s.degree, tuple(coefficients))
 
 
 def univariate_substitute(s: UnivariateSeries, mode: str) -> UnivariateSeries:
@@ -479,9 +470,9 @@ def dump_trace_series(s: TraceSeries) -> str:
     labels = s.graph.labels
     sep = "" if all(len(lab) == 1 for lab in labels) else " "
     # a key has no empty layer, so its word joins its layers' spelled words
-    spelled = _Memo(lambda mask: sep.join([labels[v] for v in _members(mask)]))
+    spelled = cache(lambda mask: sep.join([labels[v] for v in _members(mask)]))
     rows = []
     for bucket in s._sizes:
-        words = [(sep.join(map(spelled.__getitem__, k)), c) for k, c in bucket.items()]
+        words = [(sep.join(map(spelled, k)), c) for k, c in bucket.items()]
         rows += sorted(words, key=lambda r: r[0])
     return "\n".join(f"{c}\t{word if word else '1'}" for word, c in rows)

@@ -277,10 +277,11 @@ CHI_SQUARE_PROTOCOLS = (
     ("triangular", "point", 5, 126),
     ("square", "compact", 5, 81),
 )
-# the statistical suites' fixed sizes and seeds
+# the statistical suites' fixed sizes and seeds, and the sampling test's level
 SAMPLING_SAMPLES, SAMPLING_SEED = 100_000, 2024
 COST_N, COST_RUNS, COST_SEED = 200, 10_000, 7
 SCALE_SIZE, SCALE_SEED = 1_000_000, 42
+SIGNIFICANCE = 0.01
 
 
 def chi_square_tail(x: float, k: int) -> float:
@@ -312,19 +313,17 @@ def chi_square_tail(x: float, k: int) -> float:
     return total
 
 
-def chi_square_critical(k: int, significance: float = 0.01) -> float:
-    """The x with `chi_square_tail(x, k)` = significance, by bisection: the
+def chi_square_critical(k: int) -> float:
+    """The x with `chi_square_tail(x, k)` = SIGNIFICANCE, by bisection: the
     tail falls as x grows, and the bracket halves until it cannot."""
-    if not 0 < significance < 1:
-        raise ValueError(f"significance must lie in (0, 1), got {significance}")
     lo, hi = 0.0, float(k)
-    while chi_square_tail(hi, k) > significance:
+    while chi_square_tail(hi, k) > SIGNIFICANCE:
         lo, hi = hi, 2 * hi
     while True:
         mid = (lo + hi) / 2
         if mid in (lo, hi):
             return hi
-        if chi_square_tail(mid, k) > significance:
+        if chi_square_tail(mid, k) > SIGNIFICANCE:
             lo = mid
         else:
             hi = mid

@@ -275,6 +275,16 @@ class TestSeries:
         assert (code, err) == (0, "")
         assert [int_from_text(c) for c in out.split()] == [10**n for n in range(701)]
 
+    @pytest.mark.parametrize("kind", ["gamma", "gamma-bar"])
+    def test_stable_set_dump_at_a_huge_degree(self, capsys, path5_file, kind):
+        # path5's largest stable set has 3 vertices: past it the dump does not
+        # change, and neither does its cost
+        dumps = [
+            run(capsys, "series", "--graph", path5_file, "--kind", kind, "--degree", d)
+            for d in ("3", "100000000")
+        ]
+        assert dumps[0][0] == 0 and dumps[1] == dumps[0]
+
     def test_base_on_kind_without_base_is_usage_error(self, capsys, path3_file):
         code, out, err = run(
             capsys, "series", "--graph", path3_file, "--kind", "theta",

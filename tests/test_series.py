@@ -1,5 +1,7 @@
 """Trace series and univariate series: exact algebra and the named identities."""
 
+import copy
+import pickle
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -486,7 +488,38 @@ class TestKeyedTerms:
         dump_trace_series(made[3])
         one = empty_heap(path5)
         assert [s.coefficient(one) for s in made[2:4]] == [2, Q(1, 2)]
-        assert all(s._terms is None for s in (gamma_bar, theta, *made))
+        assert all("terms" not in vars(s) for s in (gamma_bar, theta, *made))
+
+    def test_pickle_and_deepcopy_before_and_after_the_view(self, path5):
+        s = heaps_series(path5, 3, signed=True).scale(Q(1, 2))
+        for _ in range(2):  # the second pass after `terms` has been read
+            for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+                assert twin == s and "terms" not in vars(twin)
+                assert dict(twin.terms) == dict(s.terms)
+        assert "terms" in vars(s)
+
+    def test_sizes_stop_at_the_largest_term(self, path5):
+        # path5's largest stable set has 3 vertices: a degree of 10^8 costs
+        # four sizes, through the algebra too
+        huge = 10**8
+        gamma = configurations_series(path5, huge, signed=False)
+        gamma_bar = configurations_series(path5, huge, signed=True)
+        one = unit_series(path5, huge)
+        made = [
+            gamma, gamma + gamma_bar, gamma - gamma, gamma.scale(2), derive(gamma),
+            series_mul(gamma_bar, one), series_mul(one, one), invert(one),
+            TraceSeries(path5, huge, {heap_of_word(path5, (1, 1)): 3}),
+        ]
+        assert [len(s._sizes) for s in made] == [4, 3, 0, 4, 4, 4, 1, 1, 3]
+        assert made[1] == (gamma + gamma_bar) + TraceSeries(path5, huge, {})
+        assert made[-1].coefficient(heap_of_word(path5, (1, 1))) == 3
+        assert made[-1].coefficient(heap_of_word(path5, (1, 1, 1, 1))) == 0
+        assert dump_trace_series(gamma) == dump_trace_series(
+            configurations_series(path5, 3, signed=False)
+        )
+        small = configurations_series(path5, 5, signed=True)
+        assert project(small).coefficients == (1, -5, 6, -1, 0, 0)
+        assert series_mul(small, heaps_series(path5, 5, False)) == unit_series(path5, 5)
 
     @pytest.mark.parametrize(
         "layers",

@@ -41,9 +41,6 @@ def test_tail_edges():
     assert chi_square_tail(2.0, 2) == pytest.approx(chi2.sf(2.0, 2), rel=1e-15)
     with pytest.raises(ValueError, match="degrees of freedom"):
         chi_square_tail(1.0, 0)
-    for significance in (0, 1, -0.5):
-        with pytest.raises(ValueError, match="significance"):
-            chi_square_critical(5, significance)
 
 
 def test_verify_import_leaves_scipy_out():
