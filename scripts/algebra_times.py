@@ -14,13 +14,20 @@ in a fresh interpreter, start-up included.  `--tiny` takes heapbench's
 tiny sizes instead, and degree 4 for the dump.  The package it runs is
 the one in this checkout's src/.  Standard library only.
 
-Usage: python scripts/algebra_times.py [--runs K] [--tiny]
+`--parent DIR` adds A/B rows for `enumerate_heaps`, the one call whose
+output is a list of Heaps: k fresh interpreters on DIR's src/ and k on
+this checkout's, alternating which side starts each pair, each printing
+the minimum of 30 calls.  The rows give each side's median and range over
+its k interpreters, and the pairs this checkout won.
+
+Usage: python scripts/algebra_times.py [--runs K] [--tiny] [--parent DIR]
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -50,6 +57,22 @@ from heappieces import (  # noqa: E402  (after the path to this checkout's src/)
 SIZES = {False: (7, 7, 6, 7, 1500, 1000), True: (4, 5, 4, 5, 60, 40)}
 DUMP_DEGREE = {False: 8, True: 4}
 
+# one side of the enumerate_heaps A/B: the minimum of `calls` calls, in ms
+ENUMERATE_CALLS = 30
+ENUMERATE_MIN_MS = """
+import sys, time
+from heappieces import build_graph, enumerate_heaps
+degree, calls = int(sys.argv[1]), int(sys.argv[2])
+g = build_graph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+best = None
+for _ in range(calls):
+    t0 = time.perf_counter()
+    enumerate_heaps(g, degree)
+    elapsed = time.perf_counter() - t0
+    best = elapsed if best is None else min(best, elapsed)
+print(best * 1e3)
+"""
+
 
 def best_of(runs: int, fn) -> float:
     """Minimum seconds of `runs` calls of fn."""
@@ -62,13 +85,36 @@ def best_of(runs: int, fn) -> float:
     return best
 
 
+def enumerate_ab(parent: Path, degree: int, runs: int) -> list[tuple[str, str]]:
+    """Rows of the enumerate_heaps A/B: `runs` pairs of fresh interpreters,
+    the parent's src/ first in the even pairs and this checkout's in the odd."""
+    src = {"parent": parent / "src", "this checkout": ROOT / "src"}
+    times: dict[str, list[float]] = {side: [] for side in src}
+    argv = [sys.executable, "-c", ENUMERATE_MIN_MS, str(degree), str(ENUMERATE_CALLS)]
+    for pair in range(runs):
+        for side in sorted(src, reverse=pair % 2 == 1):  # "parent" < "this ..."
+            env = dict(os.environ, PYTHONPATH=str(src[side]))
+            out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+            times[side].append(float(out.stdout))
+    name = f"`heaps.enumerate_heaps`, {runs} interpreters"
+    rows = [
+        (f"{name}, {side}", f"{statistics.median(ms):.2f} ms ({min(ms):.2f}-{max(ms):.2f})")
+        for side, ms in times.items()
+    ]
+    wins = sum(c < p for c, p in zip(times["this checkout"], times["parent"]))
+    return rows + [(f"{name}, pairs this checkout won", f"{wins} of {runs}")]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=15, help="k: runs per call")
     parser.add_argument("--tiny", action="store_true", help="heapbench's tiny sizes")
+    parser.add_argument("--parent", type=Path, help="parent checkout for the A/B rows")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
+    if args.parent is not None and not (args.parent / "src" / "heappieces").is_dir():
+        parser.error(f"--parent {args.parent} has no src/heappieces")
 
     g = build_graph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
     heaps_d, series_d, mul_d, gas_d, count_n, paths_n = SIZES[args.tiny]
@@ -86,8 +132,9 @@ def main(argv: list[str] | None = None) -> int:
         ("animals.average_width", lambda: average_width(count_n, "square")),
         ("paths.count_paths", lambda: count_paths(paths_n, 1, "prefix")),
     ]
-    rows = [(f"`{name}`", best_of(args.runs, fn) * 1e3, "ms") for name, fn in calls]
-    rows.append(("sum of the above", sum(ms for _, ms, _ in rows), "ms"))
+    times = [(f"`{name}`", best_of(args.runs, fn) * 1e3) for name, fn in calls]
+    times.append(("sum of the above", sum(ms for _, ms in times)))
+    rows = [(name, f"{ms:.2f} ms") for name, ms in times]
 
     degree = DUMP_DEGREE[args.tiny]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -105,13 +152,15 @@ def main(argv: list[str] | None = None) -> int:
                 subprocess.run(argv_dump, env=env, stdout=out, check=True)
 
             seconds = best_of(args.runs, dump)
-    rows.append((f"`series --kind theta --degree {degree}`", seconds, "s wall"))
+    rows.append((f"`series --kind theta --degree {degree}`", f"{seconds:.2f} s wall"))
+    if args.parent is not None:
+        rows += enumerate_ab(args.parent, heaps_d, args.runs)
 
     print(f"path5, min of {args.runs}{', tiny sizes' if args.tiny else ''}")
     print("| call | time |")
     print("|---|---|")
-    for name, value, unit in rows:
-        print(f"| {name} | {value:.2f} {unit} |")
+    for name, value in rows:
+        print(f"| {name} | {value} |")
     return 0
 
 

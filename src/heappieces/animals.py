@@ -8,11 +8,13 @@ lattice picture is a rotation of this one (East/North steps on the square
 lattice, East/North/North-East on the triangular) and is applied only
 when rendering.
 
-An `Animal` keeps its cells as two columns in cell order, fibres and
-heights: the stacker and the JSON reader fill them and build no per-cell
-tuple, the JSON writer formats them with one `%`, and `validate` checks
-them in one int64 pass (sorted keys and `searchsorted` lookups of the
-supports).  The tuple view `cells` is built only when something asks.
+An `Animal` holds its cells as two columns in cell order, fibres and
+heights, and no other form: an animal made from (fibre, height) pairs
+splits them once, the stacker and the JSON reader fill the columns and
+build no per-cell tuple, the JSON writer formats them with one `%`, and
+`validate` checks them in one int64 pass (sorted keys and `searchsorted`
+lookups of the supports).  The tuple view `cells` is built only when
+something asks.
 
 Words map to animals by stacking equerres: reading the celibate-marked
 word left to right, `a` opens a sub-equerre one fiber left and queues a
@@ -40,6 +42,7 @@ import math
 import operator
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -73,32 +76,36 @@ def lattice_colors(lattice: str) -> int:
 class Animal:
     """Directed animal: its cells as two columns, fibre and height, in cell order.
 
-    `fibres[i]` and `heights[i]` are the coordinates of the i-th cell.  The
+    `fibres[i]` and `heights[i]` are the coordinates of the i-th cell.
+    `Animal(lattice, source, cells)` splits the (fibre, height) pairs into
+    the columns once; a cell that is not a pair raises ValueError.  The
     builders in this module (`animal_of_word`, `animal_from_json`) fill the
-    columns and build no per-cell tuple; `cells`, the tuple of (fibre,
-    height) pairs in the same order, is built on first use.  An animal
-    made from `cells` takes its columns from them on first use.  Animals
-    are immutable; equality and hash follow the lattice, the source and
-    the cell set, so cell order does not matter.
+    columns and build no per-cell tuple.  `cells`, the tuple of (fibre,
+    height) pairs in the same order, is a view built on first use.
+    Animals are immutable; equality and hash follow the lattice, the
+    source and the cell set, so cell order does not matter.
     """
 
     lattice: str
     source: str
-    # lazy state, read from the class until set: the cells, or the columns,
-    # are built on first use; so is the cell set, as constructing a
-    # million-cell animal should not pay for hashing it; _valid is set by
-    # the first validate() that passes, as the cells never change
-    _cells: Sequence[tuple[int, int]] | None = None
-    _fibres: tuple[int, ...] | None = None
-    _heights: tuple[int, ...] | None = None
+    fibres: tuple[int, ...]
+    heights: tuple[int, ...]
+    # lazy state, read from the class until set: the cell set is built on
+    # first use, as constructing a million-cell animal should not pay for
+    # hashing it; _valid is set by the first validate() that passes, as the
+    # cells never change
     _cell_set: frozenset[tuple[int, int]] | None = None
     _valid = False
 
     def __init__(
-        self, lattice: str, source: str, cells: Sequence[tuple[int, int]]
+        self, lattice: str, source: str, cells: Sequence[Sequence[int]]
     ) -> None:
         _check_kind(lattice, source)
-        self.__dict__.update(lattice=lattice, source=source, _cells=cells)
+        # strict: a cell that is not a pair raises ValueError
+        fibres, heights = zip(*cells, strict=True) if cells else ((), ())
+        self.__dict__.update(
+            lattice=lattice, source=source, fibres=fibres, heights=heights
+        )
 
     @classmethod
     def _of_columns(
@@ -111,7 +118,7 @@ class Animal:
         _check_kind(lattice, source)
         an = cls.__new__(cls)
         an.__dict__.update(
-            lattice=lattice, source=source, _fibres=fibres, _heights=heights
+            lattice=lattice, source=source, fibres=fibres, heights=heights
         )
         return an
 
@@ -127,31 +134,13 @@ class Animal:
             f"cells={self.cells!r})"
         )
 
-    @property
-    def cells(self) -> Sequence[tuple[int, int]]:
-        if self._cells is None:
-            self.__dict__["_cells"] = tuple(zip(self._fibres, self._heights))
-        return self._cells  # type: ignore[return-value]
-
-    def _columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if self._fibres is None:
-            cells = self._cells
-            # strict: a cell that is not a pair raises ValueError
-            fibres, heights = zip(*cells, strict=True) if cells else ((), ())
-            self.__dict__.update(_fibres=fibres, _heights=heights)
-        return self._fibres, self._heights  # type: ignore[return-value]
-
-    @property
-    def fibres(self) -> tuple[int, ...]:
-        return self._columns()[0]
-
-    @property
-    def heights(self) -> tuple[int, ...]:
-        return self._columns()[1]
+    @cached_property
+    def cells(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.fibres, self.heights))
 
     @property
     def size(self) -> int:
-        return len(self._fibres if self._cells is None else self._cells)
+        return len(self.fibres)
 
     def cell_set(self) -> frozenset[tuple[int, int]]:
         if self._cell_set is None:
@@ -172,7 +161,7 @@ class Animal:
 
     def lattice_cells(self) -> list[tuple[int, int]]:
         """Rotated view: ((x+y)/2, (y-x)/2); directed steps become E/N(/NE)."""
-        return [((x + y) // 2, (y - x) // 2) for x, y in zip(*self._columns())]
+        return [((x + y) // 2, (y - x) // 2) for x, y in zip(self.fibres, self.heights)]
 
     def validate(self) -> None:
         """Raise AnimalError unless this is a directed animal of its source kind.
@@ -195,7 +184,7 @@ class Animal:
         """
         if self._valid:
             return
-        fibres, heights = self._columns()
+        fibres, heights = self.fibres, self.heights
         n = len(fibres)
         m = 2 * n + 1
         x, y = _int64_columns(fibres, heights, (1 << 62) // (m + 2))

@@ -7,7 +7,7 @@ sets) are the legal hard-particle placements and the one-layer heaps.
 
 Vertices are dense indices 0..n-1; labels live in a separate table and
 only appear at the I/O boundary.  Graphs are immutable and hashable;
-heaps compare their graph but hash by their layers alone, because the
+heaps compare their graph but hash by their layer key alone, because the
 heaps of one series share one graph.  A vertex set is also a bitmask
 (bit v for vertex v): the graph builds its closed-neighbourhood masks
 once, for the one stable-set lister.

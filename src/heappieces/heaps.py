@@ -7,25 +7,30 @@ letter to height 1 + max{height of occupied neighbouring fibres}, and two
 words yield the same heap exactly when they differ by exchanges of
 adjacent commuting letters.  Heaps therefore *are* the elements of the
 partially commutative monoid, and everything downstream (series, animals,
-sampling) works on this canonical form.  One kernel, `_drop`, lands every
-letter: it reads per-fibre tops and ORs the letter into its layer's
-bitmask, so no layer is sorted.  Products run on these bitmask keys
-(`drop_words`); `heap_key` and `heap_of_key` convert between keys and
-heaps at the boundary only.  Listing and counting heaps grow the layers
-themselves by one move rule (`_moves`) instead: one layer transfer
-(`_layer_transfer`) lists heaps as vertex tuples for `enumerate_heaps` or
-as keys for the series builders, and `count_pyramids` counts them.
+sampling) works on this canonical form.
 
-Conventions: layers are tuples of ascending vertex indices; the canonical
-word of a heap enumerates the layers bottom-up, each in ascending index
-order.  Heap values are immutable; they hash by their layers alone and
-compare their graph too, so heaps over different graphs are never equal.
+A `Heap` is stored as its key, its layers as vertex bitmasks bottom-up;
+its layers as vertex tuples, its cells and its canonical word are views
+of the key.  `Heap(g, layers)` checks the layers it is given; every other
+builder lands the key itself and cannot build a bad one.  One kernel,
+`_drop`, lands every letter: it reads per-fibre tops and ORs the letter
+into its layer's bitmask, so no layer is sorted, and every product drops
+on keys (`drop_words`).  Listing and counting heaps grow the layers
+themselves by one move rule (`_moves`) instead: one layer transfer
+(`_layer_transfer`) lists the keys, for `enumerate_heaps` and the series
+builders, and `count_pyramids` counts them.
+
+Conventions: a layer's vertices ascend; the canonical word of a heap
+enumerates the layers bottom-up, each in ascending index order.  Heap
+values are immutable; they hash by their key alone and compare their
+graph too, so heaps over different graphs are never equal.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, zip_longest
 from typing import Callable, Iterable, Iterator
 
@@ -36,23 +41,54 @@ from .graphs import (
 Cell = tuple[int, int]  # (vertex index, 1-based height)
 Layers = tuple[tuple[int, ...], ...]
 Key = tuple[int, ...]  # a heap's layers as vertex bitmasks, bottom-up
-Layer = int | tuple[int, ...]  # one layer of a key, or of a Heap's layers
 
 
 class HeapError(ValueError):
     """Operation on incompatible or malformed heaps."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Heap:
-    """Canonical layered heap; empty tuple of layers = unit of the monoid."""
+    """Canonical heap, stored as its key; the empty key is the unit of the monoid.
+
+    `Heap(g, layers)` checks the layers once.  The key is that of their
+    word, landed by the one drop rule, which checks every vertex against
+    g: an out-of-range one, negative ones included, raises GraphError.
+    Layers that are not the canonical form of that word (a repeated,
+    unsorted or unsupported vertex, an unstable or empty layer) raise
+    HeapError naming the first layer that differs: the drop builds only
+    non-empty, ascending, stable, supported layers.  The builders of this
+    package hand in the keys they land (`_of_key`).
+    """
 
     graph: CommutationGraph = field(hash=False)  # one graph serves a whole series
-    layers: Layers
+    key: Key
+
+    def __init__(
+        self, graph: CommutationGraph, layers: Iterable[tuple[int, ...]]
+    ) -> None:
+        layers = tuple(layers)
+        key = next(drop_words(graph, (), (chain.from_iterable(layers),)))
+        for i, (got, want) in enumerate(zip_longest(layers, map(_members, key)), 1):
+            if got != want:
+                raise HeapError(f"layer {i} is not the canonical form of its word")
+        self.__dict__.update(graph=graph, key=key)
+
+    @classmethod
+    def _of_key(cls, graph: CommutationGraph, key: Key) -> Heap:
+        """The heap whose key is `key`, a canonical key landed in this package."""
+        h = cls.__new__(cls)
+        fields = h.__dict__  # item stores: a call fewer per heap than update()
+        fields["graph"], fields["key"] = graph, key
+        return h
+
+    @cached_property
+    def layers(self) -> Layers:
+        return tuple(map(_members, self.key))
 
     @property
     def size(self) -> int:
-        return sum(map(len, self.layers))
+        return sum(map(int.bit_count, self.key))
 
     def cells(self) -> list[Cell]:
         return [(v, i + 1) for i, layer in enumerate(self.layers) for v in layer]
@@ -62,16 +98,11 @@ class Heap:
 
     def is_pyramid(self) -> bool:
         """Non-empty with a singleton base layer."""
-        return bool(self.layers) and len(self.layers[0]) == 1
-
-    def validate(self) -> None:
-        """Raise HeapError unless dropping the canonical word rebuilds the layers
-        (see `heap_key`)."""
-        heap_key(self)
+        return bool(self.key) and self.key[0].bit_count() == 1
 
 
 def empty_heap(g: CommutationGraph) -> Heap:
-    return Heap(g, ())
+    return Heap._of_key(g, ())
 
 
 def _drop(
@@ -110,32 +141,9 @@ def _drop(
     return heights
 
 
-def heap_key(h: Heap) -> Key:
-    """A heap's layers as bitmasks, bottom-up: the key `drop_words` takes.
-
-    The key is that of h's canonical word, landed by the one drop rule,
-    which checks every vertex against h's graph: an out-of-range one,
-    negative ones included, raises GraphError.  Layers that are not the
-    canonical form of that word (a repeated, unsorted or unsupported
-    vertex, an unstable or empty layer) raise HeapError naming the first
-    layer that differs: the drop builds only non-empty, ascending, stable,
-    supported layers.
-    """
-    key = next(drop_words(h.graph, (), (h.canonical_word(),)))
-    for i, (got, want) in enumerate(zip_longest(h.layers, map(_members, key)), 1):
-        if got != want:
-            raise HeapError(f"layer {i} is not the canonical form of its word")
-    return key
-
-
-def heap_of_key(g: CommutationGraph, key: Iterable[int]) -> Heap:
-    """The heap over g whose layer bitmasks are `key`."""
-    return Heap(g, tuple(map(_members, key)))
-
-
 def push(h: Heap, v: int) -> Heap:
     """Drop one cell on fibre v onto h (see `_drop` for the rule)."""
-    return product(h, Heap(h.graph, ((v,),)))
+    return Heap._of_key(h.graph, next(drop_words(h.graph, h.key, ((v,),))))
 
 
 def heap_of_word(g: CommutationGraph, word: Iterable[int]) -> Heap:
@@ -145,14 +153,15 @@ def heap_of_word(g: CommutationGraph, word: Iterable[int]) -> Heap:
     which reads fibre tops and ORs each letter into its layer's bitmask:
     n cells cost O(n * maxdeg), and no layer is sorted.
     """
-    return heap_of_key(g, next(drop_words(g, (), (word,))))
+    return Heap._of_key(g, next(drop_words(g, (), (word,))))
 
 
 def product(h1: Heap, h2: Heap) -> Heap:
-    """Monoid product: the heap of h1's canonical word followed by h2's."""
+    """Monoid product: h2's canonical word dropped on h1's key."""
     if h2.graph is not h1.graph and h2.graph != h1.graph:
         raise HeapError("product of heaps over different graphs")
-    return heap_of_word(h1.graph, h1.canonical_word() + h2.canonical_word())
+    key = next(drop_words(h1.graph, h1.key, (h2.canonical_word(),)))
+    return Heap._of_key(h1.graph, key)
 
 
 def drop_words(
@@ -191,7 +200,7 @@ def is_strict(h: Heap) -> bool:
     of a letter have a true neighbour between them); `enumerate_heaps`
     applies the same rule to each new layer.
     """
-    return all(set(a).isdisjoint(b) for a, b in zip(h.layers, h.layers[1:]))
+    return all(not a & b for a, b in zip(h.key, h.key[1:]))
 
 
 def strict_skeleton(h: Heap) -> tuple[Heap, dict[Cell, int]]:
@@ -218,7 +227,7 @@ def strict_skeleton(h: Heap) -> tuple[Heap, dict[Cell, int]]:
     masks: list[int] = []
     heights = _drop(g, masks, [0] * g.vertex_count, (v for v, _ in runs))
     mult = {(v, height): m for (v, m), height in zip(runs, heights)}
-    return heap_of_key(g, masks), mult
+    return Heap._of_key(g, tuple(masks)), mult
 
 
 def pyramid_split(h: Heap, c: Cell) -> tuple[Heap, Heap]:
@@ -262,53 +271,61 @@ def _moves(
     return [(size, d) for size, d in g._stable_sets(most, within) if size]
 
 
+def _pyramid_roots(g: CommutationGraph, base: int | None) -> Iterable[int]:
+    """The base layers of pyramids, as the transfer's `roots`: every vertex,
+    or the base alone, checked against g."""
+    if base is None:
+        return range(g.vertex_count)
+    g.check_vertex(base)
+    return (base,)
+
+
 def _layer_transfer(
     g: CommutationGraph,
     n: int,
-    item: Callable[[int], Layer],
     strict_only: bool = False,
-    pyramids_only: bool = False,
-    pyramid_base: int | None = None,
-    order: Callable[[tuple[tuple[Layer, ...], int]], object] | None = None,
-) -> Iterator[list[tuple[tuple[Layer, ...], int]]]:
-    """The heaps of each size 0..n: the one layer transfer that lists heaps,
-    as `Heap` layers or as keys.
+    roots: Iterable[int] | None = None,
+    order: Callable[[tuple[Key, int]], object] | None = None,
+) -> Iterator[list[tuple[Key, int]]]:
+    """The heaps of each size 0..n: the one layer transfer that lists heaps.
 
-    It yields, size by size, (layers, top layer bitmask) of each heap.  From
-    the empty heap, each heap grows by the moves `_moves` lists for its top
-    (pyramids first by a singleton, or by the base alone); a top's moves
-    are listed once, at the smallest size where it is met, each with the
-    item it appends: `item(D)` for the layer bitmask D, that is D itself
-    for a key (`int`) or its vertices for a `Heap` (`_members`).  Each heap
-    is reached once, by its own layers.  Given `order`, each size is sorted
-    by it before it grows: the next size then comes out in long sorted runs.
+    It yields, size by size, (key, top layer bitmask) of each heap.  From
+    the empty heap, each heap grows by the moves `_moves` lists for its
+    top, pyramids first by one of their `roots` (see `_pyramid_roots`); a
+    top's moves are listed once, at the smallest size where it is met.
+    Each heap is reached once, by its own layers.  Given `order`, each
+    size is sorted by it before it grows: the next size then comes out in
+    long sorted runs.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    roots = range(g.vertex_count) if pyramids_only else None
-    if pyramid_base is not None:
-        g.check_vertex(pyramid_base)
-        roots = (pyramid_base,)
-    moves: dict[int, list[tuple[int, int, Layer]]] = {}  # top -> (|D|, D, item)
-    levels: list[list[tuple[tuple[Layer, ...], int]]] = [[((), 0)]]
-    levels += [[] for _ in range(n)]
+    moves: dict[int, list[tuple[int, int]]] = {}  # top -> (|D|, D) by size
+    levels: list[list[tuple[Key, int]]] = [[((), 0)]] + [[] for _ in range(n)]
     for s in range(n + 1):
         level, levels[s] = levels[s], []  # complete: moves only grow heaps
         if order is not None:
             level.sort(key=order)
-        for layers, top in level:
+        for key, top in level:
             if top not in moves:
-                moves[top] = [
-                    (size, d, item(d))
-                    for size, d in _moves(g, top, n - s, roots, strict_only)
-                ]
-            for size, d, x in moves[top]:
+                moves[top] = _moves(g, top, n - s, roots, strict_only)
+            for size, d in moves[top]:
                 if s + size > n:
                     break
-                levels[s + size].append((layers + (x,), d))
+                levels[s + size].append((key + (d,), d))
         if s == 0 and roots is not None:
             level = []  # the empty heap is no pyramid
         yield level
+
+
+class _Words(dict):
+    """Layer bitmask -> its word as a string, one character per vertex
+    (`chr`), spelled on first lookup: joined words compare as their vertex
+    tuples do.  A dict and not `functools.cache`: a hit is one C call, and
+    `enumerate_heaps(path5, 7)` looks up 59,829 layers."""
+
+    def __missing__(self, mask: int) -> str:
+        word = self[mask] = "".join(map(chr, _members(mask)))
+        return word
 
 
 def enumerate_heaps(
@@ -320,14 +337,17 @@ def enumerate_heaps(
 ) -> list[Heap]:
     """All canonical heaps of size <= n, optionally strict and/or pyramids.
 
-    The layer transfer `_layer_transfer`, appending vertex tuples, each size
-    sorted by canonical word.
+    The keys the layer transfer `_layer_transfer` lists, each size sorted
+    by canonical word, spelled from each layer's word (`_Words`).
     """
+    roots = None
+    if pyramids_only or pyramid_base is not None:
+        roots = _pyramid_roots(g, pyramid_base)
+    word = _Words().__getitem__
     levels = _layer_transfer(
-        g, n, _members, strict_only, pyramids_only, pyramid_base,
-        order=lambda e: sum(e[0], ()),  # the canonical word
+        g, n, strict_only, roots, order=lambda e: "".join(map(word, e[0]))
     )
-    return [Heap(g, layers) for level in levels for layers, _ in level]
+    return [Heap._of_key(g, key) for level in levels for key, _ in level]
 
 
 def count_pyramids(g: CommutationGraph, n: int, base: int | None = None) -> list[int]:
@@ -344,9 +364,7 @@ def count_pyramids(g: CommutationGraph, n: int, base: int | None = None) -> list
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if base is not None:
-        g.check_vertex(base)
-    roots = range(g.vertex_count) if base is None else (base,)
+    roots = _pyramid_roots(g, base)
     levels: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]
     reach: dict[int, int] = {}  # top layer -> N[top], 0 for the empty heap alone
     moves: dict[int, list[tuple[int, int]]] = {}  # N[top] -> (|D|, D) by size
@@ -421,7 +439,5 @@ def heap_from_json(text: str) -> Heap:
         )
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise HeapError(f"bad heap JSON: {exc}") from exc
-    h = Heap(g, layers)
-    h.validate()
-    return h
+    return Heap(g, layers)
 

@@ -1,14 +1,13 @@
 """Degree-truncated formal series over the trace monoid, exact coefficients.
 
 A TraceSeries maps canonical heaps of size <= N to coefficients.  It keeps
-its terms as heap keys (a heap's layer bitmasks, `heaps.heap_key`), one
+its terms as heap keys (a heap's layer bitmasks, `heaps.Heap.key`), one
 key -> coefficient dict per size up to the largest size it holds, so a
-series of stable sets costs its terms and not its degree; `terms`, the
-Heap -> coefficient view, is built on first read and kept.  A series made
-from Heaps checks each term once, there; the builders here hand in keys
-from the layer transfer (`heaps_series`, `pyramids_series`, ...) or from
-the products, and the algebra, the projection and the dump read the keys
-and sizes directly.
+series of stable sets costs its terms and not its degree.  A series made
+from Heaps reads their keys; the builders here hand in keys from the
+layer transfer (`heaps_series`, `pyramids_series`, ...) or from the
+products, and the algebra, the projection and the dump read the keys and
+sizes directly.  `terms`, the Heap -> coefficient view, wraps each key.
 The product is the truncated convolution over monoid factorizations: each
 right factor's canonical word drops on each left key (`heaps.drop_words`),
 sizes adding to <= N, and the products are summed by key.  The classic
@@ -45,7 +44,7 @@ from typing import Callable, Iterable, Mapping
 
 from .graphs import CommutationGraph, _members
 from .heaps import (
-    Heap, Key, _layer_transfer, count_pyramids, drop_words, empty_heap, heap_key,
+    Heap, Key, _layer_transfer, _pyramid_roots, count_pyramids, drop_words, empty_heap,
 )
 
 Coefficient = int | Fraction
@@ -80,14 +79,12 @@ def _normalized(sizes: Iterable[Bucket]) -> list[Bucket]:
 class TraceSeries:
     """Truncated trace series: its terms as heap keys, one bucket per size.
 
-    `TraceSeries(g, degree, {heap: coefficient})` checks each term once:
-    its graph, its size against the degree, its vertices (an out-of-range
-    one raises GraphError) and its layers, which must be the canonical
-    form of its word (else HeapError); it drops zero terms and stores
-    integral coefficients as ints.  The builders of this module hand in
-    trusted keys by size instead (`_of_keys`).  `terms`, the Heap ->
-    coefficient view, is built on first read and kept (and left out of a
-    pickle); the algebra, the projection and the dump read the keys.
+    `TraceSeries(g, degree, {heap: coefficient})` checks each term's graph
+    and its size against the degree, and stores its key; it drops zero
+    terms and stores integral coefficients as ints.  The builders of this
+    module hand in keys by size instead (`_of_keys`).  `terms`, the Heap
+    -> coefficient view, is built on first read and kept (and left out of
+    a pickle); the algebra, the projection and the dump read the keys.
     Series are immutable.
     """
 
@@ -108,7 +105,7 @@ class TraceSeries:
             size = h.size
             if size > degree:
                 raise SeriesError("term beyond truncation degree")
-            by_size.setdefault(size, {})[heap_key(h)] = c
+            by_size.setdefault(size, {})[h.key] = c
         sizes = [by_size.get(m, {}) for m in range(max(by_size, default=-1) + 1)]
         self.__dict__.update(graph=graph, degree=degree, _sizes=_normalized(sizes))
 
@@ -133,18 +130,16 @@ class TraceSeries:
 
     @cached_property
     def terms(self) -> Mapping[Heap, Coefficient]:
-        g, vertices = self.graph, cache(_members)  # each layer's tuple shared
-        return MappingProxyType({
-            Heap(g, tuple(map(vertices, k))): c
-            for b in self._sizes for k, c in b.items()
-        })
+        g = self.graph
+        return MappingProxyType(
+            {Heap._of_key(g, k): c for b in self._sizes for k, c in b.items()}
+        )
 
     def coefficient(self, h: Heap) -> Coefficient:
         size = h.size
         if h.graph != self.graph or size > self.degree:
             return 0
-        key = heap_key(h)  # checked even where no term of its size is held
-        return self._sizes[size].get(key, 0) if size < len(self._sizes) else 0
+        return self._sizes[size].get(h.key, 0) if size < len(self._sizes) else 0
 
     def __add__(self, other: TraceSeries) -> TraceSeries:
         _check_compat(self, other)
@@ -234,11 +229,10 @@ def _transfer_series(
     degree: int,
     signed: bool,
     strict_only: bool = False,
-    pyramids_only: bool = False,
-    pyramid_base: int | None = None,
+    roots: Iterable[int] | None = None,
 ) -> TraceSeries:
-    """The counting series of the heaps that `_layer_transfer` lists as keys."""
-    levels = _layer_transfer(g, degree, int, strict_only, pyramids_only, pyramid_base)
+    """The counting series of the heaps that `_layer_transfer` lists."""
+    levels = _layer_transfer(g, degree, strict_only, roots)
     return _counting_series(
         g, degree, ([key for key, _ in level] for level in levels), signed
     )
@@ -275,7 +269,7 @@ def pyramids_series(
     base: int | None = None,
 ) -> TraceSeries:
     """Pyramid series (no constant term); `base` pins the base vertex."""
-    return _transfer_series(g, degree, signed, pyramids_only=True, pyramid_base=base)
+    return _transfer_series(g, degree, signed, roots=_pyramid_roots(g, base))
 
 
 def derive(s: TraceSeries) -> TraceSeries:

@@ -707,6 +707,12 @@ class TestJsonAndValidation:
         with pytest.raises(FrozenInstanceError):
             del an.source
 
+    def test_cells_given_as_lists_are_a_value(self):
+        an = Animal("square", "point", [[0, 0], [1, 1]])
+        twin = Animal("square", "point", ((0, 0), (1, 1)))
+        assert an == twin and hash(an) == hash(twin)
+        assert an.cells == twin.cells == ((0, 0), (1, 1))
+
     @pytest.mark.parametrize("cells", [((0, 0, 0),), ((0, 0), (1, 1, 0)), ((0,), (1,))])
     def test_cells_that_are_not_pairs(self, cells):
         with pytest.raises(ValueError):

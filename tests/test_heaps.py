@@ -1,8 +1,11 @@
 """Heap monoid: canonical form, product, duality, strictness, pyramids."""
 
+import copy
+import pickle
 import random
 import time
 from collections import deque
+from dataclasses import FrozenInstanceError
 from itertools import chain, combinations, product as product_of
 
 import pytest
@@ -24,6 +27,7 @@ from heappieces import (
     heap_from_json,
     heap_of_word,
     heap_to_json,
+    heaps_series,
     is_strict,
     linear_window,
     product,
@@ -32,7 +36,7 @@ from heappieces import (
     pyramid_split,
     strict_skeleton,
 )
-from heappieces.heaps import _drop, drop_words, heap_key, heap_of_key
+from heappieces.heaps import _drop, drop_words
 from heappieces.verify import graph_suite
 
 from conftest import to_word
@@ -168,15 +172,15 @@ def pyramid_split_by_closure(h, c):
     return restack(set(cells) - closure), restack(closure)
 
 
-def validate_by_checks(h):
-    """Declared oracle for Heap.validate: the layer conditions one by one.
+def validate_by_checks(g, layers):
+    """Declared oracle for the check `Heap(g, layers)` makes: the layer
+    conditions one by one.
 
     Each layer is non-empty, ascending and stable, each cell above the
     first layer has a neighbour in the layer below, and the layers are
     the heap of their own word.
     """
-    g = h.graph
-    for i, layer in enumerate(h.layers):
+    for i, layer in enumerate(layers):
         if not layer:
             raise HeapError(f"empty layer {i + 1}")
         if tuple(sorted(layer)) != layer:
@@ -184,10 +188,10 @@ def validate_by_checks(h):
         if not g.is_configuration(layer):
             raise HeapError(f"layer {i + 1} is not a stable set")
         if i > 0:
-            below = set().union(*(g.neighborhood(u) for u in h.layers[i - 1]))
+            below = set().union(*(g.neighborhood(u) for u in layers[i - 1]))
             if any(v not in below for v in layer):
                 raise HeapError(f"unsupported cell in layer {i + 1}")
-    if heap_of_word(g, h.canonical_word()) != h:
+    if heap_of_word(g, chain.from_iterable(layers)).layers != layers:
         raise HeapError("layers are not the canonical form of their word")
 
 
@@ -359,9 +363,8 @@ class TestDropKernel:
     def test_drop_words_is_product_per_word(self, path5, data):
         h = heap_of_word(path5, data.draw(word_strategy(path5, 8)))
         words = data.draw(st.lists(word_strategy(path5, 6), max_size=4))
-        want = [heap_of_word(path5, h.canonical_word() + w).layers for w in words]
-        keys = drop_words(path5, heap_key(h), words)
-        assert [heap_of_key(path5, key).layers for key in keys] == want
+        want = [heap_of_word(path5, h.canonical_word() + w).key for w in words]
+        assert list(drop_words(path5, h.key, words)) == want
 
     def test_push_is_appended_letter(self, path5):
         for h in enumerate_heaps(path5, 5):
@@ -682,7 +685,7 @@ class TestDropOracle:
         g = drop_graph
         h = heap_of_word(g, data.draw(word_strategy(g, 10)))
         words = data.draw(st.lists(word_strategy(g, 6), max_size=5))
-        got = [heap_of_key(g, key).layers for key in drop_words(g, heap_key(h), words)]
+        got = [Heap._of_key(g, key).layers for key in drop_words(g, h.key, words)]
         assert got == [drop_by_sorted_layers(g, h.layers, w)[0] for w in words]
 
     @given(data=st.data())
@@ -721,7 +724,7 @@ class TestDropOracle:
                 lambda: push(h, bad),
                 lambda: product(h, Heap(g, ((bad,),))),
                 lambda: product(Heap(g, ((bad,),)), h),
-                lambda: list(drop_words(g, heap_key(h), [(0,), (0, bad)])),
+                lambda: list(drop_words(g, h.key, [(0,), (0, bad)])),
                 lambda: colored_layers(g, distinct, (0, bad)),
                 lambda: strict_skeleton(Heap(g, ((bad,),))),
             ):
@@ -911,30 +914,38 @@ class TestJson:
 
 
 class TestValidate:
+    """`Heap(g, layers)` checks its layers once, as it is built."""
+
     def test_catches_unsupported_layer(self, path3):
         with pytest.raises(HeapError):
-            Heap(path3, ((0,), (2,))).validate()
+            Heap(path3, ((0,), (2,)))
 
     def test_catches_non_stable_layer(self, path3):
         with pytest.raises(HeapError):
-            Heap(path3, ((0, 1),)).validate()
+            Heap(path3, ((0, 1),))
 
     def test_accepts_enumerated(self, path3):
         for h in enumerate_heaps(path3, 4):
-            h.validate()
+            assert Heap(path3, h.layers) == h
 
     def test_names_the_first_differing_layer(self, path3):
         with pytest.raises(HeapError, match="layer 1 is not the canonical form"):
-            Heap(path3, ((0,), (2,))).validate()
+            Heap(path3, ((0,), (2,)))
         with pytest.raises(HeapError, match="layer 2 is not the canonical form"):
-            Heap(path3, ((0,), ())).validate()
+            Heap(path3, ((0,), ()))
         with pytest.raises(HeapError, match="layer 3 is not the canonical form"):
-            Heap(path3, ((0,), (1,), (2,), (0,))).validate()
+            Heap(path3, ((0,), (1,), (2,), (0,)))
 
     def test_out_of_range_vertex_is_graph_error(self, path3):
         for layers in (((7,),), ((0,), (), (7,)), ((2, 0), (-1,))):
             with pytest.raises(GraphError):
-                Heap(path3, layers).validate()
+                Heap(path3, layers)
+
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_bad_vertex_is_never_built(self, path5, bad):
+        # no reader (heap_to_json, cells, a series dump) can meet such a heap
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            Heap(path5, ((bad,),))
 
     def test_agrees_with_layer_checks(self):
         """Same verdict as the oracle on every tuple of up to 3 cells.
@@ -947,9 +958,8 @@ class TestValidate:
             for layers in chain.from_iterable(
                 layer_tuples(values, 3, count) for count in range(4)
             ):
-                h = Heap(g, layers)
                 try:
-                    validate_by_checks(h)
+                    validate_by_checks(g, layers)
                     want = None
                 except (HeapError, GraphError):
                     want = HeapError
@@ -959,10 +969,10 @@ class TestValidate:
                 if want and out_of_range:
                     want = GraphError
                 if want is None:
-                    h.validate()
+                    assert Heap(g, layers).layers == layers
                 else:
                     with pytest.raises(want):
-                        h.validate()
+                        Heap(g, layers)
 
 
 class TestHashByLayers:
@@ -974,3 +984,34 @@ class TestHashByLayers:
         assert len(table) == 2
         assert table[heap_of_word(path3, (2, 0))] == "path3"
         assert table[heap_of_word(edgeless3, (2, 0))] == "edgeless3"
+
+
+class TestValueSemantics:
+    """A heap is its graph and its key; every other field is a view."""
+
+    def test_every_builder_gives_one_value(self, path5):
+        theta = heaps_series(path5, 4, signed=False)
+        for h in enumerate_heaps(path5, 4):
+            twins = [
+                Heap(path5, h.layers),
+                heap_of_word(path5, h.canonical_word()),
+                next(t for t in theta.terms if t == h),
+            ]
+            for twin in twins:
+                assert twin == h and hash(twin) == hash(h) and twin.key == h.key
+        assert set(theta.terms) == set(enumerate_heaps(path5, 4))
+
+    def test_pickle_and_deepcopy_before_and_after_the_view(self, path5):
+        h = heap_of_word(path5, (0, 2, 1, 3, 0))
+        for _ in range(2):  # the second pass after `layers` has been read
+            for twin in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+                assert twin == h and hash(twin) == hash(h)
+                assert twin.layers == h.layers == ((0, 2), (1, 3), (0,))
+            assert "layers" in vars(h)
+
+    def test_fields_cannot_be_assigned(self, path5):
+        h = heap_of_word(path5, (0, 2))
+        for name, value in (("key", (1,)), ("graph", path5), ("layers", ((0,),))):
+            with pytest.raises(FrozenInstanceError):
+                setattr(h, name, value)
+        assert h.key == (5,)

@@ -103,6 +103,21 @@ def test_algebra_times():
     assert lines[-1].endswith(" s wall |")
 
 
+def test_algebra_times_ab_rows(tmp_path):
+    # this checkout against itself: the rows exist and the pairs add up
+    proc = run_script("algebra_times.py", "--tiny", "--runs", "2", "--parent", str(ROOT))
+    assert proc.returncode == 0, proc.stderr
+    rows = [row.split(" | ") for row in proc.stdout.splitlines()[-3:]]
+    name = "| `heaps.enumerate_heaps`, 2 interpreters, "
+    assert [row[0] for row in rows] == [
+        name + "parent", name + "this checkout", name + "pairs this checkout won"
+    ]
+    assert all(row[1].endswith(") |") for row in rows[:2])
+    assert rows[2][1] in ("0 of 2 |", "1 of 2 |", "2 of 2 |")
+    bad = run_script("algebra_times.py", "--tiny", "--parent", str(tmp_path))
+    assert bad.returncode == 2 and "has no src/heappieces" in bad.stderr
+
+
 def test_algebra_times_uses_the_exact_workload_sizes():
     # the script may not import heapbench, so it repeats the sizes it times
     spec = importlib.util.spec_from_file_location(
