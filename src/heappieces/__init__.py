@@ -87,6 +87,7 @@ from .series import (
     pyramids_series,
     series_mul,
     strict_heaps_series,
+    trace_series,
     univariate_substitute,
 )
 

@@ -27,14 +27,7 @@ from .graphs import parse_graph_literal
 from .heaps import enumerate_heaps
 from .randgen import RandomSource, random_animal
 from .render import RenderOptions, render_decomposition, render_svg
-from .series import (
-    configurations_series,
-    dump_trace_series,
-    heaps_series,
-    projected_series,
-    pyramids_series,
-    strict_heaps_series,
-)
+from .series import PROJECTED_KINDS, dump_trace_series, projected_series, trace_series
 from .verify import DEGREE_SUITES, SUITES, run_suites
 
 
@@ -114,17 +107,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-_SERIES_BUILDERS = {
-    "theta": lambda g, n, base: heaps_series(g, n, signed=False),
-    "theta-bar": lambda g, n, base: heaps_series(g, n, signed=True),
-    "theta-strict": lambda g, n, base: strict_heaps_series(g, n, signed=False),
-    "gamma": lambda g, n, base: configurations_series(g, n, signed=False),
-    "gamma-bar": lambda g, n, base: configurations_series(g, n, signed=True),
-    "pi": lambda g, n, base: pyramids_series(g, n, signed=False, base=base),
-    "pi-bar": lambda g, n, base: pyramids_series(g, n, signed=True, base=base),
-}
-
-
 def _cmd_series(args: argparse.Namespace) -> int:
     if args.base is not None and args.kind not in ("pi", "pi-bar"):
         raise ValueError(f"--base applies to pi and pi-bar, not {args.kind!r}")
@@ -133,7 +115,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if args.project:  # from stable sets, not from the heaps
         print(_text(projected_series(g, args.kind, args.degree, base)))
     else:
-        print(dump_trace_series(_SERIES_BUILDERS[args.kind](g, args.degree, base)))
+        print(dump_trace_series(trace_series(g, args.kind, args.degree, base)))
     return 0
 
 
@@ -236,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="dump a trace series over a graph")
     p.add_argument("--graph", required=True, help="graph literal file")
-    p.add_argument("--kind", choices=sorted(_SERIES_BUILDERS), required=True)
+    p.add_argument("--kind", choices=sorted(PROJECTED_KINDS), required=True)
     p.add_argument("--degree", type=_non_negative_int, required=True)
     p.add_argument("--base", help="base vertex label for pyramid series")
     p.add_argument("--project", action="store_true", help="print the t-projection")

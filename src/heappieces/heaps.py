@@ -67,7 +67,7 @@ class Heap:
     def __init__(
         self, graph: CommutationGraph, layers: Iterable[tuple[int, ...]]
     ) -> None:
-        layers = tuple(layers)
+        layers = tuple(map(tuple, layers))  # lists compare unequal to the tuples below
         key = next(drop_words(graph, (), (chain.from_iterable(layers),)))
         for i, (got, want) in enumerate(zip_longest(layers, map(_members, key)), 1):
             if got != want:

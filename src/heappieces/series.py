@@ -213,29 +213,19 @@ def series_mul(s1: TraceSeries, s2: TraceSeries) -> TraceSeries:
 
 
 def _counting_series(
-    g: CommutationGraph, degree: int, keys: Iterable[Iterable[Key]], signed: bool
-) -> TraceSeries:
-    """Each heap, given by its key in the entry of its size, with coefficient
-    (-1)^size when signed, else 1."""
-    sizes = [
-        dict.fromkeys(level, -1 if signed and s % 2 else 1)
-        for s, level in enumerate(keys)
-    ]
-    return TraceSeries._of_keys(g, degree, sizes)
-
-
-def _transfer_series(
     g: CommutationGraph,
     degree: int,
+    levels: Iterable[list[tuple[Key, int]]],
     signed: bool,
-    strict_only: bool = False,
-    roots: Iterable[int] | None = None,
 ) -> TraceSeries:
-    """The counting series of the heaps that `_layer_transfer` lists."""
-    levels = _layer_transfer(g, degree, strict_only, roots)
-    return _counting_series(
-        g, degree, ([key for key, _ in level] for level in levels), signed
-    )
+    """Each heap, given as (key, top layer) in the level of its size, as
+    `_layer_transfer` yields them, with coefficient (-1)^size when signed,
+    else 1."""
+    sizes = [
+        dict.fromkeys([key for key, _ in level], -1 if signed and s % 2 else 1)
+        for s, level in enumerate(levels)
+    ]
+    return TraceSeries._of_keys(g, degree, sizes)
 
 
 def configurations_series(
@@ -244,22 +234,23 @@ def configurations_series(
     """Stable sets as one-layer heaps; signed gives coefficient (-1)^{|C|}."""
     if degree < 0:
         raise ValueError("max_size must be >= 0")
-    keys: list[list[Key]] = []
+    levels: list[list[tuple[Key, int]]] = []
     for size, conf in g._stable_sets(degree):  # in size order, no size skipped
-        if size == len(keys):
-            keys.append([])
-        keys[size].append((conf,) if conf else ())
-    return _counting_series(g, degree, keys, signed)
+        if size == len(levels):
+            levels.append([])
+        levels[size].append(((conf,) if conf else (), conf))
+    return _counting_series(g, degree, levels, signed)
 
 
 def heaps_series(g: CommutationGraph, degree: int, signed: bool) -> TraceSeries:
-    return _transfer_series(g, degree, signed)
+    return _counting_series(g, degree, _layer_transfer(g, degree), signed)
 
 
 def strict_heaps_series(
     g: CommutationGraph, degree: int, signed: bool
 ) -> TraceSeries:
-    return _transfer_series(g, degree, signed, strict_only=True)
+    levels = _layer_transfer(g, degree, strict_only=True)
+    return _counting_series(g, degree, levels, signed)
 
 
 def pyramids_series(
@@ -269,7 +260,37 @@ def pyramids_series(
     base: int | None = None,
 ) -> TraceSeries:
     """Pyramid series (no constant term); `base` pins the base vertex."""
-    return _transfer_series(g, degree, signed, roots=_pyramid_roots(g, base))
+    levels = _layer_transfer(g, degree, roots=_pyramid_roots(g, base))
+    return _counting_series(g, degree, levels, signed)
+
+
+def _check_kind(kind: str, degree: int, base: int | None) -> None:
+    """The checks of `trace_series` and `projected_series`, before any work."""
+    if kind not in PROJECTED_KINDS:
+        raise SeriesError(f"unknown series kind {kind!r}")
+    if base is not None and kind not in ("pi", "pi-bar"):
+        raise SeriesError(f"base applies to pi and pi-bar, not {kind!r}")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+
+
+def trace_series(
+    g: CommutationGraph, kind: str, degree: int, base: int | None = None
+) -> TraceSeries:
+    """The counting series of a kind in `PROJECTED_KINDS`, by its builder.
+
+    gamma: the stable sets; theta: the heaps; theta-strict: the strict
+    heaps; pi: the pyramids, on `base` alone when given.  Each -bar kind
+    signs each term (-1)^size.  `project` of it is `projected_series`.
+    """
+    _check_kind(kind, degree, base)
+    signed = kind.endswith("-bar")
+    if kind.startswith("gamma"):
+        return configurations_series(g, degree, signed)
+    if kind.startswith("pi"):
+        return pyramids_series(g, degree, signed, base)
+    build = strict_heaps_series if kind == "theta-strict" else heaps_series
+    return build(g, degree, signed)
 
 
 def derive(s: TraceSeries) -> TraceSeries:
@@ -428,12 +449,7 @@ def projected_series(
     `count_pyramids`, on `base` alone when given.  Each -bar kind is its
     plain kind at -t.
     """
-    if kind not in PROJECTED_KINDS:
-        raise SeriesError(f"unknown series kind {kind!r}")
-    if base is not None and kind not in ("pi", "pi-bar"):
-        raise SeriesError(f"base applies to pi and pi-bar, not {kind!r}")
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+    _check_kind(kind, degree, base)
     if kind.startswith("pi"):
         plain = UnivariateSeries(degree, tuple(count_pyramids(g, degree, base)))
     else:

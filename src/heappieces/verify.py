@@ -104,7 +104,7 @@ def suite_derivative(degree: int = 5) -> list[Check]:
 
 def suite_micro() -> list[Check]:
     """Hand-countable path3 data: GammaBar terms; 21 heaps and 18 pyramids of size 3."""
-    g = build_graph("abc", [("a", "b"), ("b", "c")])
+    g = dict(graph_suite())["path3"]
     gamma_bar = configurations_series(g, 3, signed=True)
     want = {
         (): 1,

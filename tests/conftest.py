@@ -1,33 +1,37 @@
-"""Shared fixtures: standing graphs and the worked 8-cell heap example."""
+"""Shared fixtures: the standing graphs of `verify.graph_suite()` and two more."""
 
 import pytest
 
 from heappieces import build_graph, linear_window
+from heappieces.verify import graph_suite
+
+
+STANDING = dict(graph_suite())
 
 
 @pytest.fixture(scope="session")
 def path3():
-    return build_graph("abc", [("a", "b"), ("b", "c")])
+    return STANDING["path3"]
 
 
 @pytest.fixture(scope="session")
 def path5():
-    return build_graph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+    return STANDING["path5"]
 
 
 @pytest.fixture(scope="session")
 def k3():
-    return build_graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+    return STANDING["K3"]
 
 
 @pytest.fixture(scope="session")
 def edgeless3():
-    return build_graph("abc", [])
+    return STANDING["edgeless3"]
 
 
 @pytest.fixture(scope="session")
 def cycle4():
-    return build_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    return STANDING["cycle4"]
 
 
 @pytest.fixture(scope="session")

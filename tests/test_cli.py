@@ -26,10 +26,9 @@ from heappieces.render import decomposition_flatten
 
 
 @pytest.fixture
-def path3_file(tmp_path):
-    g = build_graph("abc", [("a", "b"), ("b", "c")])
+def path3_file(tmp_path, path3):
     path = tmp_path / "path3.graph"
-    path.write_text(format_graph_literal(g))
+    path.write_text(format_graph_literal(path3))
     return str(path)
 
 

@@ -931,13 +931,15 @@ class TestValidate:
     def test_names_the_first_differing_layer(self, path3):
         with pytest.raises(HeapError, match="layer 1 is not the canonical form"):
             Heap(path3, ((0,), (2,)))
+        with pytest.raises(HeapError, match="layer 1 is not the canonical form"):
+            Heap(path3, [[2, 0]])  # unsorted, given as lists
         with pytest.raises(HeapError, match="layer 2 is not the canonical form"):
             Heap(path3, ((0,), ()))
         with pytest.raises(HeapError, match="layer 3 is not the canonical form"):
             Heap(path3, ((0,), (1,), (2,), (0,)))
 
     def test_out_of_range_vertex_is_graph_error(self, path3):
-        for layers in (((7,),), ((0,), (), (7,)), ((2, 0), (-1,))):
+        for layers in (((7,),), ((0,), (), (7,)), ((2, 0), (-1,)), [[0], [7]]):
             with pytest.raises(GraphError):
                 Heap(path3, layers)
 
@@ -946,6 +948,10 @@ class TestValidate:
         # no reader (heap_to_json, cells, a series dump) can meet such a heap
         with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
             Heap(path5, ((bad,),))
+
+    def test_layers_given_as_lists_are_a_value(self, path3):
+        assert Heap(path3, [[0, 2], [1]]) == Heap(path3, ((0, 2), (1,)))
+        assert Heap(path3, [[0]]).layers == ((0,),)
 
     def test_agrees_with_layer_checks(self):
         """Same verdict as the oracle on every tuple of up to 3 cells.

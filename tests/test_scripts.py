@@ -1,8 +1,10 @@
-"""Smoke tests of the scripts in scripts/: each runs and writes what it says.
+"""Tests of the scripts in scripts/.
 
-Also checks, without running it, that the benchmark in heapbench/ still
-finds every name it imports from the library, and checks the bench
-recorder's aggregation and its run order on canned run output.
+`series_tables.py`, `gallery.py` and `pipeline_times.py` are run as
+scripts: each runs and prints or writes what it says.  `bench_record.py`
+is loaded in process and fed canned run output: its aggregation, its
+summary and its order of runs.  The benchmark in heapbench/ is not run:
+its imports are only checked to resolve in the library.
 """
 
 import ast
@@ -77,65 +79,6 @@ def test_pipeline_times():
         "| `render_svg` (in process)",
     ]
     assert all(line.endswith((" s wall |", " s |")) for line in lines[3:])
-
-
-def test_algebra_times():
-    proc = run_script("algebra_times.py", "--tiny", "--runs", "1")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[:3] == ["path5, min of 1, tiny sizes", "| call | time |", "|---|---|"]
-    calls = [line.split(" | ")[0] for line in lines[3:]]
-    assert calls == [
-        "| `heaps.enumerate_heaps`",
-        "| `series.heaps_series`",
-        "| `series.series_mul`",
-        "| `series.invert`",
-        "| `gas.mean_particles_direct`",
-        "| `gas.mean_particles_pyramids`",
-        "| `series.pyramids_series`",
-        "| `animals.animal_count`",
-        "| `animals.average_width`",
-        "| `paths.count_paths`",
-        "| sum of the above",
-        "| `series --kind theta --degree 4`",
-    ]
-    assert all(line.endswith(" ms |") for line in lines[3:-1])
-    assert lines[-1].endswith(" s wall |")
-
-
-def test_algebra_times_ab_rows(tmp_path):
-    # this checkout against itself: the rows exist and the pairs add up
-    proc = run_script("algebra_times.py", "--tiny", "--runs", "2", "--parent", str(ROOT))
-    assert proc.returncode == 0, proc.stderr
-    rows = [row.split(" | ") for row in proc.stdout.splitlines()[-3:]]
-    name = "| `heaps.enumerate_heaps`, 2 interpreters, "
-    assert [row[0] for row in rows] == [
-        name + "parent", name + "this checkout", name + "pairs this checkout won"
-    ]
-    assert all(row[1].endswith(") |") for row in rows[:2])
-    assert rows[2][1] in ("0 of 2 |", "1 of 2 |", "2 of 2 |")
-    bad = run_script("algebra_times.py", "--tiny", "--parent", str(tmp_path))
-    assert bad.returncode == 2 and "has no src/heappieces" in bad.stderr
-
-
-def test_algebra_times_uses_the_exact_workload_sizes():
-    # the script may not import heapbench, so it repeats the sizes it times
-    spec = importlib.util.spec_from_file_location(
-        "algebra_times", ROOT / "scripts" / "algebra_times.py"
-    )
-    algebra_times = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(algebra_times)
-    tree = ast.parse((ROOT / "heapbench" / "workloads.py").read_text())
-    exact = next(
-        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Exact"
-    )
-    sizes = next(
-        n.value for n in ast.walk(exact)
-        if isinstance(n, ast.Assign) and ast.unparse(n.targets) == "d"
-    )
-    assert algebra_times.SIZES == {
-        True: ast.literal_eval(sizes.body), False: ast.literal_eval(sizes.orelse)
-    }
 
 
 def test_heapbench_imports_resolve():
