@@ -3,9 +3,14 @@
 
 For every workload and seed the recorder runs `python3 heapbench/run.py
 --trace 0` at BENCHMARK.json's `run_seconds` once in the parent checkout
-and once in this one, each in its own directory, so each side measures
-its own `src`.  The side that runs first alternates from seed to seed, so
-the runs of the same seed form alternating pairs.  Standard library only.
+and once in the change's, each in its own directory, so each side measures
+its own `src`.  Both sides run from fresh clones: the parent from the one
+given by `--parent`, the change from a clone of this repository's HEAD
+made in a temporary directory, so neither runs in the repository itself.
+It refuses to run (exit 2) when `src/` or `heapbench/` has uncommitted
+edits, which that clone would not hold.  The side that runs first
+alternates from seed to seed, so the runs of the same seed form
+alternating pairs.  Standard library only.
 
 It writes BENCH_<label>_parent.json and BENCH_<label>_change.json to the
 repository root.  Each holds, per workload, every run's end-to-end metrics
@@ -25,6 +30,7 @@ overlap: traced per-layer numbers move by about a third between runs of
 the same code, so a per-layer change inside the spread shows nothing.
 
 Usage:
+    git clone --quiet . ../parent && git -C ../parent checkout --quiet PARENT
     python scripts/bench_record.py --label pr12 --parent ../parent \\
         --seeds 301 302 303 [--traced 3]
 """
@@ -36,6 +42,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -159,17 +166,28 @@ def summary(parent: dict, change: dict) -> list[str]:
     return lines
 
 
+def git(checkout: Path, *args: str) -> str | None:
+    """Stdout of a git command in `checkout`, or None when it fails."""
+    done = subprocess.run(
+        ["git", "-C", str(checkout), *args], capture_output=True, text=True
+    )
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def git_state(checkout: Path) -> dict:
     """The checkout's HEAD commit and whether it has uncommitted changes."""
+    dirty = bool(git(checkout, "status", "--porcelain"))
+    return {"commit": git(checkout, "rev-parse", "HEAD"), "dirty": dirty}
 
-    def git(*args):
-        done = subprocess.run(
-            ["git", "-C", str(checkout), *args], capture_output=True, text=True
-        )
-        return done.stdout.strip() if done.returncode == 0 else None
 
-    dirty = bool(git("status", "--porcelain"))
-    return {"commit": git("rev-parse", "HEAD"), "dirty": dirty}
+def clone_head(checkout: Path, dest: Path) -> Path:
+    """A fresh clone of the checkout's HEAD commit at `dest`, made as the
+    parent's clone is."""
+    head = git(checkout, "rev-parse", "HEAD")
+    for args in (["clone", "--quiet", str(checkout), str(dest)],
+                 ["-C", str(dest), "checkout", "--quiet", str(head)]):
+        subprocess.run(["git", *args], check=True, capture_output=True)
+    return dest
 
 
 def alternating(sides: list[tuple[str, Path]], seeds: list[int]):
@@ -206,26 +224,29 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--parent {args.parent}: not a heapbench checkout")
     if not 0 <= args.traced <= len(args.seeds):
         parser.error(f"--traced must lie in 0..{len(args.seeds)}, the number of seeds")
-    sides = [("parent", args.parent.resolve()), ("change", ROOT)]
-    # taken before the runs: the BENCH files written below would mark this
-    # checkout dirty
-    states = {side: git_state(checkout) for side, checkout in sides}
+    if git(ROOT, "status", "--porcelain", "--", "src", "heapbench"):
+        parser.error("src/ or heapbench/ has uncommitted edits; commit them first")
 
-    runs: dict[str, dict[str, list[dict]]] = {side: {} for side, _ in sides}
-    traced: dict[str, dict[str, list[dict]]] = {side: {} for side, _ in sides}
-    for workload in WORKLOADS:
-        for seed, side, checkout in alternating(sides, args.seeds):
-            run = run_one(checkout, workload, seed)
-            runs[side].setdefault(workload, []).append(run)
-            value = run["result"]["metrics"]["ops_per_s"]["value"]
-            print(f"{workload} seed {seed} {side}: ops_per_s {value:.4g}", flush=True)
-        for seed, side, checkout in alternating(sides, args.seeds[: args.traced]):
-            run = run_one(checkout, workload, seed, trace=1)
-            traced[side].setdefault(workload, []).append(run)
-            print(f"{workload} seed {seed} {side}: traced", flush=True)
+    runs: dict[str, dict[str, list[dict]]] = {"parent": {}, "change": {}}
+    traced: dict[str, dict[str, list[dict]]] = {"parent": {}, "change": {}}
+    with tempfile.TemporaryDirectory() as scratch:
+        change = clone_head(ROOT, Path(scratch) / "change")
+        sides = [("parent", args.parent.resolve()), ("change", change)]
+        states = {side: git_state(checkout) for side, checkout in sides}
+        for workload in WORKLOADS:
+            for seed, side, checkout in alternating(sides, args.seeds):
+                run = run_one(checkout, workload, seed)
+                runs[side].setdefault(workload, []).append(run)
+                value = run["result"]["metrics"]["ops_per_s"]["value"]
+                print(f"{workload} seed {seed} {side}: ops_per_s {value:.4g}",
+                      flush=True)
+            for seed, side, checkout in alternating(sides, args.seeds[: args.traced]):
+                run = run_one(checkout, workload, seed, trace=1)
+                traced[side].setdefault(workload, []).append(run)
+                print(f"{workload} seed {seed} {side}: traced", flush=True)
 
     records = {}
-    for side, _ in sides:
+    for side in runs:
         first = runs[side][WORKLOADS[0]][0]
         records[side] = {
             "label": f"{args.label}_{side}",

@@ -443,12 +443,11 @@ def enumerate_animals(n: int, lattice: str, source: str = "point") -> list[Anima
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    triangular = lattice_colors(lattice) == 2  # rejects an unknown lattice
+    _check_kind(lattice, source)
+    triangular = lattice == "triangular"
     bound = ORACLE_BOUNDS[lattice]
     if n > bound:
         raise AnimalError(f"oracle bound is {bound} for {lattice}")
-    if source not in SOURCES:
-        raise AnimalError(f"unknown source {source!r}")
 
     seeds: list[frozenset[tuple[int, int]]] = []
     if source == "point":

@@ -7,8 +7,9 @@ nor T appears anywhere else).  The mean particle count t Z'/Z also equals
 the alternating pyramid series sum (-1)^{n-1} p_n t^n, which is the
 identity checked here by computing both sides independently: Z from the
 stable sets (`projected_series(g, "gamma", ...)`), and p_n from the
-pyramid layer transfer (`projected_series(g, "pi-bar", ...)`, which is
-sum (-1)^n p_n t^n), neither building a heap.
+Cartier-Foata layer transfer that lists heaps, counting pyramids instead
+(`projected_series(g, "pi-bar", ...)`, which is sum (-1)^n p_n t^n),
+neither building a heap.
 
 On the infinite chain the per-site density has the closed form
 d(t) = (1 - (1+4t)^{-1/2}) / 2, whose Taylor coefficients are the

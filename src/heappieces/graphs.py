@@ -88,7 +88,7 @@ class CommutationGraph:
         sorted by (size, members); the cost tracks the output, not 2^n."""
         if max_size < 0:
             raise ValueError("max_size must be >= 0")
-        return [_members(s) for _, s in self._stable_sets(max_size)]
+        return [_members(s) for sets in self._stable_sets(max_size) for s in sets]
 
     def _closed_reach(self, layer: int) -> int:
         """Bitmask of N[layer]: the union of the closed neighbourhoods of its bits."""
@@ -97,19 +97,18 @@ class CommutationGraph:
             out |= self._masks[v]
         return out
 
-    def _stable_sets(
-        self, most: int, within: int | None = None
-    ) -> Iterator[tuple[int, int]]:
-        """(size, bitmask) of each stable subset of `within` (default: every
-        vertex) of at most `most` members, in (size, members) order: each set
-        of size k grows one of size k - 1, in order, by a vertex above its
-        largest member that no member neighbours; two sizes are held at once."""
+    def _stable_sets(self, most: int, within: int | None = None) -> Iterator[list[int]]:
+        """The stable subsets of `within` (default: every vertex) of at most
+        `most` members, as bitmasks, one list per size from 0 up to the
+        largest, each in members order: each set of size k grows one of
+        size k - 1, in order, by a vertex above its largest member that no
+        member neighbours; two sizes are held at once."""
         masks = self._masks
         if within is None:
             within = (1 << len(masks)) - 1
-        yield 0, 0
+        yield [0]
         layer = [(0, within)]  # (set, vertices that may still join it)
-        for size in range(1, most + 1):
+        for _ in range(most):
             grown = []
             for chosen, free in layer:
                 while free:
@@ -118,7 +117,7 @@ class CommutationGraph:
                     grown.append((chosen | low, free & ~masks[low.bit_length() - 1]))
             if not grown:
                 break
-            yield from ((size, s) for s, _ in grown)
+            yield [s for s, _ in grown]
             layer = grown
 
 
@@ -152,10 +151,9 @@ class Coloring:
 def build_graph(
     labels: Sequence[str], edges: Iterable[tuple[str, str]]
 ) -> CommutationGraph:
-    """Build a graph from labels and label pairs; index = label position."""
+    """Build a graph from labels and label pairs; index = label position.
+    The graph rejects duplicate labels."""
     labels = tuple(str(x) for x in labels)
-    if len(set(labels)) != len(labels):
-        raise GraphError("duplicate label")
     pos = {lab: i for i, lab in enumerate(labels)}
     norm = set()
     for a, b in edges:

@@ -16,9 +16,11 @@ builder lands the key itself and cannot build a bad one.  One kernel,
 `_drop`, lands every letter: it reads per-fibre tops and ORs the letter
 into its layer's bitmask, so no layer is sorted, and every product drops
 on keys (`drop_words`).  Listing and counting heaps grow the layers
-themselves by one move rule (`_moves`) instead: one layer transfer
-(`_layer_transfer`) lists the keys, for `enumerate_heaps` and the series
-builders, and `count_pyramids` counts them.
+themselves instead, by one Cartier-Foata layer transfer
+(`_layer_transfer`): a heap grows by a stable layer inside the closed
+neighbourhood of its top layer, and the heaps whose tops share that
+neighbourhood move together.  It lists the keys for `enumerate_heaps` and
+the series builders, and counts them for `count_pyramids`.
 
 Conventions: a layer's vertices ascend; the canonical word of a heap
 enumerates the layers bottom-up, each in ascending index order.  Heap
@@ -32,7 +34,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, zip_longest
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .graphs import (
     Coloring, CommutationGraph, _members, format_graph_literal, parse_graph_literal
@@ -197,8 +199,8 @@ def is_strict(h: Heap) -> bool:
     """No vertex occupies two consecutive layers.
 
     This is the layer form of the word criterion (consecutive occurrences
-    of a letter have a true neighbour between them); `enumerate_heaps`
-    applies the same rule to each new layer.
+    of a letter have a true neighbour between them); the strict layer
+    transfer applies the same rule to each new layer.
     """
     return all(not a & b for a, b in zip(h.key, h.key[1:]))
 
@@ -254,23 +256,6 @@ def pyramid_split(h: Heap, c: Cell) -> tuple[Heap, Heap]:
     return heap_of_word(h.graph, rest), heap_of_word(h.graph, pyramid)
 
 
-def _moves(
-    g: CommutationGraph, top: int, most: int, roots: Iterable[int] | None, strict: bool
-) -> list[tuple[int, int]]:
-    """The layer transfer's move rule: (|D|, D) by size for each layer D of at
-    most `most` vertices that a heap with top layer `top` grows by.  The empty
-    heap (top 0) grows by every non-empty stable set, or by the singletons of
-    `roots` if given; a top C grows by each stable D inside N[C], and outside
-    C when `strict` (no vertex in two consecutive layers).
-    """
-    if not top and roots is not None:
-        return [(1, 1 << v) for v in roots]
-    within = None
-    if top:
-        within = g._closed_reach(top) & ~top if strict else g._closed_reach(top)
-    return [(size, d) for size, d in g._stable_sets(most, within) if size]
-
-
 def _pyramid_roots(g: CommutationGraph, base: int | None) -> Iterable[int]:
     """The base layers of pyramids, as the transfer's `roots`: every vertex,
     or the base alone, checked against g."""
@@ -283,38 +268,51 @@ def _pyramid_roots(g: CommutationGraph, base: int | None) -> Iterable[int]:
 def _layer_transfer(
     g: CommutationGraph,
     n: int,
-    strict_only: bool = False,
+    keys: bool,
+    strict: bool = False,
     roots: Iterable[int] | None = None,
-    order: Callable[[tuple[Key, int]], object] | None = None,
-) -> Iterator[list[tuple[Key, int]]]:
-    """The heaps of each size 0..n: the one layer transfer that lists heaps.
+) -> Iterator[Iterable[list[Key] | int]]:
+    """The one Cartier-Foata layer transfer: the heaps of each size 0..n.
 
-    It yields, size by size, (key, top layer bitmask) of each heap.  From
-    the empty heap, each heap grows by the moves `_moves` lists for its
-    top, pyramids first by one of their `roots` (see `_pyramid_roots`); a
-    top's moves are listed once, at the smallest size where it is met.
-    Each heap is reached once, by its own layers.  Given `order`, each
-    size is sorted by it before it grows: the next size then comes out in
-    long sorted runs.
+    It yields, size by size, one payload per top layer: the keys of the
+    heaps with that top when `keys`, else how many there are.  The empty
+    heap grows by every non-empty stable set; for pyramids it grows by the
+    singletons of `roots` alone (see `_pyramid_roots`) and is not yielded.
+    A heap with top C grows by each stable D inside N[C], outside C too
+    when `strict` (no vertex in two consecutive layers).  Those moves
+    depend on that set alone, so at each size the payloads of the tops
+    sharing it are joined by `+` and moved once; its moves are listed when
+    it is first met, at the smallest size, where the most fit.  A move
+    carries the keys of the heaps below D, and D is appended to each once,
+    when their size comes up.  Each heap is reached once, by its own layers.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    moves: dict[int, list[tuple[int, int]]] = {}  # top -> (|D|, D) by size
-    levels: list[list[tuple[Key, int]]] = [[((), 0)]] + [[] for _ in range(n)]
+    unit, zero = ([()], []) if keys else (1, 0)
+    levels: list[dict] = [{0: unit}] + [{} for _ in range(n)]
+    near: dict[int, int | None] = {0: None}  # top -> where its next layer lies
+    # where a next layer lies -> (k, its stable subsets of k members), k >= 1
+    moves = {} if roots is None else {None: [(1, [1 << v for v in roots])]}
     for s in range(n + 1):
-        level, levels[s] = levels[s], []  # complete: moves only grow heaps
-        if order is not None:
-            level.sort(key=order)
-        for key, top in level:
-            if top not in moves:
-                moves[top] = _moves(g, top, n - s, roots, strict_only)
-            for size, d in moves[top]:
+        level, levels[s] = levels[s], {}  # complete: moves only grow heaps
+        if keys and s:
+            for top, below in level.items():
+                level[top] = [key + (top,) for key in below]
+        yield () if roots is not None and not s else level.values()
+        joined: dict[int | None, list[Key] | int] = {}
+        for top, payload in level.items():
+            if top not in near:
+                reach = g._closed_reach(top)
+                near[top] = reach & ~top if strict else reach
+            w = near[top]
+            joined[w] = joined.get(w, zero) + payload
+        for w, payload in joined.items():
+            if w not in moves:
+                moves[w] = list(enumerate(g._stable_sets(n - s, w)))[1:]
+            for size, layers in moves[w]:
                 if s + size > n:
                     break
-                levels[s + size].append((key + (d,), d))
-        if s == 0 and roots is not None:
-            level = []  # the empty heap is no pyramid
-        yield level
+                nxt = levels[s + size]
+                for d in layers:
+                    nxt[d] = nxt.get(d, zero) + payload
 
 
 class _Words(dict):
@@ -328,63 +326,32 @@ class _Words(dict):
         return word
 
 
-def enumerate_heaps(
-    g: CommutationGraph,
-    n: int,
-    strict_only: bool = False,
-    pyramids_only: bool = False,
-    pyramid_base: int | None = None,
-) -> list[Heap]:
-    """All canonical heaps of size <= n, optionally strict and/or pyramids.
+def enumerate_heaps(g: CommutationGraph, n: int) -> list[Heap]:
+    """All canonical heaps of size <= n, by size, then canonical word.
 
     The keys the layer transfer `_layer_transfer` lists, each size sorted
-    by canonical word, spelled from each layer's word (`_Words`).
-    """
-    roots = None
-    if pyramids_only or pyramid_base is not None:
-        roots = _pyramid_roots(g, pyramid_base)
-    word = _Words().__getitem__
-    levels = _layer_transfer(
-        g, n, strict_only, roots, order=lambda e: "".join(map(word, e[0]))
-    )
-    return [Heap._of_key(g, key) for level in levels for key, _ in level]
-
-
-def count_pyramids(g: CommutationGraph, n: int, base: int | None = None) -> list[int]:
-    """Number of pyramids of each size 0..n (base vertex pinned if given).
-
-    A Cartier-Foata layer transfer that builds no heap: the state is (size,
-    top layer bitmask) -> count, grown from the empty heap by the singletons,
-    or by {base} alone, the pyramid's base layer, then by the move rule
-    `_moves`.  A top's moves depend only on its closed reach N[top], so at
-    each size the counts of tops sharing a reach are summed and each sum is
-    moved once; the moves of a reach are listed by `_moves` on the first
-    top met with it.  Sizes are swept upwards, so that first top is met at
-    the smallest size, where the most moves fit.
+    by its keys' words, spelled from each layer's word (`_Words`).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    roots = _pyramid_roots(g, base)
-    levels: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]
-    reach: dict[int, int] = {}  # top layer -> N[top], 0 for the empty heap alone
-    moves: dict[int, list[tuple[int, int]]] = {}  # N[top] -> (|D|, D) by size
-    for s, level in enumerate(levels):
-        sums: dict[int, int] = {}  # N[top] -> summed count of its tops
-        for top, c in level.items():
-            if top not in reach:
-                reach[top] = g._closed_reach(top)
-            key = reach[top]
-            if key not in moves:
-                moves[key] = _moves(g, top, n - s, roots, False)
-            sums[key] = sums.get(key, 0) + c
-        for key, c in sums.items():
-            for size, layer in moves[key]:
-                if s + size > n:
-                    break
-                nxt = levels[s + size]
-                nxt[layer] = nxt.get(layer, 0) + c
-    # the empty heap, the one state of size 0, is no pyramid
-    return [0] + [sum(level.values()) for level in levels[1:]]
+    word = _Words().__getitem__
+    heaps: list[Heap] = []
+    for payloads in _layer_transfer(g, n, True):
+        keys = chain.from_iterable(payloads)
+        heaps += [
+            Heap._of_key(g, key)
+            for key in sorted(keys, key=lambda k: "".join(map(word, k)))
+        ]
+    return heaps
+
+
+def count_pyramids(g: CommutationGraph, n: int, base: int | None = None) -> list[int]:
+    """Number of pyramids of each size 0..n (base vertex pinned if given),
+    counted by the layer transfer `_layer_transfer`: no heap is built."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    levels = _layer_transfer(g, n, False, roots=_pyramid_roots(g, base))
+    return [sum(counts) for counts in levels]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .animals import SOURCES, Animal, animal_of_word, lattice_colors
+from .animals import Animal, _check_kind, animal_of_word, lattice_colors
 from .paths import StepWord
 
 # step depth (minus height) contribution per letter code (a, b, c, d)
@@ -159,9 +159,7 @@ def random_animal(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_kind(lattice, source_kind)  # before the draw: a rejected call draws nothing
     r = lattice_colors(lattice)
-    # checked before the draw, so a rejected call consumes no operation
-    if source_kind not in SOURCES:
-        raise ValueError(f"unknown source {source_kind!r}")
     report = GenerationReport(*_draw(n - 1, r, source_kind == "point", source))
     return animal_of_word(report.word, lattice, source_kind), report

@@ -5,9 +5,10 @@ its terms as heap keys (a heap's layer bitmasks, `heaps.Heap.key`), one
 key -> coefficient dict per size up to the largest size it holds, so a
 series of stable sets costs its terms and not its degree.  A series made
 from Heaps reads their keys; the builders here hand in keys from the
-layer transfer (`heaps_series`, `pyramids_series`, ...) or from the
-products, and the algebra, the projection and the dump read the keys and
-sizes directly.  `terms`, the Heap -> coefficient view, wraps each key.
+stable sets (`configurations_series`), from the one layer transfer that
+lists heaps (`heaps_series`, `strict_heaps_series`, `pyramids_series`) or
+from the products, and the algebra, the projection and the dump read the
+keys and sizes directly.  `terms`, the Heap -> coefficient view, wraps each key.
 The product is the truncated convolution over monoid factorizations: each
 right factor's canonical word drops on each left key (`heaps.drop_words`),
 sizes adding to <= N, and the products are summed by key.  The classic
@@ -21,9 +22,10 @@ of (-t)^|C|, theta = 1/Gamma-bar, theta-strict = theta o t/(1+t), and
 pi = t theta'/theta = -t Gamma-bar'/Gamma-bar (with one base v,
 -Gamma-bar_v/Gamma-bar over the stable sets holding v).
 `projected_series` counts stable sets by size, inverts Gamma-bar for theta
-and theta-strict, and counts pi by the layer transfer `heaps.count_pyramids`:
-no heap is built, but every stable set is visited.  The trace series
-themselves stay listed: their size is the number of heaps.
+and theta-strict, and counts pi by `heaps.count_pyramids`, the same layer
+transfer that lists the trace series, counting instead: no heap is built,
+but every stable set is visited.  The trace series themselves stay
+listed: their size is the number of heaps.
 
 All arithmetic is exact, and trace and univariate series follow one
 coefficient rule: a coefficient is a plain int unless it is a true
@@ -212,45 +214,52 @@ def series_mul(s1: TraceSeries, s2: TraceSeries) -> TraceSeries:
     return TraceSeries._of_keys(g, n, _normalized(accs))
 
 
+def _check_degree(degree: int) -> None:
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+
+
 def _counting_series(
-    g: CommutationGraph,
-    degree: int,
-    levels: Iterable[list[tuple[Key, int]]],
-    signed: bool,
+    g: CommutationGraph, degree: int, levels: Iterable[Iterable[Key]], signed: bool
 ) -> TraceSeries:
-    """Each heap, given as (key, top layer) in the level of its size, as
-    `_layer_transfer` yields them, with coefficient (-1)^size when signed,
-    else 1."""
+    """Each heap, given as its key in the level of its size, with coefficient
+    (-1)^size when signed, else 1."""
     sizes = [
-        dict.fromkeys([key for key, _ in level], -1 if signed and s % 2 else 1)
-        for s, level in enumerate(levels)
+        dict.fromkeys(keys, -1 if signed and s % 2 else 1)
+        for s, keys in enumerate(levels)
     ]
     return TraceSeries._of_keys(g, degree, sizes)
+
+
+def _listed_series(
+    g: CommutationGraph, degree: int, signed: bool, strict: bool = False,
+    roots: Iterable[int] | None = None,
+) -> TraceSeries:
+    """The heaps the layer transfer lists, as `_counting_series` terms."""
+    levels = _layer_transfer(g, degree, True, strict, roots)
+    return _counting_series(g, degree, map(chain.from_iterable, levels), signed)
 
 
 def configurations_series(
     g: CommutationGraph, degree: int, signed: bool
 ) -> TraceSeries:
     """Stable sets as one-layer heaps; signed gives coefficient (-1)^{|C|}."""
-    if degree < 0:
-        raise ValueError("max_size must be >= 0")
-    levels: list[list[tuple[Key, int]]] = []
-    for size, conf in g._stable_sets(degree):  # in size order, no size skipped
-        if size == len(levels):
-            levels.append([])
-        levels[size].append(((conf,) if conf else (), conf))
+    _check_degree(degree)
+    levels = [[(conf,) for conf in sets] for sets in g._stable_sets(degree)]
+    levels[0] = [()]  # the empty set, the empty heap
     return _counting_series(g, degree, levels, signed)
 
 
 def heaps_series(g: CommutationGraph, degree: int, signed: bool) -> TraceSeries:
-    return _counting_series(g, degree, _layer_transfer(g, degree), signed)
+    _check_degree(degree)
+    return _listed_series(g, degree, signed)
 
 
 def strict_heaps_series(
     g: CommutationGraph, degree: int, signed: bool
 ) -> TraceSeries:
-    levels = _layer_transfer(g, degree, strict_only=True)
-    return _counting_series(g, degree, levels, signed)
+    _check_degree(degree)
+    return _listed_series(g, degree, signed, strict=True)
 
 
 def pyramids_series(
@@ -260,18 +269,17 @@ def pyramids_series(
     base: int | None = None,
 ) -> TraceSeries:
     """Pyramid series (no constant term); `base` pins the base vertex."""
-    levels = _layer_transfer(g, degree, roots=_pyramid_roots(g, base))
-    return _counting_series(g, degree, levels, signed)
+    _check_degree(degree)
+    return _listed_series(g, degree, signed, roots=_pyramid_roots(g, base))
 
 
-def _check_kind(kind: str, degree: int, base: int | None) -> None:
-    """The checks of `trace_series` and `projected_series`, before any work."""
+def _check_kind(kind: str, base: int | None) -> None:
+    """The checks of `trace_series` and `projected_series` on the kind and
+    the base, before any work; the builders check the degree."""
     if kind not in PROJECTED_KINDS:
         raise SeriesError(f"unknown series kind {kind!r}")
     if base is not None and kind not in ("pi", "pi-bar"):
         raise SeriesError(f"base applies to pi and pi-bar, not {kind!r}")
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
 
 
 def trace_series(
@@ -283,7 +291,7 @@ def trace_series(
     heaps; pi: the pyramids, on `base` alone when given.  Each -bar kind
     signs each term (-1)^size.  `project` of it is `projected_series`.
     """
-    _check_kind(kind, degree, base)
+    _check_kind(kind, base)
     signed = kind.endswith("-bar")
     if kind.startswith("gamma"):
         return configurations_series(g, degree, signed)
@@ -449,13 +457,14 @@ def projected_series(
     `count_pyramids`, on `base` alone when given.  Each -bar kind is its
     plain kind at -t.
     """
-    _check_kind(kind, degree, base)
+    _check_kind(kind, base)
+    _check_degree(degree)
     if kind.startswith("pi"):
         plain = UnivariateSeries(degree, tuple(count_pyramids(g, degree, base)))
     else:
         gamma = [0] * (degree + 1)
-        for size, _ in g._stable_sets(degree):
-            gamma[size] += 1
+        for size, sets in enumerate(g._stable_sets(degree)):
+            gamma[size] = len(sets)
         plain = UnivariateSeries(degree, tuple(gamma))
         if kind.startswith("theta"):
             gamma_bar = _at_minus_t(plain)

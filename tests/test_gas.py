@@ -15,9 +15,10 @@ from heappieces.gas import (
     mean_particles_pyramids,
     partition_function,
 )
-from heappieces.heaps import enumerate_heaps
 from heappieces.series import UnivariateSeries
 from heappieces.verify import graph_suite
+
+from test_heaps import all_heaps_by_closure, filter_heaps
 
 
 def divide_oracle(num, den, degree):
@@ -35,9 +36,10 @@ def divide_oracle(num, den, degree):
 
 def mean_particles_by_enumeration(g, degree):
     """Declared oracle of mean_particles_pyramids: sum (-1)^{n-1} p_n t^n
-    with p_n read off the enumerated pyramids."""
+    with p_n counted among the pyramids of the push closure, which shares
+    no code with the layer transfer."""
     counts = [0] * (degree + 1)
-    for h in enumerate_heaps(g, degree, pyramids_only=True):
+    for h in filter_heaps(all_heaps_by_closure(g, degree), pyramids_only=True):
         counts[h.size] += 1
     coeffs = [0] + [(-1) ** (n - 1) * counts[n] for n in range(1, degree + 1)]
     return UnivariateSeries(degree, tuple(coeffs))

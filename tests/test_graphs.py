@@ -132,7 +132,11 @@ class TestConfigurations:
             if not any(g.are_neighbors(u, v) for u, v in combinations(s, 2))
         ]
         got = g._stable_sets(most, within)
-        assert [(k, tuple(v for v in range(n) if d >> v & 1)) for k, d in got] == brute
+        assert [
+            (k, tuple(v for v in range(n) if d >> v & 1))
+            for k, sets in enumerate(got)
+            for d in sets
+        ] == brute
 
     def test_sorted_by_size_then_lex(self, path5):
         confs = path5.configurations(5)

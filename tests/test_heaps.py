@@ -35,6 +35,7 @@ from heappieces import (
     push,
     pyramid_split,
     strict_skeleton,
+    trace_series,
 )
 from heappieces.heaps import _drop, drop_words
 from heappieces.verify import graph_suite
@@ -577,11 +578,17 @@ class TestPyramids:
             assert len(splits) == h.size
 
 
+def listed(s):
+    """A trace series' heaps, sorted as `enumerate_heaps` lists heaps: by
+    size, then canonical word."""
+    return sorted(s.terms, key=lambda h: (h.size, h.canonical_word()))
+
+
 class TestEnumeration:
     def test_counts_path3(self, path3):
         heaps = enumerate_heaps(path3, 3)
         assert sum(1 for h in heaps if h.size == 3) == 21
-        pyramids = enumerate_heaps(path3, 3, pyramids_only=True)
+        pyramids = listed(trace_series(path3, "pi", 3))
         assert sum(1 for h in pyramids if h.size == 3) == 18
 
     def test_size_zero(self, k3):
@@ -595,12 +602,12 @@ class TestEnumeration:
         assert sizes == sorted(sizes)
 
     def test_base_filter(self, path3):
-        based = enumerate_heaps(path3, 3, pyramid_base=0)
-        assert all(h.layers[0] == (0,) for h in based)
+        based = listed(trace_series(path3, "pi", 3, 0))
+        assert based and all(h.layers[0] == (0,) for h in based)
 
 
 def all_heaps_by_closure(g, n):
-    """Declared oracle for enumerate_heaps: breadth-first closure under push
+    """Declared oracle of the layer transfer: breadth-first closure under push
     over every vertex, deduplicated by layers, sorted by (size, word)."""
     levels = [[empty_heap(g)]]
     seen = {()}
@@ -617,7 +624,9 @@ def all_heaps_by_closure(g, n):
 
 
 def filter_heaps(heaps, strict_only=False, pyramids_only=False, pyramid_base=None):
-    """The filters of enumerate_heaps, applied after the full enumeration."""
+    """Strict heaps, pyramids and pyramids on one base: the heaps that
+    `trace_series` lists for theta-strict and pi, picked out of a full
+    enumeration."""
     return [
         h
         for h in heaps
@@ -733,26 +742,26 @@ class TestDropOracle:
 
 
 class TestEnumerationOracle:
+    """`enumerate_heaps` and the listings of `trace_series` (strict heaps,
+    pyramids, pyramids on each base) against the push closure, filtered."""
+
     GRAPHS = [*graph_suite(), *((f"random{k}", random_graph(k)) for k in range(24))]
 
     @pytest.mark.parametrize("name, g", GRAPHS, ids=[name for name, _ in GRAPHS])
     def test_matches_closure_then_filter(self, name, g):
         top = 6 if name in dict(graph_suite()) else 5 if g.vertex_count <= 5 else 4
-        filters = [
-            {},
-            {"strict_only": True},
-            {"pyramids_only": True},
-            {"strict_only": True, "pyramids_only": True},
-        ]
-        for v in range(g.vertex_count):
-            filters += [{"pyramid_base": v}, {"pyramid_base": v, "strict_only": True}]
+        kinds = [("theta-strict", None, {"strict_only": True}),
+                 ("pi", None, {"pyramids_only": True})]
+        kinds += [("pi", v, {"pyramid_base": v}) for v in range(g.vertex_count)]
         everything = all_heaps_by_closure(g, top)
         for n in range(top + 1):
             upto_n = [h for h in everything if h.size <= n]
-            for kw in filters:
-                got = enumerate_heaps(g, n, **kw)
-                assert got == filter_heaps(upto_n, **kw), (n, kw)
-                assert len(set(got)) == len(got)
+            got = enumerate_heaps(g, n)
+            assert got == upto_n, n
+            assert len(set(got)) == len(got)
+            for kind, base, kw in kinds:
+                got = listed(trace_series(g, kind, n, base))
+                assert got == filter_heaps(upto_n, **kw), (n, kind, base)
 
 
 def complete_graph(m):
@@ -832,8 +841,6 @@ class TestCountPyramids:
             with pytest.raises(ValueError, match="n must be >= 0"):
                 call(path3, -1)
         for bad in (-1, 3):
-            with pytest.raises(GraphError):
-                enumerate_heaps(path3, 2, pyramid_base=bad)
             with pytest.raises(GraphError):
                 count_pyramids(path3, 2, bad)
 

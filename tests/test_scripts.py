@@ -3,8 +3,9 @@
 `series_tables.py`, `gallery.py` and `pipeline_times.py` are run as
 scripts: each runs and prints or writes what it says.  `bench_record.py`
 is loaded in process and fed canned run output: its aggregation, its
-summary and its order of runs.  The benchmark in heapbench/ is not run:
-its imports are only checked to resolve in the library.
+summary, its order of runs and the clones it runs them in.  The
+benchmark in heapbench/ is not run: its imports are only checked to
+resolve in the library.
 """
 
 import ast
@@ -238,18 +239,35 @@ def test_bench_record_spreads_canned_traced_runs():
     assert plain == lines[:5]
 
 
+def git_checkout(path):
+    """A git repository at `path` holding one commit of src/ and heapbench/."""
+    for part in ("src", "heapbench"):
+        (path / part).mkdir(parents=True)
+        (path / part / "run.py").write_text("")
+    for args in (["init", "--quiet"], ["add", "."],
+                 ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "--quiet",
+                  "-m", "canned"]):
+        subprocess.run(["git", "-C", str(path), *args], check=True, capture_output=True)
+    return path
+
+
 def test_bench_record_runs_traced_runs_only_when_asked(tmp_path, monkeypatch):
     bench_record = load_bench_record()
-    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent, change = tmp_path / "parent", git_checkout(tmp_path / "change")
     (parent / "heapbench").mkdir(parents=True)
     (parent / "heapbench" / "run.py").write_text("")
-    change.mkdir()
     monkeypatch.setattr(bench_record, "ROOT", change)
     calls = []
+    checkouts = set()
 
     def run_one(checkout, workload, seed, trace=0):
         side = "parent" if checkout == parent.resolve() else "change"
         calls.append((workload, seed, side, trace))
+        checkouts.add((side, checkout))
+        if side == "change":  # a clone of the change's HEAD, not the repository
+            assert (checkout / "heapbench" / "run.py").is_file()
+            assert bench_record.git(checkout, "rev-parse", "HEAD") == (
+                bench_record.git(change, "rev-parse", "HEAD"))
         if trace:
             ms = 100.0 if side == "parent" else 40.0
             return bench_record.parse_run(
@@ -284,3 +302,17 @@ def test_bench_record_runs_traced_runs_only_when_asked(tmp_path, monkeypatch):
 
     with pytest.raises(SystemExit):
         bench_record.main(argv + ["--traced", "4"])
+
+    # neither side ran in the repository
+    assert {side for side, _ in checkouts} == {"change", "parent"}
+    assert all(checkout.resolve() != change.resolve() for _, checkout in checkouts)
+    record = json.loads((change / "BENCH_t_change.json").read_text())
+    assert record["checkout"] == {
+        "commit": bench_record.git(change, "rev-parse", "HEAD"), "dirty": False}
+
+    # an uncommitted edit in src/ would be missing from the clone: exit 2
+    (change / "src" / "run.py").write_text("edited")
+    calls.clear()
+    with pytest.raises(SystemExit) as refused:
+        bench_record.main(argv)
+    assert refused.value.code == 2 and calls == []

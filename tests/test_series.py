@@ -231,9 +231,10 @@ class TestNamedSeries:
 
 
 class TestListingIsTheSeries:
-    """`enumerate_heaps` and the heap series builders read one layer transfer:
-    the heaps listed are the terms of the matching series, in the listing's
-    order (by size, then canonical word)."""
+    """`enumerate_heaps` and `heaps_series` read one layer transfer: the heaps
+    listed are the terms of the series, in the listing's order (by size,
+    then canonical word).  tests/test_heaps.py checks the listings of the
+    other kinds against the push closure."""
 
     @pytest.mark.parametrize(
         "g", [g for _, g in graph_suite()], ids=[name for name, _ in graph_suite()]
@@ -245,16 +246,6 @@ class TestListingIsTheSeries:
 
         for signed in (False, True):
             assert enumerate_heaps(g, degree) == listed(heaps_series(g, degree, signed))
-            assert enumerate_heaps(g, degree, strict_only=True) == listed(
-                strict_heaps_series(g, degree, signed)
-            )
-            assert enumerate_heaps(g, degree, pyramids_only=True) == listed(
-                pyramids_series(g, degree, signed)
-            )
-            for v in range(g.vertex_count):
-                assert enumerate_heaps(g, degree, pyramid_base=v) == listed(
-                    pyramids_series(g, degree, signed, base=v)
-                )
 
 
 class TestDerive:
@@ -727,6 +718,12 @@ class TestProjectedSeries:
                 for kind in ("pi", "pi-bar"):
                     with pytest.raises(GraphError):
                         series(path3, kind, 2, bad)
+        for build in (
+            configurations_series, heaps_series, strict_heaps_series, pyramids_series
+        ):
+            for signed in (False, True):
+                with pytest.raises(ValueError, match="degree must be >= 0"):
+                    build(path3, -1, signed)
 
     def test_rejects_unknown_kind_and_stray_base(self, path3):
         for series in (projected_series, trace_series):
