@@ -29,6 +29,13 @@ over those runs, and the printout gives both sides' spreads and whether they
 overlap: traced per-layer numbers move by about a third between runs of
 the same code, so a per-layer change inside the spread shows nothing.
 
+After the heapbench runs it also runs the Tier-1 suite once in each side's
+clone, `python -m pytest -q --continue-on-collection-errors -p
+no:cacheprovider` with the clone's `src` on PYTHONPATH, stores its wall
+seconds, passed and failed counts and exit code under `tier1` in each
+record, and prints both on one line.  A failing suite is recorded, not
+raised.
+
 Usage:
     git clone --quiet . ../parent && git -C ../parent checkout --quiet PARENT
     python scripts/bench_record.py --label pr12 --parent ../parent \\
@@ -39,10 +46,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -212,6 +222,28 @@ def run_one(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
     return parse_run(done.stdout)
 
 
+def run_tier1(checkout: Path) -> dict:
+    """Wall seconds, passed and failed tests and exit code of one Tier-1 run
+    in `checkout`, its `src` first on PYTHONPATH."""
+    path = str(checkout / "src")
+    if os.environ.get("PYTHONPATH"):
+        path += os.pathsep + os.environ["PYTHONPATH"]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"],
+        cwd=checkout,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    seconds = time.perf_counter() - start
+    last = (done.stdout.strip().splitlines() or [""])[-1]  # "3 failed, 9 passed in 5s"
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed)", last)}
+    return {"seconds": round(seconds, 1), "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0), "exit_code": done.returncode}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="BENCH file prefix, e.g. pr12")
@@ -244,6 +276,7 @@ def main(argv: list[str] | None = None) -> int:
                 run = run_one(checkout, workload, seed, trace=1)
                 traced[side].setdefault(workload, []).append(run)
                 print(f"{workload} seed {seed} {side}: traced", flush=True)
+        tier1 = {side: run_tier1(checkout) for side, checkout in sides}
 
     records = {}
     for side in runs:
@@ -255,6 +288,7 @@ def main(argv: list[str] | None = None) -> int:
             "seconds": BENCHMARK["run_seconds"],
             "machine": first["context"]["machine"],
             "workloads": {w: aggregate(r) for w, r in runs[side].items()},
+            "tier1": tier1[side],
         }
         if args.traced:
             records[side]["traced_command"] = "python3 heapbench/run.py --trace 1"
@@ -264,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
         path.write_text(json.dumps(records[side], indent=1) + "\n")
         print(f"wrote {path}")
     print("\n".join(summary(records["parent"], records["change"])))
+    print("tier1: " + ", ".join(
+        f"{side} {t['passed']} passed, {t['failed']} failed in {t['seconds']} s"
+        f" (exit {t['exit_code']})" for side, t in tier1.items()))
     return 0
 
 

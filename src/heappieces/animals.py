@@ -12,9 +12,9 @@ An `Animal` holds its cells as two columns in cell order, fibres and
 heights, and no other form: an animal made from (fibre, height) pairs
 splits them once, the stacker and the JSON reader fill the columns and
 build no per-cell tuple, the JSON writer formats them with one `%`, and
-`validate` checks them in one int64 pass (sorted keys and `searchsorted`
-lookups of the supports).  The tuple view `cells` is built only when
-something asks.
+`validate` checks them in one pass, int64 on every valid animal (sorted
+keys and `searchsorted` lookups of the supports).  The tuple view `cells`
+is built only when something asks.
 
 Words map to animals by stacking equerres: reading the celibate-marked
 word left to right, `a` opens a sub-equerre one fiber left and queues a
@@ -166,16 +166,16 @@ class Animal:
     def validate(self) -> None:
         """Raise AnimalError unless this is a directed animal of its source kind.
 
-        One int64 pass over the columns.  Each cell is keyed as x*m + y,
-        m = 2n + 1; the keys are sorted once, and the supports of every
-        cell are looked up together by `searchsorted` of the sorted keys
-        shifted by each support offset.  A valid n-cell animal has
+        One pass over the columns, int64 for every valid animal.  Each cell
+        is keyed as x*m + y, m = 2n + 1; the keys are sorted once, and the
+        supports of every cell are looked up together by `searchsorted` of
+        the sorted keys shifted by each support offset.  A valid n-cell animal has
         0 <= y <= 2(n-1), so in that range keys are distinct exactly when
         cells are, and each support is one key lookup.  A cell out of the
         range is itself unsupported, so a key it aliases never makes an
-        invalid animal pass.  Coordinates beyond +-lim, lim = 2^62 //
-        (m + 2), are clamped to +-lim or +-(lim + 1), keeping their parity,
-        so that no key overflows; no valid animal reaches them.  An animal
+        invalid animal pass.  Columns with a value beyond +-lim, lim =
+        2^62 // (m + 2), are kept as exact Python ints, so that no key
+        overflows; only an invalid animal has such a value.  An animal
         passes when every y lies in 0..m-3 and every non-ground cell hits
         a support; only one that fails is searched for its first bad cell.
         Faults are reported in the order duplicate, empty, ground, then
@@ -187,7 +187,7 @@ class Animal:
         fibres, heights = self.fibres, self.heights
         n = len(fibres)
         m = 2 * n + 1
-        x, y = _int64_columns(fibres, heights, (1 << 62) // (m + 2))
+        x, y = _columns(fibres, heights, (1 << 62) // (m + 2))
         keys = x * m
         keys += y
         order = keys.argsort()
@@ -221,7 +221,8 @@ class Animal:
         if triangular:
             supported |= hits[2]
         if (
-            not np.count_nonzero(y.view(np.uint64) > m - 3)
+            y.dtype == np.int64  # exact ints hold a value no valid animal reaches
+            and not np.count_nonzero(y.view(np.uint64) > m - 3)
             and np.count_nonzero(supported) == n - len(ground)
         ):
             self.__dict__["_valid"] = True
@@ -239,32 +240,17 @@ class Animal:
         raise AnimalError(f"unsupported cell ({cx},{cy})")
 
 
-def _int64_columns(
-    fibres: Sequence[int], heights: Sequence[int], lim: int
-) -> np.ndarray:
-    """Both columns as the rows of one int64 array, values beyond +-lim
-    clamped to +-lim or +-(lim + 1) with their parity.
+def _columns(fibres: Sequence[int], heights: Sequence[int], lim: int) -> np.ndarray:
+    """Both columns as the rows of one array: int64 when every value lies
+    within +-lim, else the exact Python ints (dtype object).
 
-    The fast path is one conversion; columns with a value outside int64,
-    or beyond +-lim, are clamped value by value.  A value that is not an
-    integer raises TypeError.
+    A value that is not an integer raises TypeError.
     """
     xy = np.array((fibres, heights))
     # abs(-2^63) wraps to -2^63, which reads as 2^63 unsigned
     if xy.dtype == np.int64 and not np.count_nonzero(np.abs(xy).view(np.uint64) > lim):
-        return xy  # empty columns convert to float64 and take the loop
-    rows = []
-    for column in (fibres, heights):
-        row = []
-        for v in column:
-            v = operator.index(v)
-            if v > lim:
-                v = lim + (v - lim) % 2
-            elif v < -lim:
-                v = -lim - (-lim - v) % 2
-            row.append(v)
-        rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(2, -1)
+        return xy  # empty columns convert to float64 and take the exact ints
+    return np.array([list(map(operator.index, c)) for c in (fibres, heights)], dtype=object)
 
 
 def animal_of_word(w: StepWord, lattice: str, source: str) -> Animal:
@@ -354,10 +340,7 @@ def beta_inverse(an: Animal) -> StepWord:
     """The unique Motzkin prefix with beta(beta_inverse(an)) == an."""
     if an.source != "point":
         raise AnimalError("beta_inverse is defined for point sources only")
-    word = StepWord(lattice_colors(an.lattice), _decode(an).lower())
-    if not is_motzkin_prefix(word):
-        raise AnimalError("decoded word is not a Motzkin prefix")
-    return word
+    return StepWord(lattice_colors(an.lattice), _decode(an).lower())
 
 
 def _decode(an: Animal) -> str:

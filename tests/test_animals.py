@@ -356,7 +356,7 @@ def validate_by_keys(an):
     Each cell is keyed as the int x*m + y, m = 2n + 1, and one pass checks
     every cell against the key set; faults in the order duplicate, empty,
     ground, then the first bad cell.  `Animal.validate` must raise the same
-    message on every input whose coordinates it does not clamp.
+    message on every input, far coordinates included.
     """
     cells = an.cells
     n = len(cells)
@@ -413,8 +413,17 @@ def accepts(validator, an):
     return fault(validator, an) is None
 
 
-# past int64 on either side, at its edges, and past the clamp of a small animal
+# past int64 on either side, at its edges, and past the int64 keys of a small animal
 FAR_COORDINATES = [2**63, -(2**63), 2**63 - 1, -(2**63) - 1, 2**70, -(2**70), 2**61 + 1]
+
+
+# point-source inputs whose first bad cell in cell order is a far one
+FAR_CELL_FIRST = [
+    ("square", [(0, 0), (-(2**70), 2), (1, 2), (-(2**71) - 1, 1)],
+     "unsupported cell (-1180591620717411303424,2)"),
+    ("triangular", [(0, 0), (-(2**70), 4), (1, 2), (-(2**71), 2)],
+     "unsupported cell (-1180591620717411303424,4)"),
+]
 
 
 def mutations(an, indices):
@@ -507,13 +516,13 @@ class TestValidateAgainstCellSetOracle:
     @pytest.mark.parametrize("far", FAR_COORDINATES)
     @pytest.mark.parametrize("lattice,source", PAIRS)
     def test_far_coordinates(self, lattice, source, far):
-        # coordinates past int64, or past the validator's clamp, in either
+        # coordinates past int64, or past the int64 keys' range, in either
         # column and on every row kind: an AnimalError, the oracle's message
         for cells in (
             [(0, 0), (far, 2)], [(0, 0), (far, 3)], [(0, 0), (0, far)],
             [(0, 0), (far, 0)], [(far, far)], [(0, 0), (far, 2), (far, 2)],
             [(0, 0), (2, 0), (far, 1), (far + 2, 1)],
-            # a far cell resting on another: the clamp keeps them adjacent
+            # a far cell resting on another far cell: a support the keys find
             [(0, 0), (far, 2), (far + 1, 1)],
             [(0, 0), (far - 1, 3), (far, 2), (far + 1, 1)],
         ):
@@ -535,8 +544,8 @@ class TestValidateAgainstCellSetOracle:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_far_coordinates_never_overflow(self, data):
-        # a far cell anywhere among small and far ones: the clamp keeps the
-        # verdict, reject, and only the named cell may move
+        # a far cell anywhere among small and far ones: rejected, with the
+        # key-loop oracle's message
         lattice, source = data.draw(st.sampled_from(self.PAIRS))
         far = st.one_of(
             st.sampled_from(FAR_COORDINATES),
@@ -547,10 +556,9 @@ class TestValidateAgainstCellSetOracle:
         cells = data.draw(st.lists(st.tuples(value, value), max_size=5))
         cell = data.draw(st.tuples(far, value) | st.tuples(value, far))
         cells.insert(data.draw(st.integers(0, len(cells))), cell)
-        an = Animal(lattice, source, tuple(cells))
-        with pytest.raises(AnimalError):
-            an.validate()
-        assert not accepts(validate_by_keys, Animal(lattice, source, tuple(cells)))
+        got = fault(Animal.validate, Animal(lattice, source, tuple(cells)))
+        assert got is not None
+        assert got == fault(validate_by_keys, Animal(lattice, source, tuple(cells)))
 
     def test_y1_probe_does_not_alias_the_top_row(self):
         # n = 3, m = 7: key(3, 1) - 2 == key(2, 6), and 6 == 2n; (3, 1) is
@@ -559,6 +567,17 @@ class TestValidateAgainstCellSetOracle:
         self._agree("triangular", "point", cells)
         with pytest.raises(AnimalError, match=r"unsupported cell \(3,1\)"):
             Animal("triangular", "point", tuple(cells)).validate()
+
+    @pytest.mark.parametrize("lattice, cells, message", FAR_CELL_FIRST)
+    def test_far_cell_is_named_first(self, lattice, cells, message):
+        # mapped onto neighbouring int64 values, the two far cells would
+        # rest on each other and leave (1, 2) as the first bad cell
+        assert fault(Animal.validate, Animal(lattice, "point", cells)) == message
+        assert fault(validate_by_keys, Animal(lattice, "point", cells)) == message
+        text = json.dumps({"lattice": lattice, "source": "point", "cells": cells})
+        with pytest.raises(AnimalError) as exc:
+            animal_from_json(text)
+        assert str(exc.value) == message
 
 
 class TestJsonAndValidation:
@@ -611,6 +630,7 @@ class TestJsonAndValidation:
         b = Animal("square", "point", ((0, 0), (-1, 1), (1, 1)))
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert Animal("triangular", "point", a.cells) not in {a, b}
+        assert a.__eq__(a.cells) is NotImplemented and a != a.cells
 
     def test_square_rejects_triangular_stacking(self):
         with pytest.raises(AnimalError):
@@ -668,14 +688,14 @@ class TestJsonAndValidation:
 
     def test_validate_runs_once(self, monkeypatch):
         # validate reads the columns, not the cells: count column conversions
-        convert = animals_module._int64_columns
+        convert = animals_module._columns
         calls = []
 
         def counting(fibres, heights, lim):
             calls.append(fibres)
             return convert(fibres, heights, lim)
 
-        monkeypatch.setattr(animals_module, "_int64_columns", counting)
+        monkeypatch.setattr(animals_module, "_columns", counting)
         an, _ = random_animal(50, "triangular", "point", RandomSource(3))
         good = Animal("triangular", "point", an.cells)
         start = len(calls)

@@ -23,6 +23,7 @@ from heappieces import (
 from heappieces import verify
 from heappieces.cli import cli_main
 from heappieces.render import decomposition_flatten
+from test_animals import FAR_CELL_FIRST
 
 
 @pytest.fixture
@@ -554,6 +555,16 @@ class TestErrors:
             code, out, err = run(capsys, "render", "--input", str(stream))
             assert code == 2 and out == ""
             assert "bad animal JSON" in err
+
+    @pytest.mark.parametrize("lattice, cells, message", FAR_CELL_FIRST)
+    def test_render_names_the_first_far_cell(
+        self, capsys, tmp_path, lattice, cells, message
+    ):
+        payload = {"lattice": lattice, "source": "point", "cells": cells}
+        stream = tmp_path / "animals.jsonl"
+        stream.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "render", "--input", str(stream))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_render_empty_input_exits_2(self, capsys, tmp_path):
         empty = tmp_path / "empty"

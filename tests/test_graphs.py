@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heappieces import (
+    Coloring,
+    CommutationGraph,
     GraphError,
     build_graph,
     format_graph_literal,
@@ -55,6 +57,12 @@ class TestBuild:
         with pytest.raises(GraphError, match="unknown"):
             build_graph(["a", "b"], [("a", "z")])
 
+    def test_direct_construction_checks_edges(self):
+        with pytest.raises(GraphError, match="loop edge at vertex 1"):
+            CommutationGraph(("a", "b"), frozenset({(1, 1)}))
+        with pytest.raises(GraphError, match=r"edge endpoint out of range: \(0,2\)"):
+            CommutationGraph(("a", "b"), frozenset({(0, 2)}))
+
 
 class TestNeighborhood:
     def test_middle_of_path(self, path3):
@@ -86,6 +94,10 @@ class TestConfigurations:
     def test_out_of_range(self, path3):
         with pytest.raises(GraphError):
             path3.is_configuration({5})
+
+    def test_negative_max_size(self, path3):
+        with pytest.raises(ValueError, match="max_size must be >= 0"):
+            path3.configurations(-1)
 
     @given(small_graphs())
     def test_matches_pairwise_scan(self, g):
@@ -173,6 +185,17 @@ class TestLinearWindow:
         assert g.vertex_count == 5 and len(g.edges) == 4
         assert coloring.colors == (1, 2, 1, 2, 1)
 
+    def test_negative_radius(self):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            linear_window(-1)
+
+    def test_coloring_checks_length_and_range(self):
+        g, _ = linear_window(1)
+        with pytest.raises(GraphError, match="coloring length does not match vertex count"):
+            Coloring((1, 2), 2).validate(g)
+        with pytest.raises(GraphError, match="color out of range"):
+            Coloring((1, 3, 1), 2).validate(g)
+
 
 class TestLiteralFormat:
     def test_round_trip(self, cycle4):
@@ -183,9 +206,16 @@ class TestLiteralFormat:
         g = parse_graph_literal("vertices: a b c\nedge: a b\nedge: b c\n")
         assert g.labels == ("a", "b", "c")
         assert g.edges == frozenset({(0, 1), (1, 2)})
+        # comment lines and blank lines are skipped
+        text = "# path\nvertices: a b c\n\n  # middle\nedge: a b\n   \nedge: b c\n"
+        assert parse_graph_literal(text) == g
 
     def test_parse_errors(self):
         with pytest.raises(GraphError):
             parse_graph_literal("edge: a b\n")
         with pytest.raises(GraphError):
             parse_graph_literal("vertices: a b\nedge: a\n")
+        with pytest.raises(GraphError, match="multiple vertices: lines"):
+            parse_graph_literal("vertices: a b\nvertices: c\n")
+        with pytest.raises(GraphError, match="unknown line: 'color: a 1'"):
+            parse_graph_literal("vertices: a b\ncolor: a 1\n")

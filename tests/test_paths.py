@@ -111,6 +111,9 @@ class TestStepWord:
         with pytest.raises(WordError, match="letter 'd' illegal for r=1"):
             StepWord(1, "acdBdx")
 
+    def test_str_is_the_letters(self):
+        assert str(StepWord(2, "acdB")) == "acdB"
+
 
 class TestClassify:
     def test_empty(self):
@@ -317,6 +320,14 @@ class TestCounts:
             for n in range(6):
                 assert count_paths(n, r, "prefix") == len(all_prefixes(n, r))
 
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            count_paths(-1, 1, "word")
+        with pytest.raises(WordError, match="r must be 0, 1 or 2, got 3"):
+            count_paths(3, 3, "word")
+        with pytest.raises(ValueError, match="kind must be 'word' or 'prefix', got 'x'"):
+            count_paths(3, 1, "x")
+
 
 class TestDyckBijections:
     def test_base_cases(self):
@@ -329,6 +340,8 @@ class TestDyckBijections:
             bicolored_to_dyck(StepWord(2, "a"))
         with pytest.raises(WordError):
             bicolored_to_dyck(StepWord(1, "c"))
+        with pytest.raises(WordError, match="input must be a bicolored Motzkin prefix"):
+            bicolored_prefix_to_dyck_prefix(StepWord(2, "db"))
 
     def test_bijection_onto_dyck_words(self):
         for length in range(7):

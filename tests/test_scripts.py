@@ -239,6 +239,21 @@ def test_bench_record_spreads_canned_traced_runs():
     assert plain == lines[:5]
 
 
+def test_bench_record_tier1_records_a_failing_suite(tmp_path):
+    # one passing and one failing test that import from the checkout's src
+    bench_record = load_bench_record()
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "probe.py").write_text("VALUE = 1\n")
+    (tmp_path / "test_probe.py").write_text(
+        "from probe import VALUE\n\n"
+        "def test_pass():\n    assert VALUE == 1\n\n"
+        "def test_fail():\n    assert VALUE == 2\n"
+    )
+    tier1 = bench_record.run_tier1(tmp_path)
+    assert (tier1["passed"], tier1["failed"], tier1["exit_code"]) == (1, 1, 1)
+    assert tier1["seconds"] > 0
+
+
 def git_checkout(path):
     """A git repository at `path` holding one commit of src/ and heapbench/."""
     for part in ("src", "heapbench"):
@@ -274,9 +289,25 @@ def test_bench_record_runs_traced_runs_only_when_asked(tmp_path, monkeypatch):
                 canned_traced_run(seed, {"paths.count_paths.ms": ms + seed}))
         return bench_record.parse_run(canned_run(seed, 10.0, 80.0, 1.0))
 
+    def run_tier1(checkout):
+        side = "parent" if checkout == parent.resolve() else "change"
+        tier1_runs.append((side, checkout))
+        return {"seconds": 9.5, "passed": 7 if side == "parent" else 8,
+                "failed": 0, "exit_code": 0}
+
+    tier1_runs = []
     monkeypatch.setattr(bench_record, "run_one", run_one)
+    monkeypatch.setattr(bench_record, "run_tier1", run_tier1)
     argv = ["--label", "t", "--parent", str(parent), "--seeds", "1", "2", "3"]
     assert bench_record.main(argv + ["--traced", "2"]) == 0
+    # the Tier-1 suite ran once per side, in the clones the workloads ran in
+    assert sorted(side for side, _ in tier1_runs) == ["change", "parent"]
+    assert set(tier1_runs) <= checkouts
+    assert all(checkout.resolve() != change.resolve() for _, checkout in tier1_runs)
+    for side, passed in (("parent", 7), ("change", 8)):
+        record = json.loads((change / f"BENCH_t_{side}.json").read_text())
+        assert record["tier1"] == {
+            "seconds": 9.5, "passed": passed, "failed": 0, "exit_code": 0}
     # the first K seeds, sides alternating from seed to seed
     assert [c for c in calls if c[3]] == [
         (w, s, side, 1)

@@ -98,6 +98,16 @@ class TestTraceProduct:
         theta = heaps_series(path3, 4, signed=False)
         assert series_mul(gamma_bar, theta) == unit_series(path3, 4)
 
+    def test_operator_is_series_mul(self, path3):
+        gamma_bar = configurations_series(path3, 4, signed=True)
+        theta = heaps_series(path3, 4, signed=False)
+        assert gamma_bar * theta == series_mul(gamma_bar, theta) == unit_series(path3, 4)
+
+    def test_repr(self):
+        g = build_graph(["a"], [])
+        h = heap_of_word(g, (0,))
+        assert repr(TraceSeries(g, 2, {h: 3})) == f"TraceSeries({g!r}, 2, {{{h!r}: 3}})"
+
     def test_mismatches_raise(self, path3, k3):
         with pytest.raises(SeriesError):
             series_mul(heaps_series(path3, 3, False), heaps_series(path3, 4, False))
@@ -628,6 +638,14 @@ class TestUnivariate:
     def test_mixed_degree_raises(self):
         with pytest.raises(SeriesError):
             from_counts(3, (1,)) + from_counts(4, (1,))
+
+    def test_coefficient_count_must_be_degree_plus_one(self):
+        with pytest.raises(SeriesError, match="coefficient count must be degree \\+ 1"):
+            UnivariateSeries(1, (1, 2, 3))
+
+    def test_invert_rejects_zero_constant(self):
+        with pytest.raises(SeriesError, match="constant term zero is not invertible"):
+            from_counts(3, (0, 1)).invert()
 
     def test_theorem4_projected(self, path3):
         from heappieces import linear_window
