@@ -552,10 +552,21 @@ class TestValidateAgainstCellSetOracle:
             st.integers(2**61, 2**80),
             st.integers(-(2**80), -(2**61)),
         )
-        value = st.one_of(st.integers(-3, 9), far)
-        cells = data.draw(st.lists(st.tuples(value, value), max_size=5))
-        cell = data.draw(st.tuples(far, value) | st.tuples(value, far))
-        cells.insert(data.draw(st.integers(0, len(cells))), cell)
+        if data.draw(st.booleans()):
+            # two far fibres of one sign on the ground's animal, the upper
+            # cell first: one row apart with an odd gap, or two rows apart
+            # with an even one.  Mapped onto neighbouring int64 values, the
+            # lower cell would look like the upper's support and hide it.
+            v = data.draw(far)
+            rows = data.draw(st.sampled_from((1, 2)))
+            gap = 2 ** data.draw(st.integers(1, 70)) + (rows == 1)
+            y = data.draw(st.integers(rows + 1, 9))
+            cells = [(0, 0), (v, y), (v + gap if v > 0 else v - gap, y - rows)]
+        else:
+            value = st.one_of(st.integers(-3, 9), far)
+            cells = data.draw(st.lists(st.tuples(value, value), max_size=5))
+            cell = data.draw(st.tuples(far, value) | st.tuples(value, far))
+            cells.insert(data.draw(st.integers(0, len(cells))), cell)
         got = fault(Animal.validate, Animal(lattice, source, tuple(cells)))
         assert got is not None
         assert got == fault(validate_by_keys, Animal(lattice, source, tuple(cells)))

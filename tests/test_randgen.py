@@ -1,7 +1,10 @@
 """Random generation: determinism, stream semantics, uniformity at desk scale."""
 
+import copy
 import functools
 import hashlib
+import pickle
+import random
 from collections import Counter
 
 import numpy as np
@@ -172,6 +175,84 @@ class TestDeterminism:
     def test_split_rejects_negative_index(self):
         with pytest.raises(ValueError, match="task_index must be >= 0, got -1"):
             RandomSource(5).split(-1)
+
+
+# (seed, index) pairs checked against numpy's SeedSequence: the 32-bit and
+# 64-bit edges of both, then a seeded sweep of seeds and indices of every width
+EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+_sweep = random.Random(2026)
+ORACLE_PAIRS = [(s, i) for s in EDGES for i in EDGES] + [
+    (_sweep.getrandbits(_sweep.choice((8, 32, 33, 64))),
+     _sweep.getrandbits(_sweep.choice((4, 16, 32, 33, 64))))
+    for _ in range(2000)
+]
+
+
+class TestStreamDerivation:
+    """RandomSource derives each call's PCG64 without building numpy's
+    SeedSequence; numpy is the oracle for every stream it derives."""
+
+    def test_operation_stream_is_seed_sequence_pcg64(self):
+        for seed, index in ORACLE_PAIRS:
+            src = RandomSource(seed)
+            src._op_index = index
+            rng = src._operation_rng()
+            expected = np.random.PCG64(
+                np.random.SeedSequence(entropy=seed, spawn_key=(0, index))
+            )
+            assert rng.bit_generator.state == expected.state, (seed, index)
+            draws = rng.integers(0, 3, size=300, dtype=np.int64)
+            oracle = np.random.Generator(expected).integers(0, 3, size=300, dtype=np.int64)
+            assert np.array_equal(draws, oracle), (seed, index)
+            assert src._op_index == index + 1
+
+    def test_split_seed_is_seed_sequence_state(self):
+        # 2**100 spans four words: split takes task indices of any width
+        for seed, task in ORACLE_PAIRS + [(5, 2**100), (2**64 - 1, 2**100 + 7)]:
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(1, task))
+            assert RandomSource(seed).split(task).seed == int(
+                ss.generate_state(1, np.uint64)[0]
+            ), (seed, task)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda src: pickle.loads(pickle.dumps(src))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_replays_the_next_operations(self, clone):
+        src = RandomSource(77)
+        for _ in range(3):
+            random_animal(6, "square", "point", src)
+        twin = clone(src)
+        assert twin.seed == 77
+        # interleaved: neither source's draw moves the other's stream
+        for n in (6, 30, 1, 200, 6):
+            theirs = random_animal(n, "triangular", "point", twin)
+            assert random_animal(n, "triangular", "point", src) == theirs
+
+    def test_reassigned_seed_draws_its_operation(self):
+        src = RandomSource(3)
+        for _ in range(3):
+            random_word(20, 2, src)
+        src.seed = 2**40 + 9
+        fresh = RandomSource(2**40 + 9)
+        for _ in range(3):
+            random_word(20, 2, fresh)
+        assert src.seed == 2**40 + 9
+        assert random_motzkin_prefix(50, 1, src) == random_motzkin_prefix(50, 1, fresh)
+
+    @pytest.mark.parametrize(
+        "seed, error", [(-1, ValueError), (2**64, ValueError), (1.5, TypeError), (True, TypeError)]
+    )
+    def test_rejected_seed_assignment_keeps_the_source(self, seed, error):
+        src = RandomSource(4)
+        random_word(5, 1, src)
+        with pytest.raises(error):
+            src.seed = seed
+        fresh = RandomSource(4)
+        random_word(5, 1, fresh)
+        assert src.seed == 4
+        assert random_word(9, 1, src) == random_word(9, 1, fresh)
 
 
 class TestPrefixSampler:
