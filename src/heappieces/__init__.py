@@ -4,6 +4,12 @@ Exact trace series (inversion, logarithmic derivatives, strict/general
 substitution), directed lattice animals with their Motzkin-path
 bijections, uniform linear-time random generation, and hard-particle gas
 observables.
+
+Only the samplers and the animal validator compute with numpy, and only
+they load it: the sampler names (`GenerationReport`, `RandomSource`,
+`random_animal`, `random_motzkin_prefix`, `random_word`) and the `randgen`
+module load on first use, so importing the package, or running the exact
+algebra and counts, never imports numpy.
 """
 
 from .animals import (
@@ -66,13 +72,6 @@ from .paths import (
     count_paths,
     mark_celibates,
 )
-from .randgen import (
-    GenerationReport,
-    RandomSource,
-    random_animal,
-    random_motzkin_prefix,
-    random_word,
-)
 from .render import RenderOptions, render_decomposition, render_svg
 from .series import (
     SeriesError,
@@ -92,3 +91,33 @@ from .series import (
 )
 
 __version__ = "0.1.0"
+
+# served by __getattr__, which imports randgen (and numpy) on first use
+_SAMPLER = frozenset(
+    {
+        "randgen",
+        "GenerationReport",
+        "RandomSource",
+        "random_animal",
+        "random_motzkin_prefix",
+        "random_word",
+    }
+)
+# what `import *` bound when randgen was imported here: every public name,
+# the submodules included
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | _SAMPLER)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _SAMPLER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    # not `from . import randgen`: its hasattr test would call back in here
+    randgen = import_module(".randgen", __name__)
+    value = globals()[name] = randgen if name == "randgen" else getattr(randgen, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SAMPLER)

@@ -14,7 +14,9 @@ splits them once, the stacker and the JSON reader fill the columns and
 build no per-cell tuple, the JSON writer formats them with one `%`, and
 `validate` checks them in one pass, int64 on every valid animal (sorted
 keys and `searchsorted` lookups of the supports).  The tuple view `cells`
-is built only when something asks.
+is built only when something asks.  `validate` is this module's one numpy
+user and imports it when it runs: the counts, the stacker and the JSON
+writer never load it.
 
 Words map to animals by stacking equerres: reading the celibate-marked
 word left to right, `a` opens a sub-equerre one fiber left and queues a
@@ -43,11 +45,12 @@ import operator
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .paths import StepWord, _marked_letters, is_motzkin_prefix
+
+if TYPE_CHECKING:  # numpy loads when an animal is first validated
+    import numpy as np
 
 LATTICES = ("square", "triangular")
 SOURCES = ("point", "compact")
@@ -184,6 +187,8 @@ class Animal:
         """
         if self._valid:
             return
+        import numpy as np  # here, not at module level: only validate needs it
+
         fibres, heights = self.fibres, self.heights
         n = len(fibres)
         m = 2 * n + 1
@@ -246,6 +251,8 @@ def _columns(fibres: Sequence[int], heights: Sequence[int], lim: int) -> np.ndar
 
     A value that is not an integer raises TypeError.
     """
+    import numpy as np
+
     xy = np.array((fibres, heights))
     # abs(-2^63) wraps to -2^63, which reads as 2^63 unsigned
     if xy.dtype == np.int64 and not np.count_nonzero(np.abs(xy).view(np.uint64) > lim):

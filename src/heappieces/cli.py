@@ -25,7 +25,6 @@ from .animals import (
 )
 from .graphs import parse_graph_literal
 from .heaps import enumerate_heaps
-from .randgen import RandomSource, random_animal
 from .render import RenderOptions, render_decomposition, render_svg
 from .series import PROJECTED_KINDS, dump_trace_series, projected_series, trace_series
 from .verify import DEGREE_SUITES, SUITES, run_suites
@@ -58,6 +57,8 @@ def _read_graph(path: str):
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.size < 1:  # --samples 0 would otherwise never reach the sampler's check
         raise ValueError(f"--size must be >= 1, got {args.size}")
+    from .randgen import RandomSource, random_animal  # numpy: sampling commands only
+
     src = RandomSource(args.seed)
     total = 0
     for _ in range(args.samples):

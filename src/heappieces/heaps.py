@@ -238,22 +238,27 @@ def pyramid_split(h: Heap, c: Cell) -> tuple[Heap, Heap]:
     P is c plus every higher cell whose closed neighbourhood meets a fibre
     P reached in a lower layer: one sweep up the layers, growing the set of
     reached fibres, decides every cell.  Cells of one layer never interact
-    (layers are stable sets), and both words come out in canonical order.
+    (layers are stable sets), and P's word comes out in canonical order.
+    P is up-closed, so X is a down-set of h: a cell's layer depends only on
+    the cells below it, which all stay, so X keeps its layers.  Its key is
+    h's with P's bits cleared; a layer emptied that way has only P above
+    it, so only top layers empty, and they are dropped.  Only P is restacked.
     """
-    neigh = h.graph.neighborhood
-    reached: set[int] = set()
-    rest: list[int] = []
+    masks = h.graph._masks
+    reached = 0  # the fibres P holds so far
+    rest = list(h.key)
     pyramid: list[int] = []
     for height, layer in enumerate(h.layers, 1):
         for v in layer:
-            if (v, height) == c or not reached.isdisjoint(neigh(v)):
-                reached.add(v)
+            if (v, height) == c or reached & masks[v]:
+                reached |= 1 << v
                 pyramid.append(v)
-            else:
-                rest.append(v)
+                rest[height - 1] ^= 1 << v
     if not pyramid:
         raise HeapError(f"cell {c} not in heap")
-    return heap_of_word(h.graph, rest), heap_of_word(h.graph, pyramid)
+    while rest and not rest[-1]:
+        rest.pop()
+    return Heap._of_key(h.graph, tuple(rest)), heap_of_word(h.graph, pyramid)
 
 
 def _pyramid_roots(g: CommutationGraph, base: int | None) -> Iterable[int]:

@@ -24,9 +24,10 @@ per seed; a call mixes its index's 32-bit words into a copy, hashes out
 eight words and seeds PCG64 from them by its two LCG steps (O'Neill 2014),
 setting the state of the one PCG64 the source keeps.  numpy is the oracle
 in tests/test_randgen.py.  A call's stream setup went from about 12 us to
-about 7 us, and creating a source, which builds the pool and that PCG64,
-from 0.24 us to about 21 us (in process, medians of five alternating
-rounds, each the best of 7 x 20,000 calls, 2-core VM).
+about 7 us.  That PCG64 is seeded from zeros, not through a SeedSequence,
+as every call sets its state; creating a source, which builds the pool and
+the PCG64, takes about 12 us and `split` about 26 us (in process, medians
+of five alternating rounds, each the best of 7 x 20,000 calls, 2-core VM).
 
 The draw works on int step codes 0..3 (a, b, c, d) and only there: `_draw`
 turns the kept codes into a StepWord once, and everything after it,
@@ -39,6 +40,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .animals import Animal, _check_kind, animal_of_word, lattice_colors
 from .paths import StepWord
@@ -60,6 +62,17 @@ _OUT = tuple(
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
 _M128 = (1 << 128) - 1
+
+
+class _ZeroSeed(ISeedSequence):
+    """Seeds a PCG64 with zeros and no hash: the source sets its state
+    before every draw, so building it need not run a SeedSequence."""
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return np.zeros(n_words, dtype)
+
+
+_ZERO_SEED = _ZeroSeed()
 
 
 @dataclass(frozen=True)
@@ -140,7 +153,7 @@ class RandomSource:
     def __init__(self, seed: int):
         self.seed = seed
         self._op_index = 0
-        self._bits = np.random.PCG64(0)  # its state is set before every draw
+        self._bits = np.random.PCG64(_ZERO_SEED)  # its state is set before every draw
         self._rng = np.random.Generator(self._bits)
         # the state set on it: refilled, not rebuilt, by every call
         self._state = {

@@ -89,18 +89,94 @@ def test_python_dash_m(module):
     assert (proc.returncode, proc.stdout) == (0, "35\n")
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy is a test dependency only: no command may pay its import
+def run_fresh(code, *args):
+    """Run `code` in a fresh interpreter with this checkout's src on the path."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, heappieces.cli; print('scipy' in sys.modules)"],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         env=env,
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=120,
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only: no command may pay its import; numpy
+    # loads only with the sampler or the animal validator
+    proc = run_fresh(
+        "import sys, heappieces.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)"
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False False\n")
+
+
+# each command's stdout digest, then whether numpy and randgen are loaded
+# after it, all in one interpreter that imported the package first
+IMPORT_POLICY_CHILD = """
+import contextlib, hashlib, io, json, sys
+import heappieces
+from heappieces.cli import cli_main
+rows = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli_main(argv)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16]
+    loaded = [m in sys.modules for m in ("numpy", "heappieces.randgen")]
+    rows.append([code, digest, *loaded])
+print(json.dumps(rows))
+"""
+
+
+def test_only_sampling_and_validating_commands_load_numpy(capsys, tmp_path, path5):
+    graph = tmp_path / "path5.graph"
+    graph.write_text(format_graph_literal(path5))
+    _, animals, _ = run(capsys, "generate", "--size", "3000", "--seed", "7")
+    stream = tmp_path / "animals.jsonl"
+    stream.write_text(animals)
+    pins = dict(CLI_DIGESTS)
+    # (command, numpy loaded after it, randgen loaded after it)
+    commands = [
+        ("count --size 3000 --lattice triangular --source equerre", False, False),
+        ("series --graph {path5} --kind theta --degree 5", False, False),
+        ("series --graph {path5} --kind pi-bar --base c --degree 5 --project", False, False),
+        ("gas --graph {path5} --degree 6", False, False),
+        ("enumerate --graph {path5} --size 4", False, False),
+        ("render --input {animals}", True, False),  # the validator
+        ("generate --size 5000 --seed 42", True, True),
+    ]
+    argvs = [
+        [arg.format(path5=graph, animals=stream) for arg in command.split()]
+        for command, *_ in commands
+    ]
+    proc = run_fresh(IMPORT_POLICY_CHILD, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        [0, pins[command], numpy, randgen] for command, numpy, randgen in commands
+    ]
+
+
+def test_star_import_binds_the_sampler_names():
+    proc = run_fresh(
+        "import sys, heappieces; print('numpy' in sys.modules)\n"
+        "from heappieces import *\n"
+        "print(RandomSource.__module__, random_animal.__module__, random_word.__name__,\n"
+        "      random_motzkin_prefix.__name__, GenerationReport.__name__,\n"
+        "      randgen.__name__, series.__name__, 'numpy' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "False",
+        "heappieces.randgen",
+        "heappieces.randgen",
+        "random_word",
+        "random_motzkin_prefix",
+        "GenerationReport",
+        "heappieces.randgen",
+        "heappieces.series",
+        "True",
+    ]
 
 
 class TestGenerate:

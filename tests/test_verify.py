@@ -44,13 +44,19 @@ def test_tail_edges():
 
 
 def test_verify_import_leaves_scipy_out():
+    # numpy too: only the suites that sample or validate load it
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, heappieces.verify; print('scipy' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            "import sys, heappieces.verify; "
+            "print('scipy' in sys.modules, 'numpy' in sys.modules)",
+        ],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    assert (proc.returncode, proc.stdout) == (0, "False False\n")
