@@ -98,7 +98,7 @@ def run_fresh(code, *args):
         env=env,
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=60,
     )
 
 
