@@ -14,12 +14,14 @@ its layers as vertex tuples, its cells and its canonical word are views
 of the key.  `Heap(g, layers)` checks the layers it is given; every other
 builder lands the key itself and cannot build a bad one.  One kernel,
 `_drop`, lands every letter: it reads per-fibre tops and ORs the letter
-into its layer's bitmask, so no layer is sorted, and every product drops
-on keys (`drop_words`).  Listing and counting heaps grow the layers
-themselves instead, by one Cartier-Foata layer transfer
-(`_layer_transfer`): a heap grows by a stable layer inside the closed
-neighbourhood of its top layer, and the heaps whose tops share that
-neighbourhood move together.  It lists the keys for `enumerate_heaps` and
+into its layer's bitmask, so no layer is sorted.  A product of two heaps
+drops the right one's word on the left one's key (`drop_words`); the
+series product lands each node of its right factor's word trie on a copy
+of its parent's masks and tops, one letter per node.  Listing and
+counting heaps grow the layers themselves instead, by one Cartier-Foata
+layer transfer (`_layer_transfer`): a heap grows by a stable layer inside
+the closed neighbourhood of its top layer, and the heaps whose tops share
+that neighbourhood move together.  It lists the keys for `enumerate_heaps` and
 the series builders, and counts them for `count_pyramids`.
 
 Conventions: a layer's vertices ascend; the canonical word of a heap
@@ -166,6 +168,16 @@ def product(h1: Heap, h2: Heap) -> Heap:
     return Heap._of_key(h1.graph, key)
 
 
+def _fibre_tops(g: CommutationGraph, key: Key) -> list[int]:
+    """Fibre -> height of its top cell in the heap `key`, 0 on an empty
+    fibre: the tops `_drop` reads, off the layer bitmasks."""
+    tops = [0] * g.vertex_count
+    for height, mask in enumerate(key, 1):
+        for v in _members(mask):
+            tops[v] = height
+    return tops
+
+
 def drop_words(
     g: CommutationGraph, key: Key, words: Iterable[Iterable[int]]
 ) -> Iterator[Key]:
@@ -175,10 +187,7 @@ def drop_words(
     letters drops on copies of the tops and masks, one OR per letter and
     no layer sorted: O(n * maxdeg) plus the copies.
     """
-    tops = [0] * g.vertex_count
-    for height, mask in enumerate(key, 1):
-        for v in _members(mask):
-            tops[v] = height
+    tops = _fibre_tops(g, key)
     for word in words:
         masks = list(key)
         _drop(g, masks, tops.copy(), word)

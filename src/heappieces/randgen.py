@@ -19,15 +19,18 @@ word of SeedSequence(entropy=s, spawn_key=(1, t)).
 The source does not build that SeedSequence: it reproduces it bit for bit.
 Every constant of SeedSequence's hash (NEP 19) depends only on a word's
 position, and a seed fills the same four padded words whatever its value,
-so the pool after the seed's words and the stream word is computed once
-per seed; a call mixes its index's 32-bit words into a copy, hashes out
-eight words and seeds PCG64 from them by its two LCG steps (O'Neill 2014),
-setting the state of the one PCG64 the source keeps.  numpy is the oracle
-in tests/test_randgen.py.  A call's stream setup went from about 12 us to
+so the pool after the seed's words is computed once per seed and kept,
+and so is its copy with stream word 0 mixed in; a call mixes its index's
+32-bit words into a copy of the latter, hashes out eight words and seeds
+PCG64 from them by its two LCG steps (O'Neill 2014), setting the state of
+the one PCG64 the source keeps, and `split` mixes stream word 1 and its
+task index into a copy of the former.  numpy is the oracle in
+tests/test_randgen.py.  A call's stream setup went from about 12 us to
 about 7 us.  That PCG64 is seeded from zeros, not through a SeedSequence,
-as every call sets its state; creating a source, which builds the pool and
-the PCG64, takes about 12 us and `split` about 26 us (in process, medians
-of five alternating rounds, each the best of 7 x 20,000 calls, 2-core VM).
+as every call sets its state; creating a source, which builds the pools
+and the PCG64, takes about 13 us and `split` about 19 us, against 28 us
+when it hashed the seed again (in process, medians of five alternating
+rounds, each the best of 7 x 20,000 calls, 2-core VM).
 
 The draw works on int step codes 0..3 (a, b, c, d) and only there: `_draw`
 turns the kept codes into a StepWord once, and everything after it,
@@ -107,9 +110,9 @@ def _mix_in(pool: list[int], value: int, hc: int) -> int:
             return hc
 
 
-def _stream_pool(seed: int, stream: int) -> tuple[list[int], int]:
-    """Pool and hash constant of SeedSequence(entropy=seed, spawn_key=(stream,
-    i)) before the words of i are mixed in.
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """Pool and hash constant of SeedSequence(entropy=seed, spawn_key=...)
+    before the spawn key's words are mixed in.
 
     A spawn key pads the seed's one or two words with zeros to the pool's
     four, so every seed in 0..2**64-1 hashes through the same constants.
@@ -125,7 +128,14 @@ def _stream_pool(seed: int, stream: int) -> tuple[list[int], int]:
                 h, hc = _hashmix(pool[src], hc)
                 r = (_MIX_L * pool[dst] - _MIX_R * h) & _M32
                 pool[dst] = r ^ r >> 16
-    return pool, _mix_in(pool, stream, hc)
+    return pool, hc
+
+
+def _stream_pool(seed_pool: tuple[list[int], int], stream: int) -> tuple[list[int], int]:
+    """Pool and hash constant of SeedSequence(entropy=seed, spawn_key=(stream,
+    i)) before the words of i are mixed in, from that seed's `_seed_pool`."""
+    pool = seed_pool[0].copy()
+    return pool, _mix_in(pool, stream, seed_pool[1])
 
 
 def _child_words(stream_pool: tuple[list[int], int], index: int, n: int) -> list[int]:
@@ -175,7 +185,8 @@ class RandomSource:
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"seed must be in 0..2**64-1, got {seed}")
         self._seed = seed
-        self._pool = _stream_pool(seed, 0)
+        self._seed_hash = _seed_pool(seed)  # kept for `split`'s stream
+        self._pool = _stream_pool(self._seed_hash, 0)
 
     # a copy or an unpickled source keeps its own generator
     def __getstate__(self) -> tuple[int, int]:
@@ -206,7 +217,7 @@ class RandomSource:
         task_index = operator.index(task_index)  # as for the seed: no 1.9 or "1"
         if task_index < 0:
             raise ValueError(f"task_index must be >= 0, got {task_index}")
-        lo, hi = _child_words(_stream_pool(self._seed, 1), task_index, 2)
+        lo, hi = _child_words(_stream_pool(self._seed_hash, 1), task_index, 2)
         return RandomSource(lo | hi << 32)
 
 

@@ -9,9 +9,12 @@ stable sets (`configurations_series`), from the one layer transfer that
 lists heaps (`heaps_series`, `strict_heaps_series`, `pyramids_series`) or
 from the products, and the algebra, the projection and the dump read the
 keys and sizes directly.  `terms`, the Heap -> coefficient view, wraps each key.
-The product is the truncated convolution over monoid factorizations: each
-right factor's canonical word drops on each left key (`heaps.drop_words`),
-sizes adding to <= N, and the products are summed by key.  The classic
+The product is the truncated convolution over monoid factorizations, sizes
+adding to <= N, summed by key.  Each prefix of a canonical word spells a
+heap too, so the right factor's words make one prefix trie (`_word_trie`)
+and each left key walks it depth first: a node lands its one letter on
+copies of its parent's layer bitmasks and fibre tops by `heaps._drop`, so
+a shared prefix lands once per left key, not once per word.  The classic
 identities live at this level: the alternating configuration series
 inverts the heap series, and the pyramid series is the right logarithmic
 derivative of the heap series.
@@ -46,12 +49,13 @@ from typing import Callable, Iterable, Mapping
 
 from .graphs import CommutationGraph, _members
 from .heaps import (
-    Heap, Key, _layer_transfer, _pyramid_roots, count_pyramids, drop_words, empty_heap,
+    Heap, Key, _drop, _fibre_tops, _layer_transfer, _pyramid_roots, count_pyramids,
+    empty_heap,
 )
 
 Coefficient = int | Fraction
 Bucket = dict[Key, Coefficient]  # one size's terms: heap key -> coefficient
-Word = tuple[int, ...]  # a canonical word: its layers' vertices bottom-up
+Node = list  # a word trie's node: [coefficient, children] (`_word_trie`)
 PROJECTED_KINDS = (
     "gamma", "gamma-bar", "theta", "theta-bar", "theta-strict", "pi", "pi-bar"
 )
@@ -177,40 +181,74 @@ def unit_series(g: CommutationGraph, degree: int) -> TraceSeries:
     return TraceSeries(g, degree, {empty_heap(g): 1})
 
 
-def _words_by_size(s: TraceSeries) -> list[tuple[list[Word], list[Coefficient]]]:
-    """Entry j: the canonical words of s's terms of size j, and their coefficients."""
+def _word_trie(s: TraceSeries) -> Node:
+    """The prefix trie of s's canonical words; its root is the empty word.
+
+    A node is [coefficient, children]: the word's coefficient in s, 0 when
+    the word only prefixes terms, and a letter -> node dict, None at a leaf.
+    """
     vertices = cache(_members)  # each layer's vertices, listed once
-    return [
-        ([tuple(chain.from_iterable(map(vertices, k))) for k in b], list(b.values()))
-        for b in s._sizes
-    ]
+    root: Node = [0, None]
+    for bucket in s._sizes:
+        for key, c in bucket.items():
+            node = root
+            for v in chain.from_iterable(map(vertices, key)):
+                children = node[1]
+                if children is None:
+                    children = node[1] = {}
+                child = children.get(v)
+                if child is None:
+                    child = children[v] = [0, None]
+                node = child
+            node[0] = c
+    return root
+
+
+def _walk(
+    g: CommutationGraph, accs: list[Bucket], c1: Coefficient, masks: list[int],
+    tops: list[int], children: dict[int, Node], size: int,
+) -> None:
+    """accs[size][key of h1 * w] += c1 * c2 for each word w under `children`
+    and its c2 != 0, sizes up to the last of accs, depth first: h1 * w's
+    masks and tops are copies of its parent's with w's last letter landed
+    by `_drop`, so each trie node costs one letter."""
+    acc = accs[size]
+    deeper = size + 1 < len(accs)
+    for v, (c2, grandchildren) in children.items():
+        child_masks = masks.copy()
+        child_tops = tops.copy()
+        _drop(g, child_masks, child_tops, (v,))
+        if c2:
+            key = tuple(child_masks)
+            acc[key] = acc.get(key, 0) + c1 * c2
+        if deeper and grandchildren is not None:
+            _walk(g, accs, c1, child_masks, child_tops, grandchildren, size + 1)
 
 
 def _add_products(
     accs: list[Bucket], g: CommutationGraph, key1: Key, m: int, c1: Coefficient,
-    parts: list[tuple[list[Word], list[Coefficient]]], first: int,
+    children: dict[int, Node] | None,
 ) -> None:
-    """accs[m + j][key of h1 * h2] += c1 * c2 for each word of h2 and its c2 in
-    parts[j], first <= j <= degree - m, h1 of size m and key `key1`: h2's
-    word drops on h1's layer bitmasks.  Sizes past the ends of accs or
-    parts hold no term."""
-    for j in range(first, min(len(accs) - m, len(parts))):
-        words, coefficients = parts[j]
-        acc = accs[m + j]
-        for c2, key in zip(coefficients, drop_words(g, key1, words)):
-            acc[key] = acc.get(key, 0) + c1 * c2
+    """accs[m + j][key of h1 * h2] += c1 * c2 for each word of h2, of size
+    j >= 1, and its c2 in the trie under `children`, h1 of size m and key
+    `key1`, while m + j stays inside accs: the trie walks on h1's layer
+    bitmasks and fibre tops, read only when some product fits."""
+    if children is not None and m + 1 < len(accs):
+        _walk(g, accs, c1, list(key1), _fibre_tops(g, key1), children, m + 1)
 
 
 def series_mul(s1: TraceSeries, s2: TraceSeries) -> TraceSeries:
     """Truncated product over key pairs, summed by layer key; no Heap is built."""
     _check_compat(s1, s2)
     g, n = s1.graph, s1.degree
-    parts = _words_by_size(s2)
-    top = min(n, len(s1._sizes) + len(parts) - 2)  # the largest size of a product
+    c0, children = _word_trie(s2)
+    top = min(n, len(s1._sizes) + len(s2._sizes) - 2)  # the largest size of a product
     accs: list[Bucket] = [{} for _ in range(top + 1)]
     for m, bucket in enumerate(s1._sizes):
         for key1, c1 in bucket.items():
-            _add_products(accs, g, key1, m, c1, parts, 0)
+            if c0:  # h1 times s2's constant term: h1 itself
+                accs[m][key1] = accs[m].get(key1, 0) + c1 * c0
+            _add_products(accs, g, key1, m, c1, children)
     return TraceSeries._of_keys(g, n, _normalized(accs))
 
 
@@ -312,8 +350,9 @@ def invert(s: TraceSeries) -> TraceSeries:
 
     One pass by size from T s = 1: T_0 = c0 and, for k >= 1,
     T_k = -c0 * sum_{j >= 1} T_{k-j} s_j, with s_j, T_j the size-j parts
-    (c0 is its own inverse).  Each key of a complete T_m is dropped on
-    once, its products with s_1..s_{n-m} summed by key into T_{m+1}..T_n.
+    (c0 is its own inverse).  Each key of a complete T_m walks the trie of
+    s's words once, below its root c0, and its products with s_1..s_{n-m}
+    are summed by key into T_{m+1}..T_n.
     In the graded cancellative heap monoid the left inverse so built is
     also the right inverse.
     """
@@ -321,13 +360,13 @@ def invert(s: TraceSeries) -> TraceSeries:
     c0 = s._sizes[0].get((), 0) if s._sizes else 0
     if c0 not in (1, -1):
         raise SeriesError(f"constant term {c0} is not invertible")
-    parts = _words_by_size(s)
-    top = n if len(parts) > 1 else 0  # the inverse of a constant is a constant
+    children = _word_trie(s)[1]  # the root, s's constant term, is not walked
+    top = n if children is not None else 0  # the inverse of a constant is a constant
     accs: list[Bucket] = [{(): c0}] + [{} for _ in range(top)]
-    for m, acc in enumerate(accs):  # T_m: complete once every T_k, k < m, is dropped
+    for m, acc in enumerate(accs):  # T_m: complete once every T_k, k < m, is walked
         for key, c1 in acc.items():
             if c1:
-                _add_products(accs, g, key, m, -c0 * c1, parts, 1)
+                _add_products(accs, g, key, m, -c0 * c1, children)
     return TraceSeries._of_keys(g, n, _normalized(accs))
 
 

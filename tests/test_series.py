@@ -29,6 +29,7 @@ from heappieces import (
     trace_series,
     univariate_substitute,
 )
+from heappieces import heaps as heaps_module, series as series_module
 from heappieces.heaps import empty_heap
 from heappieces.series import (
     PROJECTED_KINDS,
@@ -154,6 +155,56 @@ class TestPairwiseOracle:
             assert series_mul(s1, s2) == pairwise_mul(s1, s2)
         for s in (gamma, theta, halved):
             assert invert(s) == pairwise_inverse(s)
+
+    @pytest.mark.parametrize("name", [name for name, _ in graph_suite()])
+    def test_right_factors_whose_prefixes_are_not_terms(self, name):
+        # Gamma-bar and Theta hold every prefix of their canonical words, so
+        # the products above never pass a word that only prefixes terms
+        g = dict(graph_suite())[name]
+        one = unit_series(g, 5)
+        word = (tuple(range(g.vertex_count)) * 2)[:5]
+        long = TraceSeries(g, 5, {heap_of_word(g, word): Q(-2, 3)})
+        assert not long.coefficient(heap_of_word(g, word[:1]))
+        rights = [pyramids_series(g, 5, signed) for signed in (True, False)]
+        rights += [long, one + long]
+        lefts = [configurations_series(g, 5, True), heaps_series(g, 5, False), one.scale(3)]
+        for s1 in lefts:
+            for s2 in rights:
+                assert series_mul(s1, s2) == pairwise_mul(s1, s2)
+
+    @given(
+        data=st.data(),
+        c0=st.sampled_from((1, -1)),
+        name=st.sampled_from([name for name, _ in graph_suite()]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_random_factors(self, data, c0, name):
+        g = dict(graph_suite())[name]
+        terms = dict(random_series(g, 5, data, max_word=5).terms)
+        terms[empty_heap(g)] = c0
+        s = TraceSeries(g, 5, terms)
+        assert invert(s) == pairwise_inverse(s)
+        theta = heaps_series(g, 5, signed=False)
+        assert series_mul(theta, s) == pairwise_mul(theta, s)
+        assert series_mul(s, theta) == pairwise_mul(s, theta)
+
+    def test_one_letter_landed_per_trie_node(self, path5, monkeypatch):
+        # Gamma-bar_6 * Theta_6 on path5 visits 10,583 key pairs; dropping
+        # each whole right word on each left key would land 49,861 letters
+        gamma_bar = configurations_series(path5, 6, signed=True)
+        theta = heaps_series(path5, 6, signed=False)
+        landed = []
+        drop = heaps_module._drop
+
+        def counting_drop(g, masks, tops, word, coloring=None):
+            word = tuple(word)
+            landed.append(len(word))
+            return drop(g, masks, tops, word, coloring)
+
+        monkeypatch.setattr(heaps_module, "_drop", counting_drop)
+        monkeypatch.setattr(series_module, "_drop", counting_drop, raising=False)
+        assert series_mul(gamma_bar, theta) == unit_series(path5, 6)
+        assert sum(landed) == 10_570
 
     @pytest.mark.parametrize("bad", [7, -1])
     def test_bad_vertex_raises(self, path3, bad):
