@@ -21,8 +21,9 @@ of its parent's masks and tops, one letter per node.  Listing and
 counting heaps grow the layers themselves instead, by one Cartier-Foata
 layer transfer (`_layer_transfer`): a heap grows by a stable layer inside
 the closed neighbourhood of its top layer, and the heaps whose tops share
-that neighbourhood move together.  It lists the keys for `enumerate_heaps` and
-the series builders, and counts them for `count_pyramids`.
+that neighbourhood move together.  It lists the keys for
+`enumerate_heaps` and the series builders, and counts them for
+`count_pyramids`.
 
 Conventions: a layer's vertices ascend; the canonical word of a heap
 enumerates the layers bottom-up, each in ascending index order.  Heap
@@ -181,7 +182,7 @@ def _fibre_tops(g: CommutationGraph, key: Key) -> list[int]:
 def drop_words(
     g: CommutationGraph, key: Key, words: Iterable[Iterable[int]]
 ) -> Iterator[Key]:
-    """Key of the heap `key` times each word: the one entry for products.
+    """Key of the heap `key` times each word: the entry of heap products.
 
     The fibre tops are read off the layer bitmasks once; each word of n
     letters drops on copies of the tops and masks, one OR per letter and
