@@ -40,6 +40,9 @@ class CommutationGraph:
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise GraphError("duplicate label")
+        for label in self.labels:  # the literal format splits on whitespace
+            if type(label) is not str or label.split() != [label]:
+                raise GraphError(f"label {label!r} is not a word: empty or spaced")
         adj: list[set[int]] = [{v} for v in range(n)]
         for u, v in self.edges:
             if u == v:

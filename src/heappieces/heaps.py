@@ -15,7 +15,7 @@ of the key.  `Heap(g, layers)` checks the layers it is given; every other
 builder lands the key itself and cannot build a bad one.  One kernel,
 `_drop`, lands every letter: it reads per-fibre tops and ORs the letter
 into its layer's bitmask, so no layer is sorted.  A product of two heaps
-drops the right one's word on the left one's key (`drop_words`); the
+lands the right one's word on the left one's key (`drop_word`); the
 series product lands each node of its right factor's word trie on a copy
 of its parent's masks and tops, one letter per node.  Listing and
 counting heaps grow the layers themselves instead, by one Cartier-Foata
@@ -73,7 +73,7 @@ class Heap:
         self, graph: CommutationGraph, layers: Iterable[tuple[int, ...]]
     ) -> None:
         layers = tuple(map(tuple, layers))  # lists compare unequal to the tuples below
-        key = next(drop_words(graph, (), (chain.from_iterable(layers),)))
+        key = drop_word(graph, (), chain.from_iterable(layers))
         for i, (got, want) in enumerate(zip_longest(layers, map(_members, key)), 1):
             if got != want:
                 raise HeapError(f"layer {i} is not the canonical form of its word")
@@ -113,19 +113,18 @@ def empty_heap(g: CommutationGraph) -> Heap:
 def _drop(
     g: CommutationGraph, masks: list[int], tops: list[int], word: Iterable[int],
     coloring: Coloring | None = None,
-) -> list[int]:
+) -> None:
     """The drop rule: lands the letters of `word` in order, updating `masks`
     (layer bitmasks, bottom-up) and `tops` (fibre -> top height) in place.
 
     A letter on fibre v lands one above the highest top in N[v]; with a
     coloring it rises further to the next layer of its own color, layer i
     carrying color ((i-1) mod r) + 1, so layers may stay empty.  Its bit is
-    OR-ed into its layer and its height returned.  Out-of-range letters,
-    negative ones included, raise GraphError (checked inline: hot loop).
+    OR-ed into its layer.  Out-of-range letters, negative ones included,
+    raise GraphError (checked inline: hot loop).
     """
     neighborhoods = g._neighborhoods
     count = len(neighborhoods)
-    heights: list[int] = []
     for v in word:
         if not 0 <= v < count:
             g.check_vertex(v)
@@ -142,13 +141,11 @@ def _drop(
         if height > len(masks):
             masks += [0] * (height - len(masks))
         masks[height - 1] |= 1 << v
-        heights.append(height)
-    return heights
 
 
 def push(h: Heap, v: int) -> Heap:
     """Drop one cell on fibre v onto h (see `_drop` for the rule)."""
-    return Heap._of_key(h.graph, next(drop_words(h.graph, h.key, ((v,),))))
+    return Heap._of_key(h.graph, drop_word(h.graph, h.key, (v,)))
 
 
 def heap_of_word(g: CommutationGraph, word: Iterable[int]) -> Heap:
@@ -158,15 +155,14 @@ def heap_of_word(g: CommutationGraph, word: Iterable[int]) -> Heap:
     which reads fibre tops and ORs each letter into its layer's bitmask:
     n cells cost O(n * maxdeg), and no layer is sorted.
     """
-    return Heap._of_key(g, next(drop_words(g, (), (word,))))
+    return Heap._of_key(g, drop_word(g, (), word))
 
 
 def product(h1: Heap, h2: Heap) -> Heap:
     """Monoid product: h2's canonical word dropped on h1's key."""
     if h2.graph is not h1.graph and h2.graph != h1.graph:
         raise HeapError("product of heaps over different graphs")
-    key = next(drop_words(h1.graph, h1.key, (h2.canonical_word(),)))
-    return Heap._of_key(h1.graph, key)
+    return Heap._of_key(h1.graph, drop_word(h1.graph, h1.key, h2.canonical_word()))
 
 
 def _fibre_tops(g: CommutationGraph, key: Key) -> list[int]:
@@ -179,20 +175,16 @@ def _fibre_tops(g: CommutationGraph, key: Key) -> list[int]:
     return tops
 
 
-def drop_words(
-    g: CommutationGraph, key: Key, words: Iterable[Iterable[int]]
-) -> Iterator[Key]:
-    """Key of the heap `key` times each word: the entry of heap products.
+def drop_word(g: CommutationGraph, key: Key, word: Iterable[int]) -> Key:
+    """Key of the heap `key` times `word`: the entry of heap products.
 
-    The fibre tops are read off the layer bitmasks once; each word of n
-    letters drops on copies of the tops and masks, one OR per letter and
-    no layer sorted: O(n * maxdeg) plus the copies.
+    The fibre tops are read off the layer bitmasks; the word's n letters
+    land on a copy of the masks, one OR per letter and no layer sorted:
+    O(n * maxdeg) plus the copy.
     """
-    tops = _fibre_tops(g, key)
-    for word in words:
-        masks = list(key)
-        _drop(g, masks, tops.copy(), word)
-        yield tuple(masks)
+    masks = list(key)
+    _drop(g, masks, _fibre_tops(g, key), word)
+    return tuple(masks)
 
 
 def equivalent(g: CommutationGraph, u: Iterable[int], v: Iterable[int]) -> bool:
@@ -222,23 +214,24 @@ def strict_skeleton(h: Heap) -> tuple[Heap, dict[Cell, int]]:
     when that cell is in h, and starts a new run otherwise.  For j > 1,
     v at height j rests on a cell of N[v] at height j-1; that cell is
     either v itself, which the letter merges with, or a true neighbour,
-    which blocks it from sliding any lower.  Runs are read in the
-    canonical order of their bottom cells, so the support word is strict.
+    which blocks it from sliding any lower.  Runs land on S as their
+    bottom cells are met, in canonical order: the support word is strict.
     """
     g = h.graph
-    runs: list[list[int]] = []  # [vertex, multiplicity]
-    below: dict[int, list[int]] = {}  # fibre -> its run in the layer below
+    masks: list[int] = []
+    tops = [0] * g.vertex_count
+    mult: dict[Cell, int] = {}
+    below: dict[int, Cell] = {}  # fibre -> S's cell of its run in the layer below
     for layer in h.layers:
         here = {}
         for v in layer:
-            run = here[v] = below.get(v) or [v, 0]
-            if not run[1]:
-                runs.append(run)
-            run[1] += 1
+            cell = below.get(v)
+            if cell is None:  # a new run: its letter lands on S, at tops[v]
+                _drop(g, masks, tops, (v,))
+                cell = (v, tops[v])
+            here[v] = cell
+            mult[cell] = mult.get(cell, 0) + 1
         below = here
-    masks: list[int] = []
-    heights = _drop(g, masks, [0] * g.vertex_count, (v for v, _ in runs))
-    mult = {(v, height): m for (v, m), height in zip(runs, heights)}
     return Heap._of_key(g, tuple(masks)), mult
 
 
@@ -415,10 +408,10 @@ def heap_from_json(text: str) -> Heap:
         if type(payload) is not dict:
             raise TypeError("not a JSON object")
         g = parse_graph_literal(payload["graph"])
-        layers = tuple(
-            tuple(sorted(g.index(lab) for lab in layer))
-            for layer in payload["layers"]
-        )
+        raw = payload["layers"]
+        if type(raw) is not list or any(type(layer) is not list for layer in raw):
+            raise TypeError("layers must be a list of lists of labels")
+        layers = tuple(tuple(sorted(map(g.index, layer))) for layer in raw)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise HeapError(f"bad heap JSON: {exc}") from exc
     return Heap(g, layers)

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from heappieces import build_graph
+from heappieces import animal_count, build_graph, count_pyramids, linear_window
 from heappieces.gas import (
     GasError,
     density_taylor_oracle,
@@ -15,7 +15,7 @@ from heappieces.gas import (
     mean_particles_pyramids,
     partition_function,
 )
-from heappieces.series import UnivariateSeries
+from heappieces.series import UnivariateSeries, univariate_substitute
 from heappieces.verify import graph_suite
 
 from test_heaps import all_heaps_by_closure, filter_heaps
@@ -144,3 +144,28 @@ class TestLinearDensity:
         s = linear_density(13)
         ratio = abs(s.coefficients[13] / s.coefficients[12])
         assert abs(ratio - 4) / 4 < 0.05
+
+
+class TestChainPyramidsAreAnimals:
+    """The paper's link between heaps and animals on the chain: the
+    pyramids based at 0 are the point-source animals of the triangular
+    lattice, t/(1+t) turns their series into the square lattice's, and the
+    density's coefficients count the triangular ones with alternating signs."""
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_pyramids_at_zero_count_animals(self, n):
+        g, _ = linear_window(n)
+        pyramids = count_pyramids(g, n, base=g.index("0"))
+        square = univariate_substitute(UnivariateSeries(n, tuple(pyramids)), "t/(1+t)")
+        sizes = range(1, n + 1)
+        assert pyramids[0] == square.coefficients[0] == 0
+        assert pyramids[1:] == [animal_count(k, "triangular", "point") for k in sizes]
+        assert list(square.coefficients[1:]) == [
+            animal_count(k, "square", "point") for k in sizes
+        ]
+
+    def test_density_counts_animals_to_degree_1000(self):
+        density = linear_density(1000).coefficients
+        assert [(-1) ** (k - 1) * density[k] for k in range(1, 1001)] == [
+            animal_count(k, "triangular", "point") for k in range(1, 1001)
+        ]

@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from heappieces import (
     Coloring,
@@ -11,6 +11,9 @@ from heappieces import (
     GraphError,
     build_graph,
     format_graph_literal,
+    heap_from_json,
+    heap_of_word,
+    heap_to_json,
     linear_window,
     parse_graph_literal,
 )
@@ -34,6 +37,16 @@ def small_graphs(max_vertices=6):
         return build_graph(labels, [(labels[i], labels[j]) for i, j in chosen])
 
     return build()
+
+
+@st.composite
+def labelled_graph_specs(draw):
+    """Strategy: (labels, label pairs) with any text as labels, for
+    `build_graph` to accept or reject."""
+    labels = draw(st.lists(st.text(max_size=3), max_size=5))
+    pairs = list(combinations(range(len(labels)), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return labels, [(labels[i], labels[j]) for i, j in chosen]
 
 
 class TestBuild:
@@ -62,6 +75,17 @@ class TestBuild:
             CommutationGraph(("a", "b"), frozenset({(1, 1)}))
         with pytest.raises(GraphError, match=r"edge endpoint out of range: \(0,2\)"):
             CommutationGraph(("a", "b"), frozenset({(0, 2)}))
+        with pytest.raises(GraphError, match="label 7 is not a word"):
+            CommutationGraph((7,), frozenset())
+
+    @pytest.mark.parametrize(
+        "labels", [("x", "y z"), ("", "a"), ("a\tb",), (" a",), ("a\n",), ("a\u2028b",)]
+    )
+    def test_labels_the_literal_cannot_write(self, labels):
+        with pytest.raises(GraphError, match="is not a word"):
+            build_graph(labels, [])
+        with pytest.raises(GraphError, match="is not a word"):
+            CommutationGraph(labels, frozenset())
 
 
 class TestNeighborhood:
@@ -219,3 +243,15 @@ class TestLiteralFormat:
             parse_graph_literal("vertices: a b\nvertices: c\n")
         with pytest.raises(GraphError, match="unknown line: 'color: a 1'"):
             parse_graph_literal("vertices: a b\ncolor: a 1\n")
+
+    @given(spec=labelled_graph_specs())
+    @example(spec=(["x", "y z"], [("x", "y z")]))
+    @example(spec=(["", "a"], []))
+    def test_every_built_graph_round_trips(self, spec):
+        try:
+            g = build_graph(*spec)
+        except GraphError:
+            return
+        assert parse_graph_literal(format_graph_literal(g)) == g
+        h = heap_of_word(g, [*range(g.vertex_count)] * 2)
+        assert heap_from_json(heap_to_json(h)) == h

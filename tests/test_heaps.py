@@ -37,7 +37,7 @@ from heappieces import (
     strict_skeleton,
     trace_series,
 )
-from heappieces.heaps import _drop, drop_words
+from heappieces.heaps import _drop, drop_word
 from heappieces.verify import graph_suite
 
 from conftest import to_word
@@ -365,7 +365,7 @@ class TestDropKernel:
         h = heap_of_word(path5, data.draw(word_strategy(path5, 8)))
         words = data.draw(st.lists(word_strategy(path5, 6), max_size=4))
         want = [heap_of_word(path5, h.canonical_word() + w).key for w in words]
-        assert list(drop_words(path5, h.key, words)) == want
+        assert [drop_word(path5, h.key, w) for w in words] == want
 
     def test_push_is_appended_letter(self, path5):
         for h in enumerate_heaps(path5, 5):
@@ -383,7 +383,12 @@ class TestDropKernel:
         one = Coloring((1,) * cube.vertex_count, 1)
         w = data.draw(word_strategy(cube, 10))
         n = cube.vertex_count
-        assert _drop(cube, [], [0] * n, w, one) == _drop(cube, [], [0] * n, w)
+        landed = []  # (masks, tops) that each drop leaves
+        for coloring in (one, None):
+            masks, tops = [], [0] * n
+            _drop(cube, masks, tops, w, coloring)
+            landed.append((masks, tops))
+        assert landed[0] == landed[1]
 
     def test_size_counts_match_inversion(self, path5):
         counts = [0] * 9
@@ -694,7 +699,7 @@ class TestDropOracle:
         g = drop_graph
         h = heap_of_word(g, data.draw(word_strategy(g, 10)))
         words = data.draw(st.lists(word_strategy(g, 6), max_size=5))
-        got = [Heap._of_key(g, key).layers for key in drop_words(g, h.key, words)]
+        got = [Heap._of_key(g, drop_word(g, h.key, w)).layers for w in words]
         assert got == [drop_by_sorted_layers(g, h.layers, w)[0] for w in words]
 
     @given(data=st.data())
@@ -733,7 +738,7 @@ class TestDropOracle:
                 lambda: push(h, bad),
                 lambda: product(h, Heap(g, ((bad,),))),
                 lambda: product(Heap(g, ((bad,),)), h),
-                lambda: list(drop_words(g, h.key, [(0,), (0, bad)])),
+                lambda: drop_word(g, h.key, (0, bad)),
                 lambda: colored_layers(g, distinct, (0, bad)),
                 lambda: strict_skeleton(Heap(g, ((bad,),))),
             ):
@@ -913,6 +918,14 @@ class TestJson:
     def test_names_the_fault(self, text, fault):
         with pytest.raises(HeapError, match="bad heap JSON: " + fault):
             heap_from_json(text)
+
+    @pytest.mark.parametrize(
+        "layers", ['["ac"]', '[{"a": 1, "c": 2}]', '"ac"', '[["a", 1]]', "null"]
+    )
+    def test_layers_that_are_not_label_lists(self, layers):
+        text = '{"graph": "vertices: a b c\\nedge: a b\\nedge: b c\\n", "layers": %s}'
+        with pytest.raises(HeapError, match="bad heap JSON"):
+            heap_from_json(text % layers)
 
     def test_rejects_bad_layers(self, path3):
         bad = '{"graph": "vertices: a b c\\nedge: a b\\nedge: b c\\n", "layers": [["a","b"]]}'
