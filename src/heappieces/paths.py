@@ -18,15 +18,15 @@ A step word is its letters everywhere: the samplers' int step codes
 exist only inside `randgen`'s numpy draw, which turns them into a
 StepWord once.
 
-`count_paths` counts words and prefixes by a dynamic program over
-(position, height) that keeps only the live band of heights: a word's
-heights from which the steps still to go can reach 0, a prefix's heights
-from which they can still go negative.  A prefix that climbs out of the
-band is settled (every continuation stays non-negative) and joins one
-accumulator that gains a factor r + 2 per later step.  The band is about
-half of each full row, so the program does about n^2/4 big-int additions
-where the full rows did n^2/2; it uses no closed form, so it stays an
-independent count against `animals.animal_count`.
+`count_paths` counts words by a dynamic program over (position, height)
+that keeps only the live band of heights: those from which the steps
+still to go can get back to 0.  Its height-0 entry after i steps is W(i),
+the number of words of length i, and prefixes follow from P(0) = 1 and
+P(i+1) = (r + 2) P(i) - W(i): a prefix grows by any letter but a descent
+from height 0.  The band is about half of each full row, so the program
+does about n^2/4 big-int additions where the full rows did n^2/2; it uses
+no closed form, so it stays an independent count against
+`animals.animal_count`.
 """
 
 from __future__ import annotations
@@ -165,12 +165,12 @@ def count_paths(n: int, r: int, kind: str) -> int:
     """Number of r-colored Motzkin words or prefixes of length n.
 
     Dynamic program over (position, height); `kind` is "word" or "prefix".
-    A row holds the live heights after i steps, with n - i steps to go:
-    for a word the heights <= n - i (from higher ones no path gets back to
-    0), for a prefix the heights < n - i (from n - i or higher no path can
-    go negative).  Prefixes leaving the band are settled: their count moves
-    into `settled`, which each later step multiplies by r + 2, the number
-    of letters: every continuation of a settled prefix is a prefix.
+    A row holds the words' live heights after i steps: those from which
+    the steps left to `length` can get back to 0, so `row[0]` is W(i), the
+    number of words of length i.  A prefix of length n needs W(i) for
+    i < n alone, so its band is that of the words of length n - 1, and
+    P(i+1) = (r + 2) P(i) - W(i) counts it: a prefix of length i takes any
+    of the r + 2 letters, but the W(i) that end at height 0 take no descent.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -179,22 +179,18 @@ def count_paths(n: int, r: int, kind: str) -> int:
     if kind not in ("word", "prefix"):
         raise ValueError(f"kind must be 'word' or 'prefix', got {kind!r}")
     word = kind == "word"
-    row = [1]  # row[h] = paths of the current length ending at live height h
-    settled = 0
+    length = n if word else n - 1
+    row = [1]  # row[h] = words of the current length ending at live height h
+    prefixes = 1
     for i in range(n):
-        left = n - i - 1  # steps to go after this one
+        prefixes = prefixes * (r + 2) - row[0]
         # new height h comes from h-1 (ascend), h (r flat colors) and h+1 (descend)
         new = map(add, chain((0,), row), chain(row[1:], (0, 0)))
         if r:
             flat = row if r == 1 else map(add, row, row)
             new = map(add, new, chain(flat, (0,)))
-        new = list(new)
-        if word:
-            row = new[: left + 1]
-        else:
-            settled = settled * (r + 2) + sum(new[left:])
-            row = new[:left]
-    return row[0] if word else settled + sum(row)
+        row = list(new)[: length - i]  # heights from which 0 is in reach
+    return row[0] if word else prefixes
 
 
 def bicolored_to_dyck(w: StepWord) -> StepWord:

@@ -85,12 +85,13 @@ def _normalized(sizes: Iterable[Bucket]) -> list[Bucket]:
 class TraceSeries:
     """Truncated trace series: its terms as heap keys, one bucket per size.
 
-    `TraceSeries(g, degree, {heap: coefficient})` checks each term's graph
-    and its size against the degree, and stores its key; it drops zero
-    terms and stores integral coefficients as ints.  The builders of this
-    module hand in keys by size instead (`_of_keys`).  `terms`, the Heap
-    -> coefficient view, is built on first read and kept (and left out of
-    a pickle); the algebra, the projection and the dump read the keys.
+    `TraceSeries(g, degree, {heap: coefficient})` checks the degree, each
+    term's graph and its size against the degree, and stores its key; it
+    drops zero terms and stores integral coefficients as ints.  The
+    builders of this module hand in keys by size instead (`_of_keys`).
+    `terms`, the Heap -> coefficient view, is built on first read and kept
+    (and left out of a pickle); the algebra, the projection and the dump
+    read the keys.
     Series are immutable.
     """
 
@@ -102,6 +103,7 @@ class TraceSeries:
     def __init__(
         self, graph: CommutationGraph, degree: int, terms: Mapping[Heap, Coefficient]
     ) -> None:
+        _check_degree(degree)
         by_size: dict[int, Bucket] = {}
         for h, c in terms.items():
             if not c:
@@ -378,6 +380,7 @@ class UnivariateSeries:
     coefficients: tuple[Coefficient, ...]
 
     def __post_init__(self) -> None:
+        _check_degree(self.degree)
         coeffs = tuple(_exact(c) for c in self.coefficients)
         if len(coeffs) != self.degree + 1:
             raise SeriesError("coefficient count must be degree + 1")

@@ -429,6 +429,9 @@ DEGREE_SUITES = frozenset(
 
 
 def run_suites(names: list[str], degree: int | None = None) -> list[Check]:
+    for name in names:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}")
     checks: list[Check] = []
     for name in names:
         args = (degree,) if degree is not None and name in DEGREE_SUITES else ()

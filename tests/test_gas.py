@@ -123,6 +123,10 @@ class TestLinearDensity:
         assert all(type(c) is int for c in got)
         assert linear_density(0).coefficients == (0,)
 
+    def test_negative_degree_raises(self):
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            linear_density(-1)
+
     def test_point_values(self):
         assert evaluate_density(0) == 0.0
         assert abs(evaluate_density(1) - (1 - 1 / 5**0.5) / 2) < 1e-15

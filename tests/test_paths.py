@@ -288,6 +288,8 @@ class TestCounts:
         assert count_paths(1000, 2, "word") == catalan_number(1001)
         assert count_paths(1000, 0, "word") == catalan_number(500)
         assert count_paths(1001, 0, "word") == 0
+        assert count_paths(1000, 0, "prefix") == math.comb(1000, 500)
+        assert count_paths(1001, 0, "prefix") == math.comb(1001, 500)
 
     def test_motzkin_words(self):
         assert [count_paths(n, 1, "word") for n in range(9)] == [

@@ -36,9 +36,10 @@ from heappieces.series import (
     TraceSeries,
     UnivariateSeries,
     dump_trace_series,
+    from_coefficient_fn,
     unit_series,
 )
-from heappieces.verify import graph_suite
+from heappieces.verify import graph_suite, suite_substitution
 
 
 def from_counts(degree, counts):
@@ -483,6 +484,16 @@ class TestTraceSeriesChecks:
         s = TraceSeries(path3, 2, {a: Q(4, 2), b: Q(1, 3)})
         assert s.terms == {a: 2, b: Q(1, 3)}
         assert type(s.terms[a]) is int and type(s.terms[b]) is Q
+
+    def test_negative_degree_raises(self, path3):
+        for build in (
+            lambda: TraceSeries(path3, -1, {}),
+            lambda: UnivariateSeries(-1, ()),
+            lambda: from_coefficient_fn(-1, lambda n: 1),
+            lambda: suite_substitution(-1),
+        ):
+            with pytest.raises(ValueError, match="degree must be >= 0"):
+                build()
 
 
 class TestBadVertexTerms:

@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 from scipy.stats import chi2
 
+from heappieces import verify
 from heappieces.verify import (
     CHI_SQUARE_PROTOCOLS,
     chi_square_critical,
     chi_square_tail,
+    run_suites,
 )
 
 DEGREES = list(range(1, 300)) + [1000]
@@ -41,6 +43,15 @@ def test_tail_edges():
     assert chi_square_tail(2.0, 2) == pytest.approx(chi2.sf(2.0, 2), rel=1e-15)
     with pytest.raises(ValueError, match="degrees of freedom"):
         chi_square_tail(1.0, 0)
+
+
+def test_unknown_suite_raises_before_any_suite_runs(monkeypatch):
+    def never_called():
+        raise AssertionError("a suite ran before every name was checked")
+
+    monkeypatch.setitem(verify.SUITES, "micro", never_called)
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suites(["micro", "nope"])
 
 
 def test_verify_import_leaves_scipy_out():
