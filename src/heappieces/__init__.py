@@ -22,7 +22,6 @@ from .animals import (
     beta,
     beta_inverse,
     compact_animal,
-    empirical_width,
     enumerate_animals,
     half_width,
 )

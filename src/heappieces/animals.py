@@ -47,6 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
+from ._args import count_arg
 from .paths import StepWord, _marked_letters, is_motzkin_prefix
 
 if TYPE_CHECKING:  # numpy loads when an animal is first validated
@@ -338,11 +339,6 @@ def half_width(an: Animal) -> int:
     return max(an.fibres)
 
 
-def empirical_width(an: Animal) -> int:
-    """max fiber - min fiber; equals twice the half-width only on average."""
-    return max(an.fibres) - min(an.fibres)
-
-
 def beta_inverse(an: Animal) -> StepWord:
     """The unique Motzkin prefix with beta(beta_inverse(an)) == an."""
     if an.source != "point":
@@ -431,8 +427,7 @@ def enumerate_animals(n: int, lattice: str, source: str = "point") -> list[Anima
     out-steps of occupied cells, deduplicated per size.  Bounded by
     ORACLE_BOUNDS to stay desk-scale.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = count_arg(n, 1, "n")
     _check_kind(lattice, source)
     triangular = lattice == "triangular"
     bound = ORACLE_BOUNDS[lattice]
@@ -525,8 +520,7 @@ def animal_count(n: int, lattice: str, source: str = "point") -> int:
     triangular = C(2n,n)/2; equerre: Motzkin / Catalan numbers;
     compact: 3^(n-1) / 4^(n-1).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = count_arg(n, 1, "n")
     r = lattice_colors(lattice)
     if source == "point":
         if lattice == "triangular":
@@ -602,7 +596,7 @@ def all_words(length: int, r: int) -> list[StepWord]:
     """Every unmarked word of the given length (oracle helper)."""
     alphabet = "ab" + "cd"[:r]
     words = [""]
-    for _ in range(length):
+    for _ in range(count_arg(length, 0, "length")):
         words = [w + ch for w in words for ch in alphabet]
     return [StepWord(r, w) for w in words]
 

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import gas as gasmod
+from ._args import count_arg
 from .animals import (
     LATTICES,
     SOURCES,
@@ -55,14 +56,14 @@ def _read_graph(path: str):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.size < 1:  # --samples 0 would otherwise never reach the sampler's check
-        raise ValueError(f"--size must be >= 1, got {args.size}")
+    # checked here too: with --samples 0 the sampler's own check never runs
+    size = count_arg(args.size, 1, "--size")
     from .randgen import RandomSource, random_animal  # numpy: sampling commands only
 
     src = RandomSource(args.seed)
     total = 0
     for _ in range(args.samples):
-        animal, report = random_animal(args.size, args.lattice, args.source, src)
+        animal, report = random_animal(size, args.lattice, args.source, src)
         print(animal_to_json(animal))
         total += report.nb_tirages
     print(f"nb_tirages_total={total}")

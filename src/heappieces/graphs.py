@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
+from ._args import count_arg
+
 
 class GraphError(ValueError):
     """Malformed graph description (duplicate label, loop, bad endpoint)."""
@@ -70,28 +72,11 @@ class CommutationGraph:
         if not (0 <= v < self.vertex_count):
             raise GraphError(f"vertex {v} out of range")
 
-    def neighborhood(self, v: int) -> frozenset[int]:
-        """Closed neighbourhood {v} U adjacent(v)."""
-        self.check_vertex(v)
-        return self._neighborhoods[v]
-
-    def are_neighbors(self, u: int, v: int) -> bool:
-        return v in self._neighborhoods[u]
-
-    def is_configuration(self, vs: Iterable[int]) -> bool:
-        """True iff no two distinct members are adjacent (stable set)."""
-        vs = set(vs)
-        for v in vs:
-            self.check_vertex(v)
-        chosen = sum(1 << v for v in vs)
-        return all(self._masks[v] & chosen == 1 << v for v in vs)
-
     def configurations(self, max_size: int) -> list[tuple[int, ...]]:
         """All stable sets of size <= max_size, including the empty one,
         sorted by (size, members); the cost tracks the output, not 2^n."""
-        if max_size < 0:
-            raise ValueError("max_size must be >= 0")
-        return [_members(s) for sets in self._stable_sets(max_size) for s in sets]
+        most = count_arg(max_size, 0, "max_size")
+        return [_members(s) for sets in self._stable_sets(most) for s in sets]
 
     def _closed_reach(self, layer: int) -> int:
         """Bitmask of N[layer]: the union of the closed neighbourhoods of its bits."""
@@ -177,8 +162,7 @@ def linear_window(radius: int) -> tuple[CommutationGraph, Coloring]:
     enough for their truncation (radius >= n covers any heap of n cells
     grown from fibre 0).
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    radius = count_arg(radius, 0, "radius")
     labels = [str(i) for i in range(-radius, radius + 1)]
     edges = [(str(i), str(i + 1)) for i in range(-radius, radius)]
     g = build_graph(labels, edges)

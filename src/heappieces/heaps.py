@@ -39,6 +39,7 @@ from functools import cached_property
 from itertools import chain, zip_longest
 from typing import Iterable, Iterator
 
+from ._args import count_arg
 from .graphs import (
     Coloring, CommutationGraph, _members, format_graph_literal, parse_graph_literal
 )
@@ -100,10 +101,6 @@ class Heap:
 
     def canonical_word(self) -> tuple[int, ...]:
         return tuple(chain.from_iterable(self.layers))
-
-    def is_pyramid(self) -> bool:
-        """Non-empty with a singleton base layer."""
-        return bool(self.key) and self.key[0].bit_count() == 1
 
 
 def empty_heap(g: CommutationGraph) -> Heap:
@@ -340,11 +337,9 @@ def enumerate_heaps(g: CommutationGraph, n: int) -> list[Heap]:
     The keys the layer transfer `_layer_transfer` lists, each size sorted
     by its keys' words, spelled from each layer's word (`_Words`).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     word = _Words().__getitem__
     heaps: list[Heap] = []
-    for payloads in _layer_transfer(g, n, True):
+    for payloads in _layer_transfer(g, count_arg(n, 0, "n"), True):
         keys = chain.from_iterable(payloads)
         heaps += [
             Heap._of_key(g, key)
@@ -356,8 +351,7 @@ def enumerate_heaps(g: CommutationGraph, n: int) -> list[Heap]:
 def count_pyramids(g: CommutationGraph, n: int, base: int | None = None) -> list[int]:
     """Number of pyramids of each size 0..n (base vertex pinned if given),
     counted by the layer transfer `_layer_transfer`: no heap is built."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = count_arg(n, 0, "n")
     levels = _layer_transfer(g, n, False, roots=_pyramid_roots(g, base))
     return [sum(counts) for counts in levels]
 

@@ -36,6 +36,8 @@ from enum import Enum
 from itertools import chain
 from operator import add
 
+from ._args import count_arg
+
 
 class WordError(ValueError):
     """Letters illegal for the declared number of horizontal colors."""
@@ -172,8 +174,7 @@ def count_paths(n: int, r: int, kind: str) -> int:
     P(i+1) = (r + 2) P(i) - W(i) counts it: a prefix of length i takes any
     of the r + 2 letters, but the W(i) that end at height 0 take no descent.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = count_arg(n, 0, "n")
     if r not in (0, 1, 2):
         raise WordError(f"r must be 0, 1 or 2, got {r}")
     if kind not in ("word", "prefix"):

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from ._args import count_arg
 from .animals import Animal, _check_kind, animal_of_word, lattice_colors
 from .paths import StepWord
 
@@ -212,11 +213,7 @@ class RandomSource:
 
     def split(self, task_index: int) -> "RandomSource":
         """Independent child source for parallel batch task `task_index` (>= 0)."""
-        if type(task_index) is bool:
-            raise TypeError("task_index must be an integer, not bool")
-        task_index = operator.index(task_index)  # as for the seed: no 1.9 or "1"
-        if task_index < 0:
-            raise ValueError(f"task_index must be >= 0, got {task_index}")
+        task_index = count_arg(task_index, 0, "task_index")
         lo, hi = _child_words(_stream_pool(self._seed_hash, 1), task_index, 2)
         return RandomSource(lo | hi << 32)
 
@@ -224,9 +221,8 @@ class RandomSource:
 def _draw(
     n: int, r: int, prefix: bool, source: RandomSource
 ) -> tuple[StepWord, int, int]:
-    """One operation: word, draws and restarts of a uniform word or prefix."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """One operation: word, draws and restarts of a uniform word or prefix of
+    length n, which the public entries have checked."""
     if r not in (1, 2):
         raise ValueError("r must be 1 or 2")
     rng = source._operation_rng()
@@ -240,7 +236,7 @@ def _draw(
 
 def random_word(n: int, r: int, source: RandomSource) -> StepWord:
     """Uniform word of length n over the (r+2)-letter alphabet; n draws."""
-    return _draw(n, r, False, source)[0]
+    return _draw(count_arg(n, 0, "n"), r, False, source)[0]
 
 
 def _sample_prefix_codes(
@@ -290,7 +286,7 @@ def _sample_prefix_codes(
 
 def random_motzkin_prefix(n: int, r: int, source: RandomSource) -> GenerationReport:
     """Uniform Motzkin prefix of length n by rejection with full restart."""
-    return GenerationReport(*_draw(n, r, True, source))
+    return GenerationReport(*_draw(count_arg(n, 0, "n"), r, True, source))
 
 
 def random_animal(
@@ -301,8 +297,7 @@ def random_animal(
     Point sources draw a Motzkin prefix (linear expected time); compact
     sources keep an arbitrary word (exactly n-1 draws).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = count_arg(n, 1, "n")
     _check_kind(lattice, source_kind)  # before the draw: a rejected call draws nothing
     r = lattice_colors(lattice)
     report = GenerationReport(*_draw(n - 1, r, source_kind == "point", source))

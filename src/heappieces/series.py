@@ -47,6 +47,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
+from ._args import count_arg
 from .graphs import CommutationGraph, _members
 from .heaps import (
     Heap, Key, _drop, _fibre_tops, _layer_transfer, _pyramid_roots, count_pyramids,
@@ -103,7 +104,7 @@ class TraceSeries:
     def __init__(
         self, graph: CommutationGraph, degree: int, terms: Mapping[Heap, Coefficient]
     ) -> None:
-        _check_degree(degree)
+        degree = count_arg(degree, 0, "degree")
         by_size: dict[int, Bucket] = {}
         for h, c in terms.items():
             if not c:
@@ -254,11 +255,6 @@ def series_mul(s1: TraceSeries, s2: TraceSeries) -> TraceSeries:
     return TraceSeries._of_keys(g, n, _normalized(accs))
 
 
-def _check_degree(degree: int) -> None:
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-
-
 def _counting_series(
     g: CommutationGraph, degree: int, levels: Iterable[Iterable[Key]], signed: bool
 ) -> TraceSeries:
@@ -284,22 +280,20 @@ def configurations_series(
     g: CommutationGraph, degree: int, signed: bool
 ) -> TraceSeries:
     """Stable sets as one-layer heaps; signed gives coefficient (-1)^{|C|}."""
-    _check_degree(degree)
+    degree = count_arg(degree, 0, "degree")
     levels = [[(conf,) for conf in sets] for sets in g._stable_sets(degree)]
     levels[0] = [()]  # the empty set, the empty heap
     return _counting_series(g, degree, levels, signed)
 
 
 def heaps_series(g: CommutationGraph, degree: int, signed: bool) -> TraceSeries:
-    _check_degree(degree)
-    return _listed_series(g, degree, signed)
+    return _listed_series(g, count_arg(degree, 0, "degree"), signed)
 
 
 def strict_heaps_series(
     g: CommutationGraph, degree: int, signed: bool
 ) -> TraceSeries:
-    _check_degree(degree)
-    return _listed_series(g, degree, signed, strict=True)
+    return _listed_series(g, count_arg(degree, 0, "degree"), signed, strict=True)
 
 
 def pyramids_series(
@@ -309,7 +303,7 @@ def pyramids_series(
     base: int | None = None,
 ) -> TraceSeries:
     """Pyramid series (no constant term); `base` pins the base vertex."""
-    _check_degree(degree)
+    degree = count_arg(degree, 0, "degree")
     return _listed_series(g, degree, signed, roots=_pyramid_roots(g, base))
 
 
@@ -380,7 +374,7 @@ class UnivariateSeries:
     coefficients: tuple[Coefficient, ...]
 
     def __post_init__(self) -> None:
-        _check_degree(self.degree)
+        object.__setattr__(self, "degree", count_arg(self.degree, 0, "degree"))
         coeffs = tuple(_exact(c) for c in self.coefficients)
         if len(coeffs) != self.degree + 1:
             raise SeriesError("coefficient count must be degree + 1")
@@ -500,7 +494,7 @@ def projected_series(
     plain kind at -t.
     """
     _check_kind(kind, base)
-    _check_degree(degree)
+    degree = count_arg(degree, 0, "degree")
     if kind.startswith("pi"):
         plain = UnivariateSeries(degree, tuple(count_pyramids(g, degree, base)))
     else:

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 
 from . import gas
+from ._args import count_arg
 from .animals import (
     ORACLE_BOUNDS,
     AnimalError,
@@ -189,6 +190,7 @@ def suite_counting() -> list[Check]:
 
 def suite_bijection(max_length: int = 7) -> list[Check]:
     """beta round-trips and its image matches the growth oracle."""
+    max_length = count_arg(max_length, 0, "max_length")
     for lattice, bound in ORACLE_BOUNDS.items():  # before any word is built
         if max_length + 1 > bound:
             raise AnimalError(f"oracle bound is {bound} for {lattice}")
@@ -293,8 +295,7 @@ def chi_square_tail(x: float, k: int) -> float:
     (x = 1490): beyond that the tail reads 0 for even k and erfc(sqrt h) for
     odd k.
     """
-    if k < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {k}")
+    k = count_arg(k, 1, "degrees of freedom")
     if x <= 0:
         return 1.0
     h = x / 2
@@ -432,6 +433,8 @@ def run_suites(names: list[str], degree: int | None = None) -> list[Check]:
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
+    if degree is not None:
+        degree = count_arg(degree, 0, "degree")
     checks: list[Check] = []
     for name in names:
         args = (degree,) if degree is not None and name in DEGREE_SUITES else ()

@@ -38,7 +38,6 @@ from heappieces.animals import (
     all_prefixes,
     all_words,
     catalan_number,
-    empirical_width,
     motzkin_number,
     prefix_count_closed,
 )
@@ -317,7 +316,7 @@ class TestWidth:
             assert average_width(n, lattice) == 2 * mean_half
             # empirical max-min width agrees exactly, by reflection symmetry
             mean_emp = Fraction(
-                sum(empirical_width(a) for a in animals), len(animals)
+                sum(max(a.fibres) - min(a.fibres) for a in animals), len(animals)
             )
             assert mean_emp == average_width(n, lattice)
 

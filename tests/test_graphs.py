@@ -25,6 +25,13 @@ def all_vertex_subsets(n):
         yield from combinations(range(n), size)
 
 
+def is_stable(g, vertices):
+    """Test oracle: no two of `vertices` are joined by an edge of g."""
+    return not any(
+        (min(u, v), max(u, v)) in g.edges for u, v in combinations(vertices, 2)
+    )
+
+
 def small_graphs(max_vertices=6):
     """Strategy: random simple graphs up to max_vertices vertices."""
 
@@ -89,35 +96,34 @@ class TestBuild:
 
 
 class TestNeighborhood:
+    """The closed neighbourhoods, as sets and as the bitmasks the stable-set
+    lister and the drop rule read."""
+
     def test_middle_of_path(self, path3):
-        assert path3.neighborhood(1) == {0, 1, 2}
+        assert path3._neighborhoods[1] == {0, 1, 2}
+        assert path3._masks[1] == 0b111
 
     def test_end_of_path(self, path3):
-        assert path3.neighborhood(0) == {0, 1}
+        assert path3._neighborhoods[0] == {0, 1}
+        assert path3._masks[0] == 0b011
 
     def test_isolated(self):
         g = build_graph(["x"], [])
-        assert g.neighborhood(0) == {0}
-
-    def test_out_of_range(self, path3):
-        with pytest.raises(GraphError):
-            path3.neighborhood(3)
+        assert g._neighborhoods[0] == {0}
 
     @given(small_graphs())
     def test_self_inclusion(self, g):
         for v in range(g.vertex_count):
-            assert v in g.neighborhood(v)
+            assert v in g._neighborhoods[v]
+            assert g._masks[v] == sum(1 << u for u in g._neighborhoods[v])
 
 
 class TestConfigurations:
     def test_path3_examples(self, path3):
-        assert path3.is_configuration({0, 2})
-        assert not path3.is_configuration({0, 1})
-        assert path3.is_configuration(set())
-
-    def test_out_of_range(self, path3):
-        with pytest.raises(GraphError):
-            path3.is_configuration({5})
+        confs = path3.configurations(3)
+        assert (0, 2) in confs
+        assert (0, 1) not in confs
+        assert () in confs
 
     def test_negative_max_size(self, path3):
         with pytest.raises(ValueError, match="max_size must be >= 0"):
@@ -125,12 +131,11 @@ class TestConfigurations:
 
     @given(small_graphs())
     def test_matches_pairwise_scan(self, g):
-        adjacency = {(u, v) for u, v in g.edges} | {(v, u) for u, v in g.edges}
+        """A set is stable when each member's mask meets the set in itself alone."""
         for subset in all_vertex_subsets(g.vertex_count):
-            brute = all(
-                (u, v) not in adjacency for u, v in combinations(subset, 2)
-            )
-            assert g.is_configuration(subset) == brute
+            chosen = sum(1 << v for v in subset)
+            by_masks = all(g._masks[v] & chosen == 1 << v for v in subset)
+            assert by_masks == is_stable(g, subset)
 
     def test_path3_enumeration(self, path3):
         got = path3.configurations(3)
@@ -149,7 +154,7 @@ class TestConfigurations:
     @given(small_graphs())
     def test_counts_match_subset_brute_force(self, g):
         confs = g.configurations(g.vertex_count)
-        brute = [s for s in all_vertex_subsets(g.vertex_count) if g.is_configuration(s)]
+        brute = [s for s in all_vertex_subsets(g.vertex_count) if is_stable(g, s)]
         assert sorted(confs, key=lambda c: (len(c), c)) == confs
         assert set(confs) == set(brute)
 
@@ -165,7 +170,7 @@ class TestConfigurations:
             (k, s)
             for k in range(min(most, len(inside)) + 1)
             for s in combinations(inside, k)
-            if not any(g.are_neighbors(u, v) for u, v in combinations(s, 2))
+            if is_stable(g, s)
         ]
         got = g._stable_sets(most, within)
         assert [
@@ -183,7 +188,7 @@ class TestConfigurations:
         edges = [(labels[i], labels[(i + 1) % 12]) for i in range(12)]  # 12-cycle
         g = build_graph(labels, edges)
         confs = g.configurations(12)
-        brute = [s for s in all_vertex_subsets(12) if g.is_configuration(s)]
+        brute = [s for s in all_vertex_subsets(12) if is_stable(g, s)]
         by_size = {}
         for c in brute:
             by_size[len(c)] = by_size.get(len(c), 0) + 1

@@ -101,6 +101,11 @@ def drop_by_sorted_layers(g, layers, word, coloring=None):
     return _place(layers, word, heights), heights
 
 
+def is_pyramid(h):
+    """A pyramid is a non-empty heap whose base layer holds one cell."""
+    return len(h.layers) > 0 and len(h.layers[0]) == 1
+
+
 def is_strict_by_word(h):
     """Declared oracle for is_strict: the word criterion on the canonical word.
 
@@ -113,7 +118,7 @@ def is_strict_by_word(h):
         j = last_seen.get(v)
         if j is not None:
             between = word[j + 1 : i]
-            if not any(u != v and h.graph.are_neighbors(u, v) for u in between):
+            if not any(u != v and v in h.graph._neighborhoods[u] for u in between):
                 return False
         last_seen[v] = i
     return True
@@ -136,7 +141,7 @@ def strict_skeleton_by_merging(h):
                 run[1] += 1
                 merged = True
                 break
-            if g.are_neighbors(u, v):
+            if v in g._neighborhoods[u]:
                 break
         if not merged:
             runs.append([v, 1])
@@ -162,7 +167,7 @@ def pyramid_split_by_closure(h, c):
         v, i = frontier.pop()
         for cell in cells:
             u, j = cell
-            if cell not in closure and j > i and h.graph.are_neighbors(u, v):
+            if cell not in closure and j > i and v in h.graph._neighborhoods[u]:
                 closure.add(cell)
                 frontier.append(cell)
 
@@ -186,10 +191,12 @@ def validate_by_checks(g, layers):
             raise HeapError(f"empty layer {i + 1}")
         if tuple(sorted(layer)) != layer:
             raise HeapError(f"layer {i + 1} not in ascending order")
-        if not g.is_configuration(layer):
+        for v in layer:
+            g.check_vertex(v)
+        if any(v in g._neighborhoods[u] for u, v in combinations(layer, 2)):
             raise HeapError(f"layer {i + 1} is not a stable set")
         if i > 0:
-            below = set().union(*(g.neighborhood(u) for u in layers[i - 1]))
+            below = set().union(*(g._neighborhoods[u] for u in layers[i - 1]))
             if any(v not in below for v in layer):
                 raise HeapError(f"unsupported cell in layer {i + 1}")
     if heap_of_word(g, chain.from_iterable(layers)).layers != layers:
@@ -232,7 +239,7 @@ def equivalence_class(g, word):
         w = queue.popleft()
         for i in range(len(w) - 1):
             u, v = w[i], w[i + 1]
-            if u != v and not g.are_neighbors(u, v):
+            if u != v and v not in g._neighborhoods[u]:
                 swapped = w[:i] + (v, u) + w[i + 2 :]
                 if swapped not in seen:
                     seen.add(swapped)
@@ -544,16 +551,16 @@ class TestFactorizationsAtScale:
         cells = big_heap.cells()
         for cell in cells[:: len(cells) // 20][:20]:
             x, p = pyramid_split(big_heap, cell)
-            assert p.is_pyramid()
+            assert is_pyramid(p)
             assert product(x, p) == big_heap
 
 
 class TestPyramids:
     def test_is_pyramid(self, cube, window4):
         g, _ = window4
-        assert not heap_of_word(cube, to_word(cube, "acbegeaf")).is_pyramid()
-        assert heap_of_word(g, to_word(g, "010")).is_pyramid()
-        assert not empty_heap(g).is_pyramid()
+        assert not is_pyramid(heap_of_word(cube, to_word(cube, "acbegeaf")))
+        assert is_pyramid(heap_of_word(g, to_word(g, "010")))
+        assert not is_pyramid(empty_heap(g))
 
     def test_worked_splits(self, cube):
         h = heap_of_word(cube, to_word(cube, "acbegeaf"))
@@ -577,7 +584,7 @@ class TestPyramids:
             splits = set()
             for cell in h.cells():
                 x, p = pyramid_split(h, cell)
-                assert p.is_pyramid()
+                assert is_pyramid(p)
                 assert product(x, p) == h
                 splits.add((x.layers, p.layers))
             assert len(splits) == h.size
@@ -636,7 +643,7 @@ def filter_heaps(heaps, strict_only=False, pyramids_only=False, pyramid_base=Non
         h
         for h in heaps
         if (not strict_only or is_strict_by_word(h))
-        and (not (pyramids_only or pyramid_base is not None) or h.is_pyramid())
+        and (not (pyramids_only or pyramid_base is not None) or is_pyramid(h))
         and (pyramid_base is None or h.layers[0] == (pyramid_base,))
     ]
 
@@ -668,7 +675,7 @@ def greedy_coloring(g, r, data):
     colors no earlier neighbour holds, or None when some vertex has none."""
     colors = [0] * g.vertex_count
     for v in range(g.vertex_count):
-        taken = {colors[u] for u in g.neighborhood(v)}
+        taken = {colors[u] for u in g._neighborhoods[v]}
         free = [c for c in range(1, r + 1) if c not in taken]
         if not free:
             return None
@@ -780,14 +787,14 @@ def count_pyramids_per_top(g, n, base=None):
     force over the subsets of the top's closed neighbourhood."""
 
     def stable(d):
-        return all(not g.are_neighbors(u, v) for u, v in combinations(d, 2))
+        return all(v not in g._neighborhoods[u] for u, v in combinations(d, 2))
 
     roots = range(g.vertex_count) if base is None else (base,)
     levels = [{(): 1}] + [{} for _ in range(n)]
     for s, level in enumerate(levels):
         for top, c in level.items():
             if top:
-                reach = sorted(set().union(*(g.neighborhood(u) for u in top)))
+                reach = sorted(set().union(*(g._neighborhoods[u] for u in top)))
                 moves = [
                     d for k in range(1, n - s + 1)
                     for d in combinations(reach, k) if stable(d)

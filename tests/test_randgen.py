@@ -26,6 +26,14 @@ from heappieces.animals import all_prefixes, all_words
 from heappieces.paths import StepWord, classify
 
 
+# the three samplers, each with its size left open
+SAMPLERS = {
+    "word": lambda n, src: random_word(n, 1, src),
+    "prefix": lambda n, src: random_motzkin_prefix(n, 2, src),
+    "animal": lambda n, src: random_animal(n, "square", "point", src),
+}
+
+
 def naive_prefix_reference(n, r, codes):
     """Scalar transcription of the restart loop, one letter per iteration.
 
@@ -138,19 +146,42 @@ class TestDeterminism:
             )
 
     @pytest.mark.parametrize(
-        "call, match",
+        "call, error, match",
         [
-            (lambda src: random_word(-1, 1, src), "n must be >= 0"),
-            (lambda src: random_word(3, 3, src), "r must be 1 or 2"),
-            (lambda src: random_motzkin_prefix(-1, 2, src), "n must be >= 0"),
-            (lambda src: random_motzkin_prefix(3, 0, src), "r must be 1 or 2"),
-            (lambda src: random_animal(0, "square", "point", src), "n must be >= 1"),
+            pytest.param(
+                lambda src: random_word(-1, 1, src), ValueError, "n must be >= 0",
+                id="word-n",
+            ),
+            pytest.param(
+                lambda src: random_word(3, 3, src), ValueError, "r must be 1 or 2",
+                id="word-r",
+            ),
+            pytest.param(
+                lambda src: random_motzkin_prefix(-1, 2, src), ValueError,
+                "n must be >= 0", id="prefix-n",
+            ),
+            pytest.param(
+                lambda src: random_motzkin_prefix(3, 0, src), ValueError,
+                "r must be 1 or 2", id="prefix-r",
+            ),
+            pytest.param(
+                lambda src: random_animal(0, "square", "point", src), ValueError,
+                "n must be >= 1", id="animal-n",
+            ),
+            # a bool or a float size: once 3.0 failed after its stream was taken
+            *(
+                pytest.param(
+                    functools.partial(sample, n), TypeError, "n must be an integer",
+                    id=f"{kind}-{n}",
+                )
+                for n in (True, 2.0, 2.5)
+                for kind, sample in SAMPLERS.items()
+            ),
         ],
-        ids=["word-n", "word-r", "prefix-n", "prefix-r", "animal-n"],
     )
-    def test_rejected_arguments_consume_no_operation(self, call, match):
+    def test_rejected_arguments_consume_no_operation(self, call, error, match):
         src = RandomSource(8)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(error, match=match):
             call(src)
         assert random_word(9, 1, src) == random_word(9, 1, RandomSource(8))
 

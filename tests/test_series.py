@@ -728,7 +728,7 @@ def stable_sets(g):
         frozenset(c)
         for k in range(g.vertex_count + 1)
         for c in combinations(vertices, k)
-        if not any(g.are_neighbors(u, v) for u, v in combinations(c, 2))
+        if not any(v in g._neighborhoods[u] for u, v in combinations(c, 2))
     ]
 
 
@@ -762,7 +762,7 @@ def strict_heap_counts(g, degree):
     for size in range(1, degree + 1):
         for top, count in tops[size].items():
             out[size] += count
-            reach = set().union(*(g.neighborhood(v) for v in top))
+            reach = set().union(*(g._neighborhoods[v] for v in top))
             for d in layers:
                 if size + len(d) <= degree and d <= reach and not d & top:
                     tops[size + len(d)][d] = tops[size + len(d)].get(d, 0) + count

@@ -14,6 +14,7 @@ from heappieces.verify import (
     chi_square_critical,
     chi_square_tail,
     run_suites,
+    suite_bijection,
 )
 
 DEGREES = list(range(1, 300)) + [1000]
@@ -52,6 +53,23 @@ def test_unknown_suite_raises_before_any_suite_runs(monkeypatch):
     monkeypatch.setitem(verify.SUITES, "micro", never_called)
     with pytest.raises(ValueError, match="unknown suite 'nope'"):
         run_suites(["micro", "nope"])
+
+
+def test_negative_length_or_degree_raises_instead_of_passing():
+    # each once printed four PASS lines over no word at all
+    with pytest.raises(ValueError, match="max_length must be >= 0, got -1"):
+        suite_bijection(-1)
+    with pytest.raises(ValueError, match="degree must be >= 0, got -3"):
+        run_suites(["bijection"], -3)
+
+
+def test_bad_degree_raises_before_any_suite_runs(monkeypatch):
+    def never_called():
+        raise AssertionError("a suite ran before the degree was checked")
+
+    monkeypatch.setitem(verify.SUITES, "micro", never_called)
+    with pytest.raises(TypeError, match="degree must be an integer"):
+        run_suites(["micro", "density"], 2.5)
 
 
 def test_verify_import_leaves_scipy_out():
