@@ -47,14 +47,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
-from ._args import count_arg
+from ._args import LATTICES, SOURCES, count_arg
 from .paths import StepWord, _marked_letters, is_motzkin_prefix
 
 if TYPE_CHECKING:  # numpy loads when an animal is first validated
     import numpy as np
-
-LATTICES = ("square", "triangular")
-SOURCES = ("point", "compact")
 
 # oracle growth bounds keeping brute-force enumeration under a minute
 ORACLE_BOUNDS = {"square": 12, "triangular": 10}
@@ -594,9 +591,11 @@ def animal_from_json(text: str) -> Animal:
 
 def all_words(length: int, r: int) -> list[StepWord]:
     """Every unmarked word of the given length (oracle helper)."""
+    length = count_arg(length, 0, "length")
+    r = count_arg(r, 0, "r")  # StepWord rejects r > 2
     alphabet = "ab" + "cd"[:r]
     words = [""]
-    for _ in range(count_arg(length, 0, "length")):
+    for _ in range(length):
         words = [w + ch for w in words for ch in alphabet]
     return [StepWord(r, w) for w in words]
 

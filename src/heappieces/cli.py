@@ -1,9 +1,12 @@
 """Command-line surface: generate, enumerate, count, series, verify, gas, render.
 
 Every subcommand is a thin adapter over the library with byte-stable
-output.  Exit codes: 0 success, 1 verification failure or a reader that
-closed stdout early (reported by no message), 2 usage error.  Results go
-to stdout, diagnostics to stderr.
+output.  This module imports only the standard library and `_args`, whose
+name vocabularies build the parser; each `_cmd_*` imports the modules it
+runs once the arguments are parsed, so `--help` and a usage error load no
+library module and a command loads only its own.  Exit codes: 0 success,
+1 verification failure or a reader that closed stdout early (reported by
+no message), 2 usage error.  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -14,21 +17,14 @@ import os
 import sys
 from pathlib import Path
 
-from . import gas as gasmod
-from ._args import count_arg
-from .animals import (
+from ._args import (
+    DEGREE_SUITES,
     LATTICES,
+    PROJECTED_KINDS,
     SOURCES,
-    animal_count,
-    animal_from_json,
-    animal_to_json,
-    enumerate_animals,
+    SUITE_NAMES,
+    count_arg,
 )
-from .graphs import parse_graph_literal
-from .heaps import enumerate_heaps
-from .render import RenderOptions, render_decomposition, render_svg
-from .series import PROJECTED_KINDS, dump_trace_series, projected_series, trace_series
-from .verify import DEGREE_SUITES, SUITES, run_suites
 
 
 def _non_negative_int(text: str) -> int:
@@ -52,12 +48,15 @@ def _finite_float(text: str) -> float:
 
 
 def _read_graph(path: str):
+    from .graphs import parse_graph_literal
+
     return parse_graph_literal(Path(path).read_text())
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     # checked here too: with --samples 0 the sampler's own check never runs
     size = count_arg(args.size, 1, "--size")
+    from .animals import animal_to_json
     from .randgen import RandomSource, random_animal  # numpy: sampling commands only
 
     src = RandomSource(args.seed)
@@ -74,11 +73,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.graph:
         if args.lattice is not None or args.source is not None:
             raise ValueError("--lattice and --source apply to animals, not --graph")
+        from .heaps import enumerate_heaps
+
         g = _read_graph(args.graph)
         for h in enumerate_heaps(g, args.size):
             word = " ".join(g.labels[v] for v in h.canonical_word())
             print(word if word else "1")
         return 0
+    from .animals import animal_to_json, enumerate_animals
+
     lattice, source = args.lattice or "square", args.source or "point"
     for an in enumerate_animals(args.size, lattice, source):
         print(animal_to_json(an))
@@ -105,6 +108,8 @@ def _text(value: object) -> str:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from .animals import animal_count
+
     print(_text(animal_count(args.size, args.lattice, args.source)))
     return 0
 
@@ -112,6 +117,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_series(args: argparse.Namespace) -> int:
     if args.base is not None and args.kind not in ("pi", "pi-bar"):
         raise ValueError(f"--base applies to pi and pi-bar, not {args.kind!r}")
+    from .series import dump_trace_series, projected_series, trace_series
+
     g = _read_graph(args.graph)
     base = g.index(args.base) if args.base is not None else None
     if args.project:  # from stable sets, not from the heaps
@@ -124,7 +131,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.degree is not None and args.suite not in ("all", *DEGREE_SUITES):
         raise ValueError(f"suite {args.suite!r} takes no --degree")
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    from .verify import run_suites
+
+    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     checks = run_suites(names, degree=args.degree)
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
@@ -144,6 +153,8 @@ def _cmd_gas(args: argparse.Namespace) -> int:
         raise ValueError("--graph and --linear exclude each other")
     if not args.linear and not args.graph:
         raise ValueError("gas: need --graph FILE or --linear")
+    from . import gas as gasmod
+
     if args.linear:
         # evaluate first so a bad --at leaves no partial output
         density = None if args.at is None else gasmod.evaluate_density(args.at)
@@ -166,6 +177,9 @@ def _cmd_gas(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     if args.decomposition and (args.radius is not None or args.rotation is not None):
         raise ValueError("--radius and --rotation apply to SVG, not --decomposition")
+    from .animals import animal_from_json
+    from .render import RenderOptions, render_decomposition, render_svg
+
     if args.input:
         text = Path(args.input).read_text()
     else:
@@ -227,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_series)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", choices=["all", *sorted(SUITES)], default="all")
+    p.add_argument("--suite", choices=["all", *sorted(SUITE_NAMES)], default="all")
     p.add_argument("--degree", type=_non_negative_int, default=None)
     p.set_defaults(fn=_cmd_verify)
 

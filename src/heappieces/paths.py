@@ -175,6 +175,7 @@ def count_paths(n: int, r: int, kind: str) -> int:
     of the r + 2 letters, but the W(i) that end at height 0 take no descent.
     """
     n = count_arg(n, 0, "n")
+    r = count_arg(r, 0, "r")
     if r not in (0, 1, 2):
         raise WordError(f"r must be 0, 1 or 2, got {r}")
     if kind not in ("word", "prefix"):

@@ -222,9 +222,7 @@ def _draw(
     n: int, r: int, prefix: bool, source: RandomSource
 ) -> tuple[StepWord, int, int]:
     """One operation: word, draws and restarts of a uniform word or prefix of
-    length n, which the public entries have checked."""
-    if r not in (1, 2):
-        raise ValueError("r must be 1 or 2")
+    length n over r colours, which the public entries have checked."""
     rng = source._operation_rng()
     if prefix:
         codes, nb, restarts = _sample_prefix_codes(n, r, rng)
@@ -234,9 +232,17 @@ def _draw(
     return StepWord(r, letters.decode("ascii")), nb, restarts
 
 
+def _colors(r: int) -> int:
+    """r as a sampled word's colour count: 1 or 2, checked before any draw."""
+    r = count_arg(r, 0, "r")
+    if r not in (1, 2):
+        raise ValueError("r must be 1 or 2")
+    return r
+
+
 def random_word(n: int, r: int, source: RandomSource) -> StepWord:
     """Uniform word of length n over the (r+2)-letter alphabet; n draws."""
-    return _draw(count_arg(n, 0, "n"), r, False, source)[0]
+    return _draw(count_arg(n, 0, "n"), _colors(r), False, source)[0]
 
 
 def _sample_prefix_codes(
@@ -286,7 +292,7 @@ def _sample_prefix_codes(
 
 def random_motzkin_prefix(n: int, r: int, source: RandomSource) -> GenerationReport:
     """Uniform Motzkin prefix of length n by rejection with full restart."""
-    return GenerationReport(*_draw(count_arg(n, 0, "n"), r, True, source))
+    return GenerationReport(*_draw(count_arg(n, 0, "n"), _colors(r), True, source))
 
 
 def random_animal(

@@ -47,7 +47,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from ._args import count_arg
+from ._args import PROJECTED_KINDS, count_arg
 from .graphs import CommutationGraph, _members
 from .heaps import (
     Heap, Key, _drop, _fibre_tops, _layer_transfer, _pyramid_roots, count_pyramids,
@@ -57,9 +57,6 @@ from .heaps import (
 Coefficient = int | Fraction
 Bucket = dict[Key, Coefficient]  # one size's terms: heap key -> coefficient
 Node = list  # a word trie's node: [coefficient, children] (`_word_trie`)
-PROJECTED_KINDS = (
-    "gamma", "gamma-bar", "theta", "theta-bar", "theta-strict", "pi", "pi-bar"
-)
 
 
 class SeriesError(ValueError):
@@ -189,22 +186,34 @@ def _word_trie(s: TraceSeries) -> Node:
 
     A node is [coefficient, children]: the word's coefficient in s, 0 when
     the word only prefixes terms, and a letter -> node dict, None at a leaf.
+    Each term's node hangs off its parent's node (`_hang`), not spelled from
+    the root.  The keys come smallest first, so each node's children come
+    in the order of the first term below each, as spelling gives them.
     """
-    vertices = cache(_members)  # each layer's vertices, listed once
     root: Node = [0, None]
+    nodes = {(): root}  # key -> node; dropped on return, so only the trie stays
     for bucket in s._sizes:
         for key, c in bucket.items():
-            node = root
-            for v in chain.from_iterable(map(vertices, key)):
-                children = node[1]
-                if children is None:
-                    children = node[1] = {}
-                child = children.get(v)
-                if child is None:
-                    child = children[v] = [0, None]
-                node = child
-            node[0] = c
+            (nodes.get(key) or _hang(nodes, key))[0] = c
     return root
+
+
+def _hang(nodes: dict[Key, Node], key: Key) -> Node:
+    """A new node for key, under its parent's, which is hung first if new.
+
+    A canonical word's last letter is its top layer's highest vertex: the
+    parent key clears that bit, and drops the top layer if it empties.
+    """
+    top = key[-1]
+    v = top.bit_length() - 1
+    top ^= 1 << v
+    up = key[:-1] + (top,) if top else key[:-1]
+    parent = nodes.get(up) or _hang(nodes, up)
+    children = parent[1]
+    if children is None:
+        children = parent[1] = {}
+    node = nodes[key] = children[v] = [0, None]
+    return node
 
 
 def _walk(

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from . import gas
-from ._args import count_arg
+from ._args import DEGREE_SUITES, SUITE_NAMES, count_arg
 from .animals import (
     ORACLE_BOUNDS,
     AnimalError,
@@ -406,27 +406,8 @@ def suite_scale() -> list[Check]:
     ]
 
 
-SUITES = {
-    "inversion": suite_inversion,
-    "derivative": suite_derivative,
-    "micro": suite_micro,
-    "counting": suite_counting,
-    "bijection": suite_bijection,
-    "substitution": suite_substitution,
-    "gas": suite_gas,
-    "density": suite_density,
-    "colored": suite_colored,
-    "sampling": suite_sampling,
-    "cost": suite_cost,
-    "scale": suite_scale,
-}
-
-
-# suites called with the degree (the bijection's maximal word length) as
-# their first positional argument when one is given
-DEGREE_SUITES = frozenset(
-    {"inversion", "derivative", "gas", "substitution", "density", "bijection"}
-)
+# each suite's function is named after it
+SUITES = {name: globals()[f"suite_{name}"] for name in SUITE_NAMES}
 
 
 def run_suites(names: list[str], degree: int | None = None) -> list[Check]:

@@ -1,11 +1,12 @@
-"""The one count check: every size, degree, radius and index goes through
-`count_arg`, so each entry rejects a bool or a float by type and a value
-below its bound with one message, before any work.  The samplers' rows,
-which must also draw nothing, are in tests/test_randgen.py."""
+"""The one count check: every size, degree, radius, index and colour
+count goes through `count_arg`, so each entry rejects a bool or a float by
+type and a value below its bound with one message, before any work.  The
+samplers' rows, which must also draw nothing, are in tests/test_randgen.py."""
 
 import argparse
 import contextlib
 import io
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,11 @@ from heappieces import (
     linear_window,
     projected_series,
     pyramids_series,
+    random_motzkin_prefix,
+    random_word,
     strict_heaps_series,
 )
-from heappieces.animals import all_words
+from heappieces.animals import all_prefixes, all_words
 from heappieces.cli import _cmd_generate
 from heappieces.verify import chi_square_tail, graph_suite, run_suites, suite_bijection
 
@@ -91,6 +94,32 @@ def test_count_below_bound_raises_value_error(entry):
 def test_numpy_integer_count_equals_int(entry):
     call, _, _, count = ENTRIES[entry]
     assert call(np.int64(count)) == call(count)
+
+
+# each entry's result at colour count r; after count_arg, each keeps its
+# own test of which r it takes
+COLOR_ENTRIES = {
+    "random_word": lambda r: random_word(4, r, RandomSource(3)),
+    "random_motzkin_prefix": lambda r: random_motzkin_prefix(4, r, RandomSource(3)),
+    "count_paths": lambda r: count_paths(5, r, "word"),
+    "all_words": lambda r: all_words(2, r),
+    "all_prefixes": lambda r: all_prefixes(2, r),
+}
+
+
+@pytest.mark.parametrize("entry", COLOR_ENTRIES)
+@pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["bool", "float", "text"])
+def test_bool_float_or_text_colour_count_raises_type_error(entry, value):
+    # r=True once counted 21 words of length 5 and listed 9 of length 2
+    with pytest.raises(TypeError, match="r must be an integer"):
+        COLOR_ENTRIES[entry](value)
+
+
+@pytest.mark.parametrize("entry", COLOR_ENTRIES)
+def test_numpy_integer_colour_count_gives_the_int_result(entry):
+    # pickled, so that a word's r must be the plain int too
+    call = COLOR_ENTRIES[entry]
+    assert pickle.dumps(call(np.int64(1))) == pickle.dumps(call(1))
 
 
 def test_fractional_size_raises_at_once():

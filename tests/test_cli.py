@@ -1,6 +1,7 @@
 """CLI: thin adapters, stable bytes, exit codes."""
 
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import heappieces
 from heappieces import (
     AnimalError,
     RandomSource,
@@ -177,6 +179,115 @@ def test_star_import_binds_the_sampler_names():
         "heappieces.series",
         "True",
     ]
+
+
+# the heappieces modules, and whether numpy, loaded in a fresh interpreter
+# by the code in argv[1], its stdout and stderr swallowed
+FOOTPRINT_CHILD = """
+import contextlib, io, json, sys
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    exec(sys.argv[1])
+loaded = [m for m in sys.modules if m.partition(".")[0] == "heappieces"]
+print(json.dumps([sorted(loaded), "numpy" in sys.modules]))
+"""
+# what the CLI loads before it runs a command: the parser's vocabularies
+CLI_FOOTPRINT = ["_args", "cli"]
+
+
+def footprint(code):
+    proc = run_fresh(FOOTPRINT_CHILD, code)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+def package(*modules):
+    """The package and these of its modules, as sys.modules names them."""
+    return sorted(["heappieces", *(f"heappieces.{m}" for m in modules)])
+
+
+@pytest.mark.parametrize(
+    "code, modules",
+    [
+        ("import heappieces", []),
+        ("import heappieces.cli", CLI_FOOTPRINT),
+        ("from heappieces.cli import build_parser; build_parser()", CLI_FOOTPRINT),
+        ("from heappieces.cli import cli_main; assert cli_main(['--help']) == 0", CLI_FOOTPRINT),
+        # a usage error: argparse refuses it before any command module loads
+        ("from heappieces.cli import cli_main; assert cli_main(['count']) == 2", CLI_FOOTPRINT),
+    ],
+)
+def test_start_up_loads_no_library_module(code, modules):
+    assert footprint(code) == (package(*modules), False)
+
+
+# each command's modules besides the package and CLI_FOOTPRINT, and whether
+# it loads numpy (the sampler, or the validator of the animals it reads)
+@pytest.mark.parametrize(
+    "command, modules, numpy",
+    [
+        ("count --size 10", ["animals", "paths"], False),
+        ("series --graph {path5} --kind theta --degree 4", ["graphs", "heaps", "series"], False),
+        (
+            "series --graph {path5} --kind theta --degree 4 --project",
+            ["graphs", "heaps", "series"], False,
+        ),
+        ("gas --graph {path5} --degree 4", ["gas", "graphs", "heaps", "series"], False),
+        ("gas --linear --degree 4", ["gas", "graphs", "heaps", "series"], False),
+        ("enumerate --graph {path5} --size 3", ["graphs", "heaps"], False),
+        ("enumerate --size 4", ["animals", "paths"], False),
+        ("generate --size 10", ["animals", "paths", "randgen"], True),
+        ("render --input {animals}", ["animals", "paths", "render"], True),
+        ("render --input {animals} --decomposition", ["animals", "paths", "render"], True),
+        # the algebra's suites; the sampling ones import randgen as they run
+        (
+            "verify --suite micro",
+            ["animals", "gas", "graphs", "heaps", "paths", "series", "verify"], False,
+        ),
+    ],
+)
+def test_each_command_loads_only_its_modules(path5_file, tmp_path, command, modules, numpy):
+    animals = tmp_path / "animals.jsonl"
+    animals.write_text(animal_to_json(random_animal(8, "square", "point", RandomSource(1))[0]))
+    argv = [arg.format(path5=path5_file, animals=animals) for arg in command.split()]
+    code = f"from heappieces.cli import cli_main; assert cli_main({argv!r}) == 0"
+    assert footprint(code) == (package(*CLI_FOOTPRINT, *modules), numpy)
+
+
+# heappieces.__all__ when the package imported every module at once
+PUBLIC_NAMES = [
+    "Animal", "AnimalError", "ColoredHeap", "Coloring", "CommutationGraph",
+    "GenerationReport", "GraphError", "Heap", "HeapError", "PathKind",
+    "RandomSource", "RenderOptions", "SeriesError", "StepWord", "TraceSeries",
+    "UnivariateSeries", "WordError", "animal_count", "animal_from_json",
+    "animal_to_json", "animals", "average_width", "beta", "beta_inverse",
+    "bicolored_prefix_to_dyck_prefix", "bicolored_to_dyck", "build_graph",
+    "catalan_factorize", "classify", "colored_layers", "compact_animal",
+    "configurations_series", "count_paths", "count_pyramids", "derive", "dual",
+    "empty_heap", "enumerate_animals", "enumerate_heaps", "equivalent",
+    "evaluate_density", "format_graph_literal", "gas", "graphs", "half_width",
+    "heap_from_json", "heap_of_word", "heap_to_json", "heaps", "heaps_series",
+    "invert", "is_strict", "linear_density", "linear_window", "mark_celibates",
+    "mean_particles_direct", "mean_particles_pyramids", "parse_graph_literal",
+    "partition_function", "paths", "product", "project", "projected_series",
+    "push", "pyramid_split", "pyramids_series", "randgen", "random_animal",
+    "random_motzkin_prefix", "random_word", "render", "render_decomposition",
+    "render_svg", "series", "series_mul", "strict_heaps_series", "strict_skeleton",
+    "trace_series", "univariate_substitute",
+]
+
+
+def test_public_names_are_the_defining_modules_objects():
+    assert heappieces.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(heappieces))
+    for name in PUBLIC_NAMES:
+        value = getattr(heappieces, name)
+        if isinstance(value, type(heappieces)):
+            assert value is importlib.import_module(f"heappieces.{name}")
+        else:
+            assert value.__module__.startswith("heappieces.")
+            assert value is getattr(importlib.import_module(value.__module__), name)
+    with pytest.raises(AttributeError, match="has no attribute 'verify_all'"):
+        heappieces.verify_all
 
 
 class TestGenerate:

@@ -177,6 +177,16 @@ class TestDeterminism:
                 for n in (True, 2.0, 2.5)
                 for kind, sample in SAMPLERS.items()
             ),
+            # a colour count that is no int: once r=True drew a word with r
+            # True, and r=1.0 failed after its stream was taken
+            *(
+                pytest.param(
+                    functools.partial(sample, 4, r), TypeError, "r must be an integer",
+                    id=f"{sample.__name__}-r-{r!r}",
+                )
+                for r in (True, 1.0, "1")
+                for sample in (random_word, random_motzkin_prefix)
+            ),
         ],
     )
     def test_rejected_arguments_consume_no_operation(self, call, error, match):

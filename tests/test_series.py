@@ -3,7 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +30,7 @@ from heappieces import (
     univariate_substitute,
 )
 from heappieces import heaps as heaps_module, series as series_module
+from heappieces.graphs import _members
 from heappieces.heaps import empty_heap
 from heappieces.series import (
     PROJECTED_KINDS,
@@ -115,6 +116,34 @@ class TestTraceProduct:
             series_mul(heaps_series(path3, 3, False), heaps_series(path3, 4, False))
         with pytest.raises(SeriesError):
             series_mul(heaps_series(path3, 3, False), heaps_series(k3, 3, False))
+
+
+def spelled_word_trie(s):
+    """The prefix trie of s's canonical words, each spelled from the root:
+    the oracle of `series._word_trie`, which hangs each node off its parent."""
+    root = [0, None]
+    for bucket in s._sizes:
+        for key, c in bucket.items():
+            node = root
+            for v in chain.from_iterable(map(_members, key)):
+                if node[1] is None:
+                    node[1] = {}
+                node = node[1].setdefault(v, [0, None])
+            node[0] = c
+    return root
+
+
+def assert_same_trie(trie, oracle):
+    """Node by node: coefficients, leaves, and each node's children in order."""
+    stack = [(trie, oracle)]
+    while stack:
+        (c, children), (c0, children0) = stack.pop()
+        assert c == c0 and type(c) is type(c0)
+        if children0 is None:
+            assert children is None
+            continue
+        assert list(children) == list(children0)
+        stack.extend(zip(children.values(), children0.values()))
 
 
 def pairwise_mul(s1, s2):
@@ -206,6 +235,23 @@ class TestPairwiseOracle:
         monkeypatch.setattr(series_module, "_drop", counting_drop, raising=False)
         assert series_mul(gamma_bar, theta) == unit_series(path5, 6)
         assert sum(landed) == 10_570
+
+    def test_word_trie_equals_the_spelled_trie_on_path5(self, path5):
+        # the walk's order of children fixes each product bucket's order
+        for s in (heaps_series(path5, 6, False), configurations_series(path5, 6, True)):
+            assert_same_trie(series_module._word_trie(s), spelled_word_trie(s))
+
+    @pytest.mark.parametrize("name", [name for name, _ in graph_suite()])
+    def test_word_trie_equals_the_spelled_trie(self, name):
+        # pyramids and the lone long word have prefixes that are not terms
+        g = dict(graph_suite())[name]
+        word = (tuple(range(g.vertex_count)) * 2)[:5]
+        long = TraceSeries(g, 5, {heap_of_word(g, word): Q(-2, 3)})
+        for s in (
+            heaps_series(g, 5, False), configurations_series(g, 5, True),
+            pyramids_series(g, 5, True), long, unit_series(g, 5) + long,
+        ):
+            assert_same_trie(series_module._word_trie(s), spelled_word_trie(s))
 
     @pytest.mark.parametrize("bad", [7, -1])
     def test_bad_vertex_raises(self, path3, bad):
